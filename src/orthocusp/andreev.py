@@ -188,10 +188,6 @@ def _edges_at_vertex(p: Polyhedron3, v: int) -> list[Edge]:
     return [e for e in p.edges if v in e]
 
 
-def _faces_at_vertex(p: Polyhedron3, v: int) -> list[int]:
-    return [fi for fi, face in enumerate(p.faces) if v in face]
-
-
 def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionReport:
     """Evaluate the realizability conditions for an acute-angled almost
     simple polyhedron of finite volume with the given dihedral angles.

@@ -46,19 +46,6 @@ def n7_polynomial(l: int, m: int) -> int:
 
 
 @dataclass(frozen=True)
-class N7Params:
-    """m: assumed cusp count of the 7-polyhedron; l: cusps of the fixed
-    3-face, at least two of which exist in every relevant configuration."""
-
-    m: int
-    l: int
-
-    def __post_init__(self):
-        if self.m < 1 or not 2 <= self.l <= self.m:
-            raise ValueError("need m >= 1 and 2 <= l <= m")
-
-
-@dataclass(frozen=True)
 class N7Entry:
     m: int
     one_cusp_floor: int

@@ -154,10 +154,6 @@ def cmd_nikulin(args, out: _Out) -> int:
     return EXIT_OK if small.passed else EXIT_CHECK_FAILED
 
 
-def _enum_cache_paths(cache: Path):
-    return cache / "index.txt", cache
-
-
 def cmd_enumerate(args, out: _Out) -> int:
     filt = enum3.FILTER_RIGHT_ANGLED if args.realizable else enum3.FILTER_ALL
     spec = enum3.EnumSpec(args.faces, args.cusps, filt)

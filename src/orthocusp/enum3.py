@@ -12,6 +12,7 @@ quadrilateral faces turning into ideal vertices of degree four.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -19,7 +20,7 @@ from itertools import combinations
 from . import maps
 from .andreev import adjacency, check_right_angled
 from .core import (Polyhedron3, dual, canonical_code, contract_edge, validate,
-                   RIGHT_ANGLED_PROFILE)
+                   RIGHT_ANGLED_PROFILE, _follows)
 from .data import load_fixture
 
 FILTER_ALL = "all-almost-simple"
@@ -96,6 +97,12 @@ def triangulations(n: int) -> tuple[maps.Rotation, ...]:
 
     Grown level by level from the tetrahedron by vertex splitting; every
     stored rotation system is the canonical representative of its class.
+    Every split of every parent is made, but a child is canonicalised only
+    when its new edge passes ``_is_canonical_augmentation``.  No class is
+    lost: take any class with n >= 5 vertices and its contractible edge e
+    of least key.  Contracting e gives a triangulation with n - 1 vertices,
+    isomorphic to a stored one, and one split of that stored parent undoes
+    the contraction with e as the new edge; that child passes the filter.
     """
     if n < 4:
         raise ValueError("triangulations start at 4 vertices")
@@ -111,11 +118,37 @@ def triangulations(n: int) -> tuple[maps.Rotation, ...]:
                     for i in range(d):
                         for j in range(i + 1, d):
                             cand = maps.split_vertex(rot, v, i, j)
+                            if not _is_canonical_augmentation(cand, v):
+                                continue
                             code, canon, _ = maps.canonical_form(cand)
                             if code not in found:
                                 found[code] = canon
             _TRIANGULATIONS[n] = tuple(rot for _, rot in sorted(found.items()))
     return _TRIANGULATIONS[n]
+
+
+def _is_canonical_augmentation(rot: maps.Rotation, v: int) -> bool:
+    """Whether the edge from ``v`` to the last vertex, just made by a split,
+    has the least key among the contractible edges of ``rot``.
+
+    The key of an edge is its sorted pair of endpoint degrees.  An edge of
+    a triangulation is contractible when its endpoints have exactly two
+    common neighbours, so that it lies in no separating triangle and its
+    contraction is again a triangulation.  The new edge always is: its
+    only common neighbours are the two hinges.
+    """
+    w = len(rot) - 1
+    key = tuple(sorted((len(rot[v]), len(rot[w]))))
+    for a, nbrs in enumerate(rot):
+        da = len(nbrs)
+        if da > key[0]:
+            continue
+        around = set(nbrs)
+        for b in nbrs:
+            db = len(rot[b])
+            if db >= da and (da, db) < key and len(around.intersection(rot[b])) == 2:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +227,20 @@ def _candidates(rot: maps.Rotation, num_cusps: int, prefilter: bool):
 
 
 def _collect_chunk(args):
+    """Candidates of a run of triangulations, deduplicated by code.
+
+    With the prefilter on, a triangulation whose deficit (the sum of
+    max(0, 5 - deg) over its vertices) exceeds 2 * ``num_cusps`` is skipped,
+    since none of its candidates would pass ``_right_angled_prefilter``: a
+    deleted edge leaves the degree plus quadrilateral count of each of its
+    endpoints unchanged and adds 1 at each of its two apexes, so the
+    deficit falls by at most 2 per cusp, and the prefilter needs it to be 0.
+    """
     rot_chunk, num_cusps, prefilter = args
     found: dict[bytes, maps.Rotation] = {}
     for rot in rot_chunk:
+        if prefilter and sum(max(0, 5 - len(nbrs)) for nbrs in rot) > 2 * num_cusps:
+            continue
         for code, canon in _candidates(rot, num_cusps, prefilter):
             if code not in found:
                 found[code] = canon
@@ -211,6 +255,11 @@ def _dualize(rot: maps.Rotation) -> Polyhedron3:
     dual_side = Polyhedron3(vertex_count=len(rot), ideal_vertices=frozenset(),
                             faces=tuple(faces), ideal_faces=quads)
     return dual(dual_side)
+
+
+def _pool_size(workers: int, chunks: int) -> int:
+    """Processes to start: no more than requested, chunks or CPUs."""
+    return min(workers, chunks, os.cpu_count() or 1)
 
 
 def enumerate_types(spec: EnumSpec, workers: int = 1,
@@ -234,7 +283,7 @@ def enumerate_types(spec: EnumSpec, workers: int = 1,
             size = (len(tris) + workers - 1) // workers
             chunks = [(tris[i:i + size], spec.num_cusps, prefilter)
                       for i in range(0, len(tris), size)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=_pool_size(workers, len(chunks))) as pool:
                 for part in pool.map(_collect_chunk, chunks):
                     for code, canon in part.items():
                         found.setdefault(code, canon)
@@ -317,7 +366,7 @@ def verify_lemma31(workers: int = 1) -> OneCuspMinimumReport:
         around = []
         for u in rot[cusp]:
             fi = next(i for i, f in enumerate(p.faces)
-                      if _has_dart(f, u, cusp))
+                      if _follows(f, u, cusp))
             around.append(len(p.faces[fi]))
         cusp_cycle = tuple(around)
         quad_ids = [i for i, f in enumerate(p.faces) if len(f) == 4]
@@ -329,11 +378,6 @@ def verify_lemma31(workers: int = 1) -> OneCuspMinimumReport:
         counts_by_faces=counts, face_sizes=face_sizes,
         cusp_cycle_sizes=cusp_cycle, quads_adjacent=quads_adjacent,
         matches_contracted_dodecahedron=matches)
-
-
-def _has_dart(face, u, v) -> bool:
-    k = len(face)
-    return any(face[i] == u and face[(i + 1) % k] == v for i in range(k))
 
 
 @dataclass

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from orthocusp import EnumSpec, canonical_code, enumerate_types, validate
+from orthocusp import EnumSpec, canonical_code, enumerate_types, maps, validate
 from orthocusp.core import RIGHT_ANGLED_PROFILE
-from orthocusp.enum3 import FILTER_RIGHT_ANGLED, triangulations
+from orthocusp.enum3 import (FILTER_RIGHT_ANGLED, _candidates,
+                             _is_canonical_augmentation, _pool_size, triangulations)
 
 
 #: Counts frozen from the independent brute-force generator (see oracle.py);
@@ -36,9 +37,75 @@ def test_oracle_agrees_with_frozen():
 
 
 def test_triangulation_level_counts():
-    known = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233}
+    # OEIS A000109
+    known = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233, 11: 1249, 12: 7595}
     for n, want in known.items():
         assert len(triangulations(n)) == want
+
+
+def _splits(rot):
+    """Every vertex split of ``rot`` as (split vertex, child)."""
+    for v, nbrs in enumerate(rot):
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                yield v, maps.split_vertex(rot, v, i, j)
+
+
+def test_growth_matches_canonicalising_every_split():
+    """The canonical-augmentation filter drops no class: growth that
+    canonicalises every split gives the same levels, tuple for tuple."""
+    level = triangulations(4)
+    for n in range(5, 11):
+        found = {}
+        for rot in level:
+            for _, child in _splits(rot):
+                code, canon, _ = maps.canonical_form(child)
+                found.setdefault(code, canon)
+        level = tuple(rot for _, rot in sorted(found.items()))
+        assert level == triangulations(n), n
+
+
+def test_augmentation_filter_uses_contractible_edges():
+    """The filter keeps a child exactly when no edge of smaller sorted
+    degree pair is contractible, i.e. lies only on facial triangles."""
+    rejected = 0
+    for n in range(4, 10):
+        for rot in triangulations(n):
+            for v, child in _splits(rot):
+                faces = {frozenset(f) for f in maps.faces_of_rotation(child)}
+                deg = [len(nbrs) for nbrs in child]
+                key = sorted((deg[v], deg[-1]))
+                smaller = any(
+                    sorted((deg[a], deg[b])) < key
+                    and all(frozenset((a, b, x)) in faces
+                            for x in set(child[a]) & set(child[b]))
+                    for a, b in maps.edge_set(child))
+                assert _is_canonical_augmentation(child, v) == (not smaller)
+                rejected += smaller
+    assert rejected > 0
+
+
+def test_deficit_screen_matches_prefilter():
+    """A triangulation whose deficit exceeds 2c, which the candidate stage
+    skips, has no candidate passing the right-angled prefilter."""
+    screened = 0
+    for n in range(4, 11):
+        for rot in triangulations(n):
+            deficit = sum(max(0, 5 - len(nbrs)) for nbrs in rot)
+            for c in (0, 1, 2):
+                if deficit > 2 * c:
+                    assert _candidates(rot, c, True) == [], (n, c, rot)
+                    screened += 1
+    assert screened > 0
+
+
+def test_pool_size_clamped(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert _pool_size(10_000, 10_000) == 2
+    assert _pool_size(10_000, 1) == 1
+    assert _pool_size(1, 10_000) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _pool_size(10_000, 10_000) == 1
 
 
 def test_every_type_validates(enum_all_small):
