@@ -160,13 +160,13 @@ def parse_poly3(text: str) -> Polyhedron3:
         raise Poly3Error("expected header 'poly3 v1'", num)
     if len(lines) < 2 or not lines[1][1].startswith("vertices:"):
         raise Poly3Error("expected 'vertices: <N>'", lines[1][0] if len(lines) > 1 else num)
-    num, vline = lines[1]
+    vnum, vline = lines[1]
     try:
         n = int(vline.split(":", 1)[1])
     except ValueError:
-        raise Poly3Error("vertex count is not an integer", num) from None
+        raise Poly3Error("vertex count is not an integer", vnum) from None
     if n < 0:
-        raise Poly3Error("vertex count is negative", num)
+        raise Poly3Error("vertex count is negative", vnum)
     if len(lines) < 3 or not lines[2][1].startswith("ideal:"):
         raise Poly3Error("expected 'ideal:' line", lines[2][0] if len(lines) > 2 else num)
     num, iline = lines[2]
@@ -195,6 +195,10 @@ def parse_poly3(text: str) -> Polyhedron3:
         if len(set(cycle)) != len(cycle):
             raise Poly3Error("duplicate vertex in face cycle", num)
         faces.append(cycle)
+    incidences = sum(len(face) for face in faces)
+    if n > incidences:
+        raise Poly3Error(f"{n} vertices but only {incidences} face-vertex incidences, "
+                         "so some vertex lies on no face", vnum)
     return Polyhedron3(vertex_count=n, ideal_vertices=frozenset(ideal),
                        faces=tuple(faces))
 
@@ -410,7 +414,14 @@ def _follows(face: Sequence[int], u: int, v: int) -> bool:
 def canonical_code(p: Polyhedron3) -> bytes:
     """Canonical byte string: equal for two polyhedra exactly when they are
     isomorphic as embedded incidence structures with matching cusp marks,
-    up to relabelling and reflection."""
+    up to relabelling and reflection.
+
+    Polyhedra with more than ``maps.MAX_CODE_VERTICES`` vertices are
+    refused.
+    """
+    if p.vertex_count > maps.MAX_CODE_VERTICES:
+        raise Poly3Error(f"canonical codes cover at most {maps.MAX_CODE_VERTICES} "
+                         f"vertices, got {p.vertex_count}")
     require_valid(p)
     rot = p.rotation()
     marks = [1 if v in p.ideal_vertices else 0 for v in range(p.vertex_count)]

@@ -8,6 +8,22 @@ corresponds to a triangulation with c edges removed, one per quadrilateral
 face (every quadrilateral admits a diagonal, so edge deletion reaches every
 near-triangulation).  Dualising a surviving map yields the polyhedron, with
 quadrilateral faces turning into ideal vertices of degree four.
+
+Two exact filters, both instances of McKay's canonical construction path
+("Isomorph-free exhaustive generation", J. Algorithms 26 (1998)), decide
+which maps get a canonical form at all:
+
+* growth canonicalises a split only when its new edge has the least key
+  (endpoint degrees, then the degrees of its two common neighbours) among
+  the contractible edges of the child (``_is_canonical_augmentation``);
+* the candidate stage builds a near-triangulation only from a pick whose
+  deleted edges cannot be flipped to a quadrilateral diagonal of smaller
+  endpoint degrees (``_candidates``).
+
+Each keeps at least one representative of every class, so the output is
+the same as canonicalising everything.  Because every candidate comes from
+a triangulation, 3-connectivity needs only the opposite corners of its
+quadrilaterals to be tested (``_quads_keep_three_connected``).
 """
 
 from __future__ import annotations
@@ -102,7 +118,9 @@ def triangulations(n: int) -> tuple[maps.Rotation, ...]:
     lost: take any class with n >= 5 vertices and its contractible edge e
     of least key.  Contracting e gives a triangulation with n - 1 vertices,
     isomorphic to a stored one, and one split of that stored parent undoes
-    the contraction with e as the new edge; that child passes the filter.
+    the contraction with e as the new edge.  The key is an isomorphism
+    invariant, so the new edge has the least key in that child, which
+    passes the filter.
     """
     if n < 4:
         raise ValueError("triangulations start at 4 vertices")
@@ -131,22 +149,33 @@ def _is_canonical_augmentation(rot: maps.Rotation, v: int) -> bool:
     """Whether the edge from ``v`` to the last vertex, just made by a split,
     has the least key among the contractible edges of ``rot``.
 
-    The key of an edge is its sorted pair of endpoint degrees.  An edge of
-    a triangulation is contractible when its endpoints have exactly two
+    The key of an edge is its sorted pair of endpoint degrees followed by
+    the sorted pair of degrees of its two apexes, the third corners of the
+    two triangles on it.  Both are isomorphism invariants, which is all the
+    completeness argument in ``triangulations`` needs.  An edge of a
+    triangulation is contractible when its endpoints have exactly two
     common neighbours, so that it lies in no separating triangle and its
-    contraction is again a triangulation.  The new edge always is: its
-    only common neighbours are the two hinges.
+    contraction is again a triangulation; those two neighbours are then
+    its apexes.  The new edge always is contractible: its only common
+    neighbours are the two hinges.
     """
     w = len(rot) - 1
-    key = tuple(sorted((len(rot[v]), len(rot[w]))))
+    # rot[w] is the far arc from hinge u_j to hinge u_i, then v
+    key = (*sorted((len(rot[v]), len(rot[w]))),
+           *sorted((len(rot[rot[w][0]]), len(rot[rot[w][-2]]))))
     for a, nbrs in enumerate(rot):
         da = len(nbrs)
         if da > key[0]:
             continue
-        around = set(nbrs)
-        for b in nbrs:
+        for t, b in enumerate(nbrs):
             db = len(rot[b])
-            if db >= da and (da, db) < key and len(around.intersection(rot[b])) == 2:
+            if db < da or (da, db) > key[:2]:
+                continue
+            if (da, db) == key[:2]:
+                apexes = sorted((len(rot[nbrs[t - 1]]), len(rot[nbrs[(t + 1) % da]])))
+                if (da, db, *apexes) >= key:
+                    continue
+            if len(set(nbrs).intersection(rot[b])) == 2:
                 return False
     return True
 
@@ -155,10 +184,10 @@ def _is_canonical_augmentation(rot: maps.Rotation, v: int) -> bool:
 # candidate generation on the dual side
 # ---------------------------------------------------------------------------
 
-def _face_ids_per_edge(rot: maps.Rotation) -> dict[tuple[int, int], tuple[int, int]]:
+def _face_ids_per_edge(faces: list[tuple[int, ...]]) -> dict[tuple[int, int], tuple[int, int]]:
     """Map each undirected edge to the ids of its two incident faces."""
     owners: dict[tuple[int, int], list[int]] = {}
-    for fi, face in enumerate(maps.faces_of_rotation(rot)):
+    for fi, face in enumerate(faces):
         k = len(face)
         for t in range(k):
             u, v = face[t], face[(t + 1) % k]
@@ -177,9 +206,35 @@ def _right_angled_prefilter(rot: maps.Rotation, quad_vertices: dict[int, int]) -
     return True
 
 
+def _degree_key(deg: list[int], drop: dict[int, int], x: int, y: int) -> tuple[int, int]:
+    """Sorted degrees of x and y once the edges counted in ``drop`` go."""
+    dx, dy = deg[x] - drop.get(x, 0), deg[y] - drop.get(y, 0)
+    return (dx, dy) if dx <= dy else (dy, dx)
+
+
 def _candidates(rot: maps.Rotation, num_cusps: int, prefilter: bool):
     """Near-triangulations obtained from one triangulation by deleting
-    ``num_cusps`` pairwise non-cofacial edges, as (code, canon_rot) pairs."""
+    ``num_cusps`` pairwise non-cofacial edges, as (code, canon_rot) pairs.
+
+    Least-diagonal rule: a pick is dropped, before any edge is deleted,
+    when one of its edges (u, v) has apexes a, b that are not adjacent in
+    the triangulation and the key of (a, b) is below the key of (u, v); the
+    key is the sorted pair of degrees in the candidate Q.  No class of Q is
+    lost.  Call a completion of Q a choice of one diagonal per
+    quadrilateral such that no chosen diagonal is an edge of Q or another
+    chosen one; adding the diagonals gives a triangulation with the same
+    vertex count, stored up to isomorphism, and deleting them gives Q back
+    with a pick that passes the degree checks and the prefilter, which
+    depend on Q alone (two chosen diagonals share no triangle, since the
+    other sides of a quadrilateral are edges of Q), and the deficit screen
+    of ``_collect_chunk``, which skips only triangulations with no
+    prefiltered candidate.  The keys depend on Q alone too, so take a
+    completion whose per-quadrilateral keys are least in the product
+    order.  Were its pick dropped, flipping the offending diagonal to
+    (a, b) would give another completion, since a and b are not adjacent,
+    smaller in one coordinate and equal in the rest.  The rule is invariant
+    under isomorphism, so the stored copy keeps the matching pick.
+    """
     out = []
     if num_cusps == 0:
         if prefilter and not _right_angled_prefilter(rot, {}):
@@ -190,7 +245,12 @@ def _candidates(rot: maps.Rotation, num_cusps: int, prefilter: bool):
     deg = [len(nbrs) for nbrs in rot]
     edges = maps.edge_set(rot)
     faces = maps.faces_of_rotation(rot)
-    face_of = _face_ids_per_edge(rot)
+    face_of = _face_ids_per_edge(faces)
+    # the apexes of each edge are the third corners of its two triangles;
+    # an edge whose apexes are not adjacent can be flipped
+    apexes = {e: tuple(next(x for x in faces[fi] if x not in e) for fi in fids)
+              for e, fids in face_of.items()}
+    flippable = {e for e, (a, b) in apexes.items() if b not in rot[a]}
     if num_cusps == 1:
         picks = ([e] for e in edges)
     else:
@@ -198,24 +258,20 @@ def _candidates(rot: maps.Rotation, num_cusps: int, prefilter: bool):
                  if not set(face_of[e1]) & set(face_of[e2]))
     for pick in picks:
         drop: dict[int, int] = {}
-        ok = True
         for (u, v) in pick:
             drop[u] = drop.get(u, 0) + 1
             drop[v] = drop.get(v, 0) + 1
-            if deg[u] - drop[u] < 3 or deg[v] - drop[v] < 3:
-                ok = False
-                break
-        if not ok:
+        if any(deg[x] - k < 3 for x, k in drop.items()):
             continue
-        # quad corners: the deleted edge's endpoints plus the two apexes of
-        # the merged triangles
-        quad_at: dict[int, int] = {}
-        for (u, v) in pick:
-            quad_at[u] = quad_at.get(u, 0) + 1
-            quad_at[v] = quad_at.get(v, 0) + 1
-            for fi in face_of[(u, v)]:
-                apex = next(x for x in faces[fi] if x not in (u, v))
-                quad_at[apex] = quad_at.get(apex, 0) + 1
+        if any(e in flippable
+               and _degree_key(deg, drop, *apexes[e]) < _degree_key(deg, drop, *e)
+               for e in pick):
+            continue
+        # quad corners: the deleted edge's endpoints plus its two apexes
+        quad_at = dict(drop)
+        for e in pick:
+            for x in apexes[e]:
+                quad_at[x] = quad_at.get(x, 0) + 1
         cand = rot
         for (u, v) in pick:
             cand = maps.delete_edge(cand, u, v)
@@ -224,6 +280,24 @@ def _candidates(rot: maps.Rotation, num_cusps: int, prefilter: bool):
         code, canon, _ = maps.canonical_form(cand)
         out.append((code, canon))
     return out
+
+
+def _quads_keep_three_connected(rot: maps.Rotation, faces: list[tuple[int, ...]]) -> bool:
+    """Vertex 3-connectivity of a candidate, testing only vertex pairs that
+    are opposite corners of a quadrilateral face.
+
+    A candidate Q is a triangulation T, which is 3-connected, with the
+    diagonal (u, v) of each quadrilateral deleted.  Suppose removing x and
+    y disconnects Q.  T - {x, y} is connected, so a deleted edge (u, v)
+    with u, v outside {x, y} joins two parts of Q - {x, y}.  In Q, u and v
+    are joined through either apex of (u, v), so both apexes lie in
+    {x, y}: the removed pair is the other opposite-corner pair of that
+    quadrilateral.  The same argument with nothing removed shows Q is
+    connected.  A deduplicated candidate does not record which diagonal
+    was deleted, so both pairs of every quadrilateral are tried.
+    """
+    return all(maps._connected_without(rot, face[k], face[k + 2])
+               for face in faces if len(face) == 4 for k in (0, 1))
 
 
 def _collect_chunk(args):
@@ -247,10 +321,9 @@ def _collect_chunk(args):
     return found
 
 
-def _dualize(rot: maps.Rotation) -> Polyhedron3:
-    """Polyhedron whose dual map is ``rot``; quadrilateral faces of the map
-    become ideal vertices."""
-    faces = maps.faces_of_rotation(rot)
+def _dualize(rot: maps.Rotation, faces: list[tuple[int, ...]]) -> Polyhedron3:
+    """Polyhedron whose dual map is ``rot``, with face cycles ``faces``;
+    quadrilateral faces of the map become ideal vertices."""
     quads = frozenset(i for i, f in enumerate(faces) if len(f) == 4)
     dual_side = Polyhedron3(vertex_count=len(rot), ideal_vertices=frozenset(),
                             faces=tuple(faces), ideal_faces=quads)
@@ -291,10 +364,11 @@ def enumerate_types(spec: EnumSpec, workers: int = 1,
             found = _collect_chunk((tris, spec.num_cusps, prefilter))
         for code in sorted(found):
             rot = found[code]
-            if not maps.is_three_connected(rot):
+            faces = maps.faces_of_rotation(rot)
+            if not _quads_keep_three_connected(rot, faces):
                 report.nonpolyhedral_by_faces[n] = report.nonpolyhedral_by_faces.get(n, 0) + 1
                 continue
-            p = _dualize(rot)
+            p = _dualize(rot, faces)
             rep = validate(p, RIGHT_ANGLED_PROFILE)
             if not rep.clean:
                 raise AssertionError(f"enumerated type fails validation: {rep.lines()}")

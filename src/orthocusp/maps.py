@@ -118,26 +118,33 @@ def is_three_connected(rot: Rotation) -> bool:
         return False
     if not is_connected(rot):
         return False
-    adj = [set(nbrs) for nbrs in rot]
-    for a in range(n):
-        for b in range(a + 1, n):
-            start = next(v for v in range(n) if v != a and v != b)
-            seen = {a, b, start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            if len(seen) != n:
-                return False
-    return True
+    return all(_connected_without(rot, a, b)
+               for a in range(n) for b in range(a + 1, n))
+
+
+def _connected_without(rot: Rotation, a: int, b: int) -> bool:
+    """Whether the map stays connected once vertices ``a`` and ``b`` go."""
+    n = len(rot)
+    start = next(v for v in range(n) if v != a and v != b)
+    seen = {a, b, start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for u in rot[v]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == n
 
 
 # ---------------------------------------------------------------------------
 # canonical form
 # ---------------------------------------------------------------------------
+
+#: Labels and degrees are written as single bytes below the separators
+#: 252, 253 and 254, so codes are injective only up to this many vertices.
+MAX_CODE_VERTICES = 252
+
 
 def _encode(rot, marks, u0, v0, s, best):
     """Encode one rooted traversal; abort (None) once it exceeds ``best``."""
@@ -265,27 +272,29 @@ def split_vertex(rot: Rotation, v: int, i: int, j: int) -> Rotation:
     (appended with the next free id) takes the complementary arc; both stay
     adjacent to the two hinge neighbours and gain the edge between them.
     Adds one vertex, three edges and two triangular faces, and always yields
-    a simple triangulation again.
+    a simple triangulation again.  Rows the split leaves alone are shared
+    with ``rot``.
     """
     nbrs = rot[v]
-    d = len(nbrs)
     w = len(rot)
-    arc1 = [nbrs[t % d] for t in range(i, j + 1)]
-    arc2 = [nbrs[t % d] for t in range(j, i + d + 1)]
+    arc2 = nbrs[j:] + nbrs[:i + 1]
     hi, hj = nbrs[i], nbrs[j]
-    new_rot = [list(r) for r in rot]
-    new_rot[v] = arc1 + [w]
-    new_rot.append(arc2 + [v])
+    new_rot = list(rot)
+    new_rot[v] = nbrs[i:j + 1] + (w,)
+    new_rot.append(arc2 + (v,))
     for u in arc2[1:-1]:
-        r = new_rot[u]
-        r[r.index(v)] = w
+        r = rot[u]
+        k = r.index(v)
+        new_rot[u] = r[:k] + (w,) + r[k + 1:]
     # new triangles (w, v, u_i) and (v, w, u_j): at hinge u_i the new vertex
     # follows v in the rotation, at hinge u_j it precedes v.
-    r = new_rot[hi]
-    r.insert(r.index(v) + 1, w)
-    r = new_rot[hj]
-    r.insert(r.index(v), w)
-    return tuple(tuple(x) for x in new_rot)
+    r = rot[hi]
+    k = r.index(v) + 1
+    new_rot[hi] = r[:k] + (w,) + r[k:]
+    r = rot[hj]
+    k = r.index(v)
+    new_rot[hj] = r[:k] + (w,) + r[k:]
+    return tuple(new_rot)
 
 
 def delete_edge(rot: Rotation, u: int, v: int) -> Rotation:

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from orthocusp import contract_edge, enum3
+from orthocusp import Polyhedron3, contract_edge, enum3
 from orthocusp.data import load_fixture
 
 
@@ -41,6 +41,17 @@ def dodecahedron():
 def one_cusp_12(dodecahedron):
     """The unique one-cusp type with 12 faces: an edge-contracted dodecahedron."""
     return contract_edge(dodecahedron, dodecahedron.edges[0])
+
+
+@pytest.fixture(scope="session")
+def k_gonal_prism():
+    """Factory for the k-gonal prism, with 2k vertices and k + 2 faces."""
+    def build(k: int) -> Polyhedron3:
+        bottom = tuple(range(k - 1, -1, -1))
+        top = tuple(range(k, 2 * k))
+        sides = tuple((i, (i + 1) % k, k + (i + 1) % k, k + i) for i in range(k))
+        return Polyhedron3(2 * k, frozenset(), (bottom, top) + sides)
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ from importlib import resources
 
 import pytest
 
+from orthocusp import to_poly3
 from orthocusp.cli import main
 
 FIXTURE_DIR = resources.files("orthocusp.data")
@@ -75,6 +76,16 @@ def test_validate_degree_failure(capsys):
                        "--right-angled-profile")
     assert code == 1
     assert "degree vertex 4" in out
+
+
+def test_validate_rejects_vertices_on_no_face(capsys, tmp_path):
+    path = tmp_path / "sparse.poly3"
+    path.write_text("poly3 v1\nvertices: 1000000\nideal:\n"
+                    "face: 0 1 2\nface: 0 2 3\nface: 0 3 1\nface: 1 3 2\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert "line 2:" in err and "lies on no face" in err
 
 
 def test_right_angled_cube_fails_listing_faces(capsys):
@@ -172,6 +183,17 @@ def test_cache_check_detects_tampering(capsys, tmp_path):
                        "--realizable", "--out", str(out_dir), "--check-cache")
     assert code == 1
     assert "MISMATCH" in out
+
+
+def test_cache_check_refuses_oversized_polyhedron(capsys, tmp_path, k_gonal_prism):
+    out_dir = tmp_path / "types"
+    out_dir.mkdir()
+    (out_dir / "big.poly3").write_text(to_poly3(k_gonal_prism(129)))
+    (out_dir / "index.txt").write_text("00\n")
+    code, _, err = run(capsys, "enumerate", "--faces", "7", "--cusps", "0",
+                       "--out", str(out_dir), "--check-cache")
+    assert code == 1
+    assert "at most 252 vertices, got 258" in err
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):

@@ -84,6 +84,15 @@ def test_parse_reports_line_numbers():
     assert err.value.line == 5
 
 
+def test_parse_rejects_vertices_on_no_face():
+    # more vertices than face-vertex incidences leaves a vertex on no face
+    text = ("poly3 v1\nvertices: 1000000\nideal:\n"
+            "face: 0 1 2\nface: 0 2 3\nface: 0 3 1\nface: 1 3 2\n")
+    with pytest.raises(Poly3Error, match="lies on no face") as err:
+        parse_poly3(text)
+    assert err.value.line == 2
+
+
 def test_round_trip(dodecahedron):
     assert parse_poly3(to_poly3(dodecahedron)) == dodecahedron
 
@@ -239,6 +248,15 @@ def test_code_invariant_under_reflection(dodecahedron, rng):
 def test_code_separates_types(cube, dodecahedron, prism, pyramid, tetrahedron):
     codes = {canonical_code(p) for p in (cube, dodecahedron, prism, pyramid, tetrahedron)}
     assert len(codes) == 5
+
+
+def test_code_size_guard(k_gonal_prism):
+    # labels are single bytes below the 252..254 separators
+    assert canonical_code(k_gonal_prism(126))
+    big = k_gonal_prism(129)
+    assert validate(big).clean
+    with pytest.raises(Poly3Error, match="at most 252 vertices, got 258"):
+        canonical_code(big)
 
 
 def test_code_distinguishes_marks(cube):

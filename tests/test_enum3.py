@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
 from orthocusp import EnumSpec, canonical_code, enumerate_types, maps, validate
 from orthocusp.core import RIGHT_ANGLED_PROFILE
-from orthocusp.enum3 import (FILTER_RIGHT_ANGLED, _candidates,
-                             _is_canonical_augmentation, _pool_size, triangulations)
+from orthocusp.enum3 import (FILTER_RIGHT_ANGLED, _candidates, _collect_chunk,
+                             _is_canonical_augmentation, _pool_size,
+                             _quads_keep_three_connected, triangulations)
 
 
 #: Counts frozen from the independent brute-force generator (see oracle.py);
@@ -51,11 +55,9 @@ def _splits(rot):
                 yield v, maps.split_vertex(rot, v, i, j)
 
 
-def test_growth_matches_canonicalising_every_split():
-    """The canonical-augmentation filter drops no class: growth that
-    canonicalises every split gives the same levels, tuple for tuple."""
+def _assert_growth_matches_canonicalising_every_split(top):
     level = triangulations(4)
-    for n in range(5, 11):
+    for n in range(5, top + 1):
         found = {}
         for rot in level:
             for _, child in _splits(rot):
@@ -65,24 +67,118 @@ def test_growth_matches_canonicalising_every_split():
         assert level == triangulations(n), n
 
 
+def test_growth_matches_canonicalising_every_split():
+    """The canonical-augmentation filter drops no class: growth that
+    canonicalises every split gives the same levels, tuple for tuple."""
+    _assert_growth_matches_canonicalising_every_split(10)
+
+
+@pytest.mark.slow
+def test_growth_matches_canonicalising_every_split_to_11():
+    _assert_growth_matches_canonicalising_every_split(11)
+
+
 def test_augmentation_filter_uses_contractible_edges():
-    """The filter keeps a child exactly when no edge of smaller sorted
-    degree pair is contractible, i.e. lies only on facial triangles."""
+    """The filter keeps a child exactly when no edge of smaller key is
+    contractible, i.e. lies only on facial triangles.  The key (sorted
+    endpoint degrees, then sorted degrees of the two apexes) is read here
+    from the traced triangles alone."""
     rejected = 0
     for n in range(4, 10):
         for rot in triangulations(n):
             for v, child in _splits(rot):
-                faces = {frozenset(f) for f in maps.faces_of_rotation(child)}
-                deg = [len(nbrs) for nbrs in child]
-                key = sorted((deg[v], deg[-1]))
+                faces = maps.faces_of_rotation(child)
+                triangles = {frozenset(f) for f in faces}
+                deg = Counter(x for f in faces for x in f)
+                apexes: dict[frozenset, list[int]] = {}
+                for f in faces:
+                    for x in f:
+                        apexes.setdefault(frozenset(f) - {x}, []).append(x)
+
+                def key(edge):
+                    return (sorted(deg[x] for x in edge)
+                            + sorted(deg[x] for x in apexes[edge]))
+
+                new = key(frozenset((v, len(child) - 1)))
                 smaller = any(
-                    sorted((deg[a], deg[b])) < key
-                    and all(frozenset((a, b, x)) in faces
+                    key(edge) < new
+                    and all(edge | {x} in triangles
                             for x in set(child[a]) & set(child[b]))
-                    for a, b in maps.edge_set(child))
+                    for edge in apexes for a, b in [tuple(edge)])
                 assert _is_canonical_augmentation(child, v) == (not smaller)
                 rejected += smaller
     assert rejected > 0
+
+
+@pytest.fixture(scope="module")
+def unfiltered_candidates():
+    """``_collect_chunk`` without the prefilter for 1 and 2 cusps at levels
+    4..10, with the number of canonical forms each run computed."""
+    triangulations(10)
+    out = {}
+    calls = 0
+    real = maps.canonical_form
+
+    def counting(rot, *args):
+        nonlocal calls
+        calls += 1
+        return real(rot, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maps, "canonical_form", counting)
+        for c in (1, 2):
+            for n in range(4, 11):
+                calls = 0
+                found = _collect_chunk((triangulations(n), c, False))
+                out[(n, c)] = (found, calls)
+    return out
+
+
+def _every_pick(rot, c):
+    """(code, passes the right-angled prefilter) for every deletion of c
+    edges sharing no triangle that leaves all degrees at least 3: the
+    candidate stage without its least-diagonal rule."""
+    triangles = {frozenset(f) for f in maps.faces_of_rotation(rot)}
+    out = []
+    for pick in combinations(maps.edge_set(rot), c):
+        if c == 2 and frozenset(pick[0] + pick[1]) in triangles:
+            continue
+        cand = rot
+        for u, v in pick:
+            cand = maps.delete_edge(cand, u, v)
+        if min(len(nbrs) for nbrs in cand) < 3:
+            continue
+        quads = Counter(x for f in maps.faces_of_rotation(cand) if len(f) == 4 for x in f)
+        passes = all(len(nbrs) + quads[x] >= 5 for x, nbrs in enumerate(cand))
+        out.append((maps.canonical_form(cand)[0], passes))
+    return out
+
+
+def test_least_diagonal_rule_keeps_every_candidate(unfiltered_candidates):
+    """The candidate stage finds the same classes, with the prefilter on
+    and off, as canonicalising every pick, and its rule drops picks."""
+    rejected = 0
+    for (n, c), (found, calls) in unfiltered_candidates.items():
+        tris = triangulations(n)
+        picks = [p for rot in tris for p in _every_pick(rot, c)]
+        assert set(found) == {code for code, _ in picks}, (n, c)
+        assert set(_collect_chunk((tris, c, True))) == {
+            code for code, passes in picks if passes}, (n, c)
+        assert calls <= len(picks)
+        rejected += len(picks) - calls
+    assert rejected > 0
+
+
+def test_quad_pairs_decide_three_connectivity(unfiltered_candidates):
+    """On every deduplicated 1- and 2-cusp candidate up to 10 faces, the
+    quadrilateral-corner test agrees with the all-pairs test."""
+    verdicts = Counter()
+    for found, _ in unfiltered_candidates.values():
+        for rot in found.values():
+            got = _quads_keep_three_connected(rot, maps.faces_of_rotation(rot))
+            assert got == maps.is_three_connected(rot), rot
+            verdicts[got] += 1
+    assert verdicts == {True: 1672 + 4498, False: 442 + 2349}
 
 
 def test_deficit_screen_matches_prefilter():

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from orthocusp import maps
+from orthocusp.enum3 import triangulations
 
 
 def brute_force_code(rot, marks=None):
@@ -49,6 +50,39 @@ def test_split_yields_triangulations():
                 sizes = Counter(len(f) for f in maps.faces_of_rotation(out))
                 assert sizes == Counter({3: 6})
                 assert len(maps.edge_set(out)) == 9
+
+
+def _split_copying_every_row(rot, v, i, j):
+    """Reference vertex split that rebuilds every row of the rotation."""
+    nbrs = rot[v]
+    d = len(nbrs)
+    w = len(rot)
+    arc1 = [nbrs[t % d] for t in range(i, j + 1)]
+    arc2 = [nbrs[t % d] for t in range(j, i + d + 1)]
+    new_rot = [list(r) for r in rot]
+    new_rot[v] = arc1 + [w]
+    new_rot.append(arc2 + [v])
+    for u in arc2[1:-1]:
+        r = new_rot[u]
+        r[r.index(v)] = w
+    r = new_rot[nbrs[i]]
+    r.insert(r.index(v) + 1, w)
+    r = new_rot[nbrs[j]]
+    r.insert(r.index(v), w)
+    return tuple(tuple(x) for x in new_rot)
+
+
+def test_split_matches_copying_reference():
+    """Every split up to 9 vertices equals the copy-everything reference,
+    tuple for tuple, and shares every row it leaves alone."""
+    for n in range(4, 10):
+        for rot in triangulations(n):
+            for v, nbrs in enumerate(rot):
+                for i in range(len(nbrs)):
+                    for j in range(i + 1, len(nbrs)):
+                        got = maps.split_vertex(rot, v, i, j)
+                        assert got == _split_copying_every_row(rot, v, i, j)
+                        assert all(new is old for new, old in zip(got, rot) if new == old)
 
 
 def test_split_results_isomorphic_on_tetrahedron():
