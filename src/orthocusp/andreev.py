@@ -82,6 +82,11 @@ def adjacency(p: Polyhedron3) -> dict[tuple[int, int], list[Edge]]:
     two faces sharing several edges.
     """
     require_valid(p)
+    return _adjacency(p)
+
+
+def _adjacency(p: Polyhedron3) -> dict[tuple[int, int], list[Edge]]:
+    """``adjacency`` of a polyhedron already validated."""
     edge_owner: dict[Edge, list[int]] = {}
     for fi, face in enumerate(p.faces):
         k = len(face)
@@ -112,7 +117,12 @@ def prismatic_circuits(p: Polyhedron3, length: int) -> list[PrismaticCircuit]:
     """
     if length not in (3, 4):
         raise ValueError("circuit length must be 3 or 4")
-    table = adjacency(p)
+    return _prismatic_circuits(p, length, adjacency(p))
+
+
+def _prismatic_circuits(p: Polyhedron3, length: int,
+                        table: dict[tuple[int, int], list[Edge]]) -> list[PrismaticCircuit]:
+    """``prismatic_circuits`` given the adjacency table of ``p``."""
     nf = len(p.faces)
     adj = [[False] * nf for _ in range(nf)]
     for (a, b) in table:
@@ -184,8 +194,13 @@ def _cusps_of_face(p: Polyhedron3, fi: int) -> set[int]:
     return set(p.faces[fi]) & p.ideal_vertices
 
 
-def _edges_at_vertex(p: Polyhedron3, v: int) -> list[Edge]:
-    return [e for e in p.edges if v in e]
+def _edges_at_vertices(p: Polyhedron3, edges: list[Edge]) -> list[list[Edge]]:
+    """The edges at each vertex, in the order of ``edges``."""
+    at: list[list[Edge]] = [[] for _ in range(p.vertex_count)]
+    for e in edges:
+        at[e[0]].append(e)
+        at[e[1]].append(e)
+    return at
 
 
 def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionReport:
@@ -204,8 +219,9 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
         q = angles[e]
         if not (0 < q <= HALF):
             raise AngleError(f"angle {q} for edge {e} outside (0, 1/2]")
-    for v in range(p.vertex_count):
-        d = p.vertex_degree(v)
+    edges_at = _edges_at_vertices(p, edges)
+    for v, at in enumerate(edges_at):
+        d = len(at)
         if v in p.ideal_vertices:
             if d not in (3, 4):
                 raise Poly3Error(f"cusp {v} has degree {d}, need 3 or 4")
@@ -218,10 +234,9 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
         return report
 
     report.entries = {k: [] for k in ("a", "b", "c", "d", "e")}
-    table = adjacency(p)
+    table = _adjacency(p)
 
-    for v in range(p.vertex_count):
-        at = _edges_at_vertex(p, v)
+    for v, at in enumerate(edges_at):
         total = sum(angles[e] for e in at)
         if v in p.ideal_vertices:
             if len(at) == 3:
@@ -238,7 +253,7 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
     def pair_angles(a: int, b: int):
         return [angles[e] for e in table[(a, b)]]
 
-    for circ in prismatic_circuits(p, 3):
+    for circ in _prismatic_circuits(p, 3, table):
         a, b, c = circ.faces
         for qa in pair_angles(a, b):
             for qb in pair_angles(a, c):
@@ -263,7 +278,7 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
             if all(q == HALF for q in pair_angles(i, j) + pair_angles(i, k)):
                 report.entries["d"].append((i, j, k, sorted(shared_cusps)))
 
-    for circ in prismatic_circuits(p, 4):
+    for circ in _prismatic_circuits(p, 4, table):
         a, b, c, d = circ.faces
         ring = [(a, b), (b, c), (c, d), (d, a)]
         if all(q == HALF for x, y in ring for q in pair_angles(x, y)):
@@ -294,22 +309,22 @@ def check_right_angled(p: Polyhedron3) -> ConditionReport:
         if len(face) + cusps < 5:
             report.entries["face_size"].append((fi, len(face), cusps))
 
-    table = adjacency(p)
+    table = _adjacency(p)
     for (a, b), shared in table.items():
         if a < b and len(shared) > 1:
             report.entries["single_shared_edge"].append((a, b, shared))
 
-    for v in range(p.vertex_count):
-        d = p.vertex_degree(v)
+    for v, at in enumerate(_edges_at_vertices(p, p.edges)):
+        d = len(at)
         if v in p.ideal_vertices:
             if d != 4:
                 report.entries["cusp_degree"].append((v, d))
         elif d != 3:
             report.entries["vertex_degree"].append((v, d))
 
-    for circ in prismatic_circuits(p, 3):
+    for circ in _prismatic_circuits(p, 3, table):
         report.entries["c"].append((circ.faces, Fraction(3, 2)))
-    for circ in prismatic_circuits(p, 4):
+    for circ in _prismatic_circuits(p, 4, table):
         report.entries["e"].append((circ.faces,))
     nf = len(p.faces)
     for j, k in combinations(range(nf), 2):

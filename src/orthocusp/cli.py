@@ -2,9 +2,9 @@
 
 Subcommands: ``validate``, ``andreev``, ``right-angled``, ``nikulin``,
 ``enumerate``, ``verify {lemma31|tables|minima|n7|all}``, ``bounds``.
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 I/O
-error.  Output is deterministic; ``--machine`` switches to line-oriented
-``key=value`` records.
+Exit codes: 0 all checks pass, 1 a check failed or an internal error, 2
+usage error, 3 I/O error.  Output is deterministic; ``--machine``
+switches to line-oriented ``key=value`` records.
 """
 
 from __future__ import annotations
@@ -136,7 +136,11 @@ def cmd_nikulin(args, out: _Out) -> int:
         if args.n is None or args.k is None or args.l is None:
             print("need --n/--k/--l or a POLY3 file", file=sys.stderr)
             return EXIT_USAGE
-        value = nikulin.nikulin_rhs(args.n, args.k, args.l)
+        try:
+            value = nikulin.nikulin_rhs(args.n, args.k, args.l)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(value)
         return EXIT_OK
     p = _read_poly(args.file)
@@ -346,9 +350,13 @@ def run(config: RunConfig) -> int:
     except Poly3Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except ValueError as exc:
+    except enum3.SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:
+        # not caused by the arguments, e.g. a maps.MapError
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -101,11 +101,13 @@ RIGHT_ANGLED_PROFILE = DegreeProfile(finite_degree=3, ideal_degree=4)
 @dataclass
 class ValidationReport:
     """Outcome of ``validate``: structural violations, soft warnings and
-    degree-profile deviations, each with a witness."""
+    degree-profile deviations, each with a witness.  ``rotation`` is the
+    rotation system validation built, or None when it stopped earlier."""
 
     violations: list[tuple[str, str]] = field(default_factory=list)
     warnings: list[tuple[str, str]] = field(default_factory=list)
     degree_violations: list[tuple[int, int, int]] = field(default_factory=list)
+    rotation: maps.Rotation | None = field(default=None, repr=False, compare=False)
 
     @property
     def valid(self) -> bool:
@@ -294,7 +296,7 @@ def validate(p: Polyhedron3, profile: DegreeProfile | None = None) -> Validation
     # each vertex's rotation must close into a single cycle (disk neighbourhood)
     if not report.violations:
         try:
-            p.rotation()
+            report.rotation = p.rotation()
         except maps.MapError as exc:
             report.violations.append(("embedding", str(exc)))
 
@@ -320,10 +322,12 @@ def validate(p: Polyhedron3, profile: DegreeProfile | None = None) -> Validation
     return report
 
 
-def require_valid(p: Polyhedron3) -> None:
+def require_valid(p: Polyhedron3) -> maps.Rotation:
+    """Raise ``Poly3Error`` unless ``p`` is valid; return its rotation system."""
     report = validate(p)
     if not report.valid:
         raise Poly3Error("invalid polyhedron: " + "; ".join(m for _, m in report.violations))
+    return report.rotation
 
 
 # ---------------------------------------------------------------------------
@@ -337,28 +341,39 @@ def dual(p: Polyhedron3) -> Polyhedron3:
     double dual is isomorphic to the input including cusp marks.  An ideal
     vertex of degree d becomes a d-gonal marked face.
     """
-    require_valid(p)
-    rot = p.rotation()
-    pos = [{u: i for i, u in enumerate(nbrs)} for nbrs in rot]
-    face_index: dict[tuple[int, int], int] = {}
-    for fi, face in enumerate(p.faces):
-        k = len(face)
-        for i in range(k):
-            face_index[(face[i], face[(i + 1) % k])] = fi
-    dual_faces = []
-    for v in range(p.vertex_count):
-        # faces around v, one per corner, in rotation order
-        cycle = []
-        nbrs = rot[v]
-        for u in nbrs:
-            cycle.append(face_index[(u, v)])
-        dual_faces.append(tuple(cycle))
+    rot = require_valid(p)
     return Polyhedron3(
         vertex_count=len(p.faces),
         ideal_vertices=frozenset(p.ideal_faces),
-        faces=tuple(dual_faces),
-        ideal_faces=frozenset(v for v in p.ideal_vertices),
+        faces=_dual_cycles(rot, p.faces),
+        ideal_faces=frozenset(p.ideal_vertices),
     )
+
+
+def _dual_cycles(rot: maps.Rotation, faces: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Face cycles of the dual of the map with rotation ``rot`` and face
+    cycles ``faces``: dual face v lists the faces around vertex v, one per
+    corner, in rotation order.
+
+    Each cycle starts at the face on the dart into v from v's first
+    out-neighbour in face order, which is where ``rotation_from_faces``
+    starts ``rot[v]``, so any rotation of the same map gives the same
+    cycles.
+    """
+    face_index: dict[tuple[int, int], int] = {}
+    first = [-1] * len(rot)
+    for fi, face in enumerate(faces):
+        u = face[-1]
+        for v in face:
+            face_index[(u, v)] = fi
+            if first[u] < 0:
+                first[u] = v
+            u = v
+    cycles = []
+    for v, nbrs in enumerate(rot):
+        k = nbrs.index(first[v])
+        cycles.append(tuple(face_index[(u, v)] for u in nbrs[k:] + nbrs[:k]))
+    return tuple(cycles)
 
 
 def contract_edge(p: Polyhedron3, e: Edge) -> Polyhedron3:
@@ -422,8 +437,12 @@ def canonical_code(p: Polyhedron3) -> bytes:
     if p.vertex_count > maps.MAX_CODE_VERTICES:
         raise Poly3Error(f"canonical codes cover at most {maps.MAX_CODE_VERTICES} "
                          f"vertices, got {p.vertex_count}")
-    require_valid(p)
-    rot = p.rotation()
+    return _canonical_code(p, require_valid(p))
+
+
+def _canonical_code(p: Polyhedron3, rot: maps.Rotation) -> bytes:
+    """``canonical_code`` of a polyhedron already validated, whose
+    rotation system is ``rot``."""
     marks = [1 if v in p.ideal_vertices else 0 for v in range(p.vertex_count)]
     fmarks = None
     if p.ideal_faces:

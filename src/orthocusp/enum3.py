@@ -35,14 +35,18 @@ from itertools import combinations
 
 from . import maps
 from .andreev import adjacency, check_right_angled
-from .core import (Polyhedron3, dual, canonical_code, contract_edge, validate,
-                   RIGHT_ANGLED_PROFILE, _follows)
+from .core import (Polyhedron3, canonical_code, contract_edge, validate,
+                   RIGHT_ANGLED_PROFILE, _canonical_code, _dual_cycles, _follows)
 from .data import load_fixture
 
 FILTER_ALL = "all-almost-simple"
 FILTER_RIGHT_ANGLED = "right-angled-accepted"
 
 DEFAULT_CAP = 13
+
+
+class SpecError(ValueError):
+    """An enumeration request outside what the enumeration covers."""
 
 
 @dataclass(frozen=True)
@@ -53,11 +57,11 @@ class EnumSpec:
 
     def __post_init__(self):
         if self.num_cusps not in (0, 1, 2):
-            raise ValueError("cusp count must be 0, 1 or 2")
+            raise SpecError("cusp count must be 0, 1 or 2")
         if self.filter not in (FILTER_ALL, FILTER_RIGHT_ANGLED):
-            raise ValueError(f"unknown filter {self.filter!r}")
+            raise SpecError(f"unknown filter {self.filter!r}")
         if self.max_faces < 4:
-            raise ValueError("a polyhedron needs at least 4 faces")
+            raise SpecError("a polyhedron needs at least 4 faces")
 
 
 @dataclass(frozen=True)
@@ -323,11 +327,13 @@ def _collect_chunk(args):
 
 def _dualize(rot: maps.Rotation, faces: list[tuple[int, ...]]) -> Polyhedron3:
     """Polyhedron whose dual map is ``rot``, with face cycles ``faces``;
-    quadrilateral faces of the map become ideal vertices."""
-    quads = frozenset(i for i, f in enumerate(faces) if len(f) == 4)
-    dual_side = Polyhedron3(vertex_count=len(rot), ideal_vertices=frozenset(),
-                            faces=tuple(faces), ideal_faces=quads)
-    return dual(dual_side)
+    quadrilateral faces of the map become ideal vertices.  Equal to
+    ``core.dual`` of the map with those faces marked, without validating
+    the map or rebuilding its rotation."""
+    return Polyhedron3(
+        vertex_count=len(faces),
+        ideal_vertices=frozenset(i for i, f in enumerate(faces) if len(f) == 4),
+        faces=_dual_cycles(rot, faces))
 
 
 def _pool_size(workers: int, chunks: int) -> int:
@@ -346,7 +352,7 @@ def enumerate_types(spec: EnumSpec, workers: int = 1,
     but failing 3-connectivity are tallied separately, never emitted.
     """
     if spec.max_faces > hard_cap:
-        raise ValueError(f"face budget {spec.max_faces} above cap {hard_cap}")
+        raise SpecError(f"face budget {spec.max_faces} above cap {hard_cap}")
     prefilter = spec.filter == FILTER_RIGHT_ANGLED
     report = EnumReport(spec=spec)
     for n in range(4, spec.max_faces + 1):
@@ -369,6 +375,7 @@ def enumerate_types(spec: EnumSpec, workers: int = 1,
                 report.nonpolyhedral_by_faces[n] = report.nonpolyhedral_by_faces.get(n, 0) + 1
                 continue
             p = _dualize(rot, faces)
+            # the one validation of the type; its rotation feeds the code
             rep = validate(p, RIGHT_ANGLED_PROFILE)
             if not rep.clean:
                 raise AssertionError(f"enumerated type fails validation: {rep.lines()}")
@@ -381,7 +388,7 @@ def enumerate_types(spec: EnumSpec, workers: int = 1,
                 c1, c2 = sorted(p.ideal_vertices)
                 shared = sum(1 for f in p.faces if c1 in f and c2 in f)
             report.types.append(EnumeratedType(
-                code=canonical_code(p), faces=n, polyhedron=p,
+                code=_canonical_code(p, rep.rotation), faces=n, polyhedron=p,
                 shared_cusp_faces=shared))
             report.counts_by_faces[n] = report.counts_by_faces.get(n, 0) + 1
     report.types.sort(key=lambda t: (t.faces, t.code))

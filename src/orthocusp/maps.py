@@ -147,42 +147,64 @@ MAX_CODE_VERTICES = 252
 
 
 def _encode(rot, marks, u0, v0, s, best):
-    """Encode one rooted traversal; abort (None) once it exceeds ``best``."""
+    """Encode one rooted traversal as ``(code, canon_rot, order)``.
+
+    With ``best`` given, each label and separator is compared with the byte
+    of ``best`` at the same position as it is written: the traversal is
+    abandoned (None) at the first larger byte, and comparing stops at the
+    first smaller one.  So the result is None exactly when the code would
+    exceed ``best``.
+    """
     n = len(rot)
     lab = [-1] * n
     verts = [u0]
     ent = [v0]
     lab[u0] = 0
     nxt = 1
-    out = bytearray((marks[u0], len(rot[u0]), marks[v0], len(rot[v0])))
-    if best is not None and bytes(out) > best[: len(out)]:
-        return None
+    head = bytes((marks[u0], len(rot[u0]), marks[v0], len(rot[v0])))
+    # while pos >= 0 the code so far equals best[:pos]; a byte past the end
+    # of best compares as larger, since best is then a proper prefix
+    pos = -1
+    if best is not None:
+        if head > best[:4]:
+            return None
+        if head == best[:4]:
+            pos = 4
+            last = len(best)
     seqs = []
-    i = 0
-    while i < len(verts):
-        x = verts[i]
+    # verts grows while it is iterated: each vertex is visited once labelled
+    for i, x in enumerate(verts):
         r = rot[x]
-        d = len(r)
         k = r.index(ent[i])
+        # the neighbours of x from its entry vertex on, in orientation s
+        ring = r[k:] + r[:k] if s == 1 else r[k::-1] + r[:k:-1]
         seq = []
-        for t in range(d):
-            w = r[(k + s * t) % d]
-            if lab[w] < 0:
-                lab[w] = nxt
+        for w in ring:
+            label = lab[w]
+            if label < 0:
+                label = lab[w] = nxt
                 nxt += 1
                 verts.append(w)
                 ent.append(x)
-            seq.append(lab[w])
+            seq.append(label)
+            if pos >= 0:
+                b = best[pos] if pos < last else -1
+                if label > b:
+                    return None
+                pos = pos + 1 if label == b else -1
+        if pos >= 0:
+            b = best[pos] if pos < last else -1
+            if 254 > b:
+                return None
+            pos = pos + 1 if b == 254 else -1
         seqs.append(tuple(seq))
-        out.extend(seq)
-        out.append(254)
-        if best is not None and bytes(out) > best[: len(out)]:
-            return None
-        i += 1
     if len(verts) != n:
         raise MapError("map is not connected")
-    out.extend(marks[v] for v in verts)
-    return bytes(out), tuple(seqs), verts
+    tail = bytes(marks[v] for v in verts)
+    if pos >= 0 and tail > best[pos:]:
+        return None
+    code = head + b"".join(bytes(seq) + b"\xfe" for seq in seqs) + tail
+    return code, tuple(seqs), verts
 
 
 def canonical_form(rot: Rotation, marks: Sequence[int] | None = None,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -181,3 +182,28 @@ def test_compact_accepted_face_floor(enum_right_angled_compact_12):
     for t in enum_right_angled_compact_12.types:
         assert all(len(f) >= 5 for f in t.polyhedron.faces)
         assert t.faces >= 12
+
+
+def test_checks_validate_once(one_cusp_12, monkeypatch):
+    """Each check validates its polyhedron once and reads its edges once."""
+    from orthocusp import Polyhedron3, core
+
+    angles = right_angles(one_cusp_12)
+    calls = Counter()
+    real_validate = core.validate
+    real_edges = Polyhedron3.edges.fget
+
+    def validate(*args):
+        calls["validate"] += 1
+        return real_validate(*args)
+
+    def edges(p):
+        calls["edges"] += 1
+        return real_edges(p)
+
+    monkeypatch.setattr(core, "validate", validate)
+    monkeypatch.setattr(Polyhedron3, "edges", property(edges))
+    for check in (check_right_angled, lambda p: check_andreev(p, angles)):
+        calls.clear()
+        check(one_cusp_12)
+        assert calls == {"validate": 1, "edges": 1}

@@ -238,3 +238,23 @@ def test_run_config_api(capsys):
     assert capsys.readouterr().out == BOUNDS_GOLDEN
     assert run_config(RunConfig(command="nope")) == 2
     capsys.readouterr()
+
+
+def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):
+    """A map error inside the enumeration exits 1 as an internal error;
+    arguments outside what the enumeration covers still exit 2."""
+    from orthocusp import maps
+
+    def broken(*args, **kwargs):
+        raise maps.MapError("rotation at vertex 0 is not a single cycle")
+
+    monkeypatch.setattr(maps, "canonical_form", broken)
+    code, _, err = run(capsys, "enumerate", "--faces", "6", "--cusps", "0")
+    assert code == 1
+    assert err.startswith("internal error: rotation at vertex 0")
+    for argv, word in ((["--faces", "3"], "4 faces"),
+                       (["--faces", "6", "--cusps", "3"], "cusp count"),
+                       (["--faces", "12", "--cap", "10"], "above cap 10")):
+        code, _, err = run(capsys, "enumerate", *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and word in err, argv

@@ -5,9 +5,10 @@ from itertools import combinations
 
 import pytest
 
-from orthocusp import EnumSpec, canonical_code, enumerate_types, maps, validate
+from orthocusp import (EnumSpec, Polyhedron3, canonical_code, core, dual,
+                       enumerate_types, maps, validate)
 from orthocusp.core import RIGHT_ANGLED_PROFILE
-from orthocusp.enum3 import (FILTER_RIGHT_ANGLED, _candidates, _collect_chunk,
+from orthocusp.enum3 import (FILTER_RIGHT_ANGLED, _candidates, _collect_chunk, _dualize,
                              _is_canonical_augmentation, _pool_size,
                              _quads_keep_three_connected, triangulations)
 
@@ -179,6 +180,45 @@ def test_quad_pairs_decide_three_connectivity(unfiltered_candidates):
             assert got == maps.is_three_connected(rot), rot
             verdicts[got] += 1
     assert verdicts == {True: 1672 + 4498, False: 442 + 2349}
+
+
+def test_dualize_matches_core_dual(unfiltered_candidates):
+    """On every deduplicated 0-, 1- and 2-cusp candidate up to 10 faces,
+    ``_dualize`` gives ``core.dual`` of the map with its quadrilaterals
+    marked, field for field, each face cycle from the same vertex."""
+    maps_by_cusps = {0: [rot for n in range(4, 11)
+                         for rot in _collect_chunk((triangulations(n), 0, False)).values()]}
+    for (_, c), (found, _) in unfiltered_candidates.items():
+        maps_by_cusps.setdefault(c, []).extend(found.values())
+    for c, rots in maps_by_cusps.items():
+        for rot in rots:
+            faces = maps.faces_of_rotation(rot)
+            quads = frozenset(i for i, f in enumerate(faces) if len(f) == 4)
+            want = dual(Polyhedron3(len(rot), frozenset(), tuple(faces), quads))
+            got = _dualize(rot, faces)
+            assert len(quads) == c
+            assert (got.vertex_count, got.ideal_vertices, got.faces, got.ideal_faces) == (
+                want.vertex_count, want.ideal_vertices, want.faces, want.ideal_faces)
+
+
+def test_each_emitted_type_validated_once(monkeypatch):
+    """Without the right-angled filter, an enumeration validates each
+    emitted type once and builds its rotation system once."""
+    triangulations(8)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(core, "validate", counted("validate", core.validate))
+    monkeypatch.setattr("orthocusp.enum3.validate", core.validate)
+    monkeypatch.setattr(maps, "rotation_from_faces",
+                        counted("rotation", maps.rotation_from_faces))
+    report = enumerate_types(EnumSpec(8, 2))
+    assert calls == {"validate": len(report.types), "rotation": len(report.types)}
 
 
 def test_deficit_screen_matches_prefilter():

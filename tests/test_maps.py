@@ -8,20 +8,24 @@ from orthocusp import maps
 from orthocusp.enum3 import triangulations
 
 
-def brute_force_code(rot, marks=None):
-    """Minimum over every start dart and both orientations, bypassing the
-    invariant-key restriction used by canonical_form."""
-    n = len(rot)
+def _every_traversal(rot, marks):
+    """Full ``_encode`` result of every start dart and both orientations,
+    in the order canonical_form visits them."""
+    return [maps._encode(rot, marks, u, v, s, None)
+            for u in range(len(rot)) for v in rot[u] for s in (1, -1)]
+
+
+def exhaustive_form(rot, marks=None):
+    """The first traversal with the least code over every start dart and
+    both orientations, bypassing the invariant-key restriction and the
+    early abort used by canonical_form."""
     if marks is None:
-        marks = [0] * n
-    best = None
-    for u in range(n):
-        for v in rot[u]:
-            for s in (1, -1):
-                code, _, _ = maps._encode(rot, marks, u, v, s, None)
-                if best is None or code < best:
-                    best = code
-    return best
+        marks = [0] * len(rot)
+    return min(_every_traversal(rot, marks), key=lambda res: res[0])
+
+
+def brute_force_code(rot, marks=None):
+    return exhaustive_form(rot, marks)[0]
 
 
 def test_tetrahedron_faces():
@@ -143,3 +147,47 @@ def test_disconnected_rejected():
         6, [(0, 1, 2), (0, 2, 1), (3, 4, 5), (3, 5, 4)])
     with pytest.raises(maps.MapError):
         maps.canonical_form(two_triangles)
+
+
+def _marked_maps(reports):
+    """Rotation and cusp marks of every polyhedron in ``reports``."""
+    for report in reports:
+        for t in report.types:
+            p = t.polyhedron
+            yield p.rotation(), [int(v in p.ideal_vertices) for v in range(p.vertex_count)]
+
+
+def test_encode_aborts_exactly_when_larger(enum_all_small):
+    """Given ``best``, ``_encode`` returns None exactly when the full code
+    is larger, and the full result otherwise, for every traversal of the
+    triangulations up to 9 vertices and of the 1- and 2-cusp census
+    polyhedra up to 8 faces; ``best`` runs over the least, the largest,
+    the traversal's own and the next traversal's code, and two proper
+    prefixes of the own code."""
+    unmarked = ((rot, [0] * len(rot)) for n in range(4, 10) for rot in triangulations(n))
+    marked = _marked_maps([enum_all_small[1], enum_all_small[2]])
+    outcomes = Counter()
+    for rot, marks in [*unmarked, *marked]:
+        full = _every_traversal(rot, marks)
+        codes = [res[0] for res in full]
+        k = 0
+        for u in range(len(rot)):
+            for v in rot[u]:
+                for s in (1, -1):
+                    own = full[k]
+                    for best in (min(codes), max(codes), own[0], codes[(k + 1) % len(codes)],
+                                 own[0][:-1], own[0][:len(own[0]) // 2]):
+                        got = maps._encode(rot, marks, u, v, s, best)
+                        want = None if own[0] > best else own
+                        assert got == want, (rot, marks, u, v, s, best)
+                        outcomes[got is None] += 1
+                    k += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+def test_canonical_form_matches_exhaustive_minimum(enum_all_small):
+    """code, canon_rot and order are those of the first least traversal."""
+    unmarked = ((rot, None) for n in range(4, 10) for rot in triangulations(n))
+    marked = _marked_maps([enum_all_small[1], enum_all_small[2]])
+    for rot, marks in [*unmarked, *marked]:
+        assert maps.canonical_form(rot, marks) == exhaustive_form(rot, marks)
