@@ -120,40 +120,65 @@ def prismatic_circuits(p: Polyhedron3, length: int) -> list[PrismaticCircuit]:
     return _prismatic_circuits(p, length, adjacency(p))
 
 
+def _neighbours(nf: int, table: dict[tuple[int, int], list[Edge]]) -> list[set[int]]:
+    """The adjacent faces of each face, read from the adjacency table."""
+    nbrs: list[set[int]] = [set() for _ in range(nf)]
+    for a, b in table:
+        nbrs[a].add(b)
+    return nbrs
+
+
 def _prismatic_circuits(p: Polyhedron3, length: int,
                         table: dict[tuple[int, int], list[Edge]]) -> list[PrismaticCircuit]:
-    """``prismatic_circuits`` given the adjacency table of ``p``."""
+    """``prismatic_circuits`` given the adjacency table of ``p``, found from
+    the neighbour sets N(x) and listed by sorted members.
+
+    Exactly once: a 3-circuit a < b < c is met only from its least member a,
+    with b in N(a) and c in N(a) & N(b).  An induced 4-cycle with least
+    member a is met only at the pair (a, c), since c is its one member not
+    in N(a), and there at the pair b < d of N(a) & N(c) above a, the other
+    two members, which are not adjacent.  Conversely a-b-c-d-a with a, c
+    and b, d non-adjacent is an induced 4-cycle.  A candidate is kept when
+    its members share no vertex.
+    """
     nf = len(p.faces)
-    adj = [[False] * nf for _ in range(nf)]
-    for (a, b) in table:
-        adj[a][b] = True
+    nbrs = _neighbours(nf, table)
     vsets = [set(face) for face in p.faces]
     out = []
     if length == 3:
-        for a, b, c in combinations(range(nf), 3):
-            if adj[a][b] and adj[a][c] and adj[b][c]:
-                common = vsets[a] & vsets[b] & vsets[c]
-                if not common:
-                    out.append(PrismaticCircuit((a, b, c)))
-    else:
-        for quad in combinations(range(nf), 4):
-            pairs = [(x, y) for x, y in combinations(quad, 2) if adj[x][y]]
-            if len(pairs) != 4:
+        for a in range(nf):
+            for b in sorted(x for x in nbrs[a] if x > a):
+                for c in sorted(x for x in nbrs[a] & nbrs[b] if x > b):
+                    if not vsets[a] & vsets[b] & vsets[c]:
+                        out.append(PrismaticCircuit((a, b, c)))
+        return out
+    for a in range(nf):
+        for c in range(a + 1, nf):
+            if c in nbrs[a]:
                 continue
-            degree = {x: 0 for x in quad}
-            for x, y in pairs:
-                degree[x] += 1
-                degree[y] += 1
-            if any(d != 2 for d in degree.values()):
-                continue
-            common = vsets[quad[0]] & vsets[quad[1]] & vsets[quad[2]] & vsets[quad[3]]
-            if common:
-                continue
-            a = quad[0]
-            nbrs = [x for x in quad if adj[a][x]]
-            opposite = next(x for x in quad if x != a and x not in nbrs)
-            out.append(PrismaticCircuit((a, nbrs[0], opposite, nbrs[1])))
+            common = sorted(x for x in nbrs[a] & nbrs[c] if x > a)
+            shared = vsets[a] & vsets[c]
+            for b, d in combinations(common, 2):
+                if d not in nbrs[b] and not shared & vsets[b] & vsets[d]:
+                    out.append(PrismaticCircuit((a, b, c, d)))
+    out.sort(key=lambda circ: sorted(circ.faces))
     return out
+
+
+def _cusp_flanks(p: Polyhedron3, table: dict[tuple[int, int], list[Edge]]):
+    """The candidates of condition (d): ``(i, j, k, cusps)`` where faces j < k
+    are non-adjacent and share the cusps, and face i is adjacent to both
+    without containing every shared cusp.  In (j, k) then i order."""
+    nbrs = _neighbours(len(p.faces), table)
+    cusps = [p.ideal_vertices.intersection(face) for face in p.faces]
+    cusped = [fi for fi, found in enumerate(cusps) if found]
+    for j, k in combinations(cusped, 2):
+        shared = cusps[j] & cusps[k]
+        if not shared or k in nbrs[j]:
+            continue
+        for i in sorted(nbrs[j] & nbrs[k]):
+            if not shared <= set(p.faces[i]):
+                yield i, j, k, sorted(shared)
 
 
 def right_angles(p: Polyhedron3) -> dict[Edge, Fraction]:
@@ -178,6 +203,8 @@ def parse_angles(text: str) -> dict[Edge, Fraction]:
             u, v, pn, qd = (int(t) for t in parts)
         except ValueError:
             raise AngleError("angle tokens must be integers", num) from None
+        if qd == 0:
+            raise AngleError("angle has a zero denominator", num)
         angles[_norm_edge(u, v)] = Fraction(pn, qd)
     return angles
 
@@ -188,10 +215,6 @@ def _is_tetrahedron(p: Polyhedron3) -> bool:
 
 def _is_triangular_prism(p: Polyhedron3) -> bool:
     return p.face_count == 5 and p.face_sizes() == [3, 3, 4, 4, 4]
-
-
-def _cusps_of_face(p: Polyhedron3, fi: int) -> set[int]:
-    return set(p.faces[fi]) & p.ideal_vertices
 
 
 def _edges_at_vertices(p: Polyhedron3, edges: list[Edge]) -> list[list[Edge]]:
@@ -261,22 +284,10 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
                     if qa + qb + qc >= 1:
                         report.entries["c"].append((circ.faces, qa + qb + qc))
 
-    # (d): F_i adjacent to F_j and F_k; F_j, F_k non-adjacent with a common
-    # cusp that F_i does not contain; then one of the two angles is not 1/2.
-    nf = len(p.faces)
-    for j, k in combinations(range(nf), 2):
-        if (j, k) in table:
-            continue
-        shared_cusps = _cusps_of_face(p, j) & _cusps_of_face(p, k)
-        if not shared_cusps:
-            continue
-        for i in range(nf):
-            if i in (j, k) or (i, j) not in table or (i, k) not in table:
-                continue
-            if shared_cusps <= set(p.faces[i]):
-                continue
-            if all(q == HALF for q in pair_angles(i, j) + pair_angles(i, k)):
-                report.entries["d"].append((i, j, k, sorted(shared_cusps)))
+    # (d): at each flank F_i of a cusp shared by F_j, F_k, some angle is not 1/2
+    for i, j, k, cusps in _cusp_flanks(p, table):
+        if all(q == HALF for q in pair_angles(i, j) + pair_angles(i, k)):
+            report.entries["d"].append((i, j, k, cusps))
 
     for circ in _prismatic_circuits(p, 4, table):
         a, b, c, d = circ.faces
@@ -326,16 +337,5 @@ def check_right_angled(p: Polyhedron3) -> ConditionReport:
         report.entries["c"].append((circ.faces, Fraction(3, 2)))
     for circ in _prismatic_circuits(p, 4, table):
         report.entries["e"].append((circ.faces,))
-    nf = len(p.faces)
-    for j, k in combinations(range(nf), 2):
-        if (j, k) in table:
-            continue
-        shared_cusps = _cusps_of_face(p, j) & _cusps_of_face(p, k)
-        if not shared_cusps:
-            continue
-        for i in range(nf):
-            if i in (j, k) or (i, j) not in table or (i, k) not in table:
-                continue
-            if not shared_cusps <= set(p.faces[i]):
-                report.entries["d"].append((i, j, k, sorted(shared_cusps)))
+    report.entries["d"].extend(_cusp_flanks(p, table))
     return report

@@ -153,3 +153,46 @@ def brute_force_dual_types(n: int, quads: int):
 
 def count_dual_types(n: int, quads: int) -> int:
     return len(brute_force_dual_types(n, quads))
+
+
+def prismatic_circuits_by_scan(faces, length: int):
+    """Prismatic 3- or 4-circuits of the polyhedron with these faces, found
+    by testing every face triple or quadruple.
+
+    Faces are adjacent when they are the only two faces through some edge.
+    A group of 3 or 4 faces is a circuit when each member is adjacent to
+    exactly two others in the group (the only 2-regular graphs on 3 and 4
+    vertices are the 3- and 4-cycle) and no vertex lies on every member.
+    The tuples follow the package's layout: (a, b, c) with a < b < c, or
+    (a, b, c, d) with a least, c opposite a and b < d; the list is in
+    lexicographic order of the sorted members.
+    """
+    owners: dict[frozenset, set[int]] = {}
+    for fi, face in enumerate(faces):
+        for t in range(len(face)):
+            owners.setdefault(frozenset((face[t - 1], face[t])), set()).add(fi)
+    adj = [0] * len(faces)
+    for pair in owners.values():
+        if len(pair) == 2:
+            x, y = pair
+            adj[x] |= 1 << y
+            adj[y] |= 1 << x
+    vmask = [sum(1 << v for v in set(face)) for face in faces]
+    out = []
+    for group in combinations(range(len(faces)), length):
+        members = sum(1 << x for x in group)
+        if any((adj[x] & members).bit_count() != 2 for x in group):
+            continue
+        common = vmask[group[0]]
+        for x in group[1:]:
+            common &= vmask[x]
+        if common:
+            continue
+        a = group[0]
+        if length == 3:
+            out.append(group)
+        else:
+            b, d = (x for x in group if adj[a] >> x & 1)
+            c = next(x for x in group[1:] if not adj[a] >> x & 1)
+            out.append((a, b, c, d))
+    return out

@@ -11,11 +11,13 @@ from orthocusp import (
     adjacency,
     check_andreev,
     check_right_angled,
+    enum3,
     parse_angles,
     prismatic_circuits,
     right_angles,
 )
 from orthocusp.andreev import HALF
+from oracle import prismatic_circuits_by_scan
 
 
 def test_adjacency_cube(cube):
@@ -65,6 +67,47 @@ def test_prismatic_circuit_cusp_exclusion(one_cusp_12):
         around = {i for i, f in enumerate(one_cusp_12.faces) if cusp in f}
         assert members != around
     assert prismatic_circuits(one_cusp_12, 4) == []
+
+
+def assert_circuits_match_scan(p):
+    for length in (3, 4):
+        found = [circ.faces for circ in prismatic_circuits(p, length)]
+        assert found == prismatic_circuits_by_scan(p.faces, length), (length, p)
+
+
+def test_prismatic_circuits_match_scan_small(enum_all_small, k_gonal_prism):
+    """The neighbour-set search lists what the scan of every face triple and
+    quadruple lists, in the same order, on every type up to 8 faces and on
+    the k-gonal prisms."""
+    for report in enum_all_small.values():
+        for t in report.types:
+            assert_circuits_match_scan(t.polyhedron)
+    for k in range(3, 13):
+        assert_circuits_match_scan(k_gonal_prism(k))
+
+
+@pytest.mark.parametrize("cusps, max_faces", [
+    (1, 10), (2, 9), pytest.param(2, 10, marks=pytest.mark.slow)])
+def test_prismatic_circuits_match_scan_cusped(cusps, max_faces):
+    """The same on every type with 9 or more faces and the given cusps."""
+    report = enum3.enumerate_types(enum3.EnumSpec(max_faces, cusps))
+    checked = Counter()
+    for t in report.types:
+        if t.faces >= 9:
+            assert_circuits_match_scan(t.polyhedron)
+            checked[t.faces] += 1
+    assert sorted(checked) == list(range(9, max_faces + 1))
+
+
+def test_prismatic_circuits_k_gonal_prism(k_gonal_prism):
+    """The k-gonal prism has no 3-circuit for k >= 4, and its 4-circuits are
+    the k(k - 3)/2 bands through the two k-gons for k >= 5."""
+    for k in [*range(4, 41), 100, 120]:
+        prism = k_gonal_prism(k)
+        assert prismatic_circuits(prism, 3) == []
+        if k >= 5:
+            assert len(prismatic_circuits(prism, 4)) == k * (k - 3) // 2
+    assert len(prismatic_circuits(k_gonal_prism(100), 4)) == 4850
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +167,8 @@ def test_angle_file_parsing():
     assert angles[(1, 2)] == Fraction(1, 3)
     with pytest.raises(AngleError):
         parse_angles("angle: 0 1 x 2\n")
+    with pytest.raises(AngleError, match="line 2: .*zero denominator"):
+        parse_angles("angle: 0 1 1 2\nangle: 0 1 1 0\n")
 
 
 # ---------------------------------------------------------------------------

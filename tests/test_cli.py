@@ -122,6 +122,16 @@ def test_andreev_angle_file(capsys, tmp_path, cube):
     assert "condition e: 3 witness(es)" in out
 
 
+def test_andreev_angle_file_zero_denominator(capsys, tmp_path):
+    angle_file = tmp_path / "angles.txt"
+    angle_file.write_text("angle: 0 1 1 2\nangle: 0 1 1 0\n")
+    code, out, err = run(capsys, "andreev", fixture_path("cube"),
+                         "--angles", str(angle_file))
+    assert code == 1
+    assert out == ""
+    assert err == "error: line 2: angle has a zero denominator\n"
+
+
 def test_missing_file_io_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["validate", "/no/such/file.poly3"])
