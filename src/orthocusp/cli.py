@@ -194,6 +194,9 @@ def cmd_enumerate(args, out: _Out) -> int:
 
 
 def _check_cache(spec, cache: Path, out: _Out, workers: int) -> int:
+    """Re-code every cached POLY3 file against ``index.txt``; the cache
+    also fails when a file has more than ``spec.max_faces`` faces or other
+    than ``spec.num_cusps`` ideal vertices."""
     index_path = cache / "index.txt"
     try:
         stored = [line.strip() for line in index_path.read_text(encoding="utf-8").splitlines()
@@ -202,10 +205,14 @@ def _check_cache(spec, cache: Path, out: _Out, workers: int) -> int:
         print(f"cannot read {index_path}: {exc}", file=sys.stderr)
         return EXIT_IO
     recomputed = []
+    in_spec = True
     for path in sorted(cache.glob("*.poly3")):
         p = parse_poly3(path.read_text(encoding="utf-8"))
         recomputed.append(canonical_code(p).hex())
-    ok = sorted(stored) == sorted(recomputed) and len(stored) == len(set(stored))
+        in_spec = (in_spec and p.face_count <= spec.max_faces
+                   and len(p.ideal_vertices) == spec.num_cusps)
+    ok = (in_spec and sorted(stored) == sorted(recomputed)
+          and len(stored) == len(set(stored)))
     out.both("cache", "ok" if ok else "MISMATCH",
              f"cache of {len(stored)} codes: {'verified' if ok else 'MISMATCH'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED

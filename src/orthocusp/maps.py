@@ -216,11 +216,34 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None,
     structures.  Returns ``(code, canon_rot, order)``: ``canon_rot`` is the
     relabelled rotation system determined by the code alone (identical for
     isomorphic inputs) and ``order[i]`` is the original vertex that received
-    canonical label ``i``.
+    canonical label ``i``.  Maps with no edge or with more than
+    ``MAX_CODE_VERTICES`` vertices raise MapError.
+
+    A traversal starts at a dart (u, v) in an orientation s, and only the
+    starts with the least head (marks and degrees of u and v) can give the
+    least code.  Before any traversal runs, ``_least_prefix_starts`` ranks
+    those starts by rows 1 and 2 of their codes, and ``_encode``, with its
+    ``best`` abort, runs only on the starts with the least prefix, in
+    their original order.  This is exact.  Every tied start writes the
+    same head and the same row 0 (labels ``1..deg u``, then 254), so a
+    start with a larger prefix has a larger code.  Every start with the
+    least code survives, and as the order is kept, the first of them,
+    which sets ``canon_rot`` and ``order``, is the same as without the
+    ranking.  With face marks, the face tail follows a vertex code whose
+    length is the same for every start, so the least full code also has
+    the least prefix.  Triangulations skip the ranking, so growth, which
+    codes only triangulations, pays nothing for it.  There row 1 (v's ring
+    from u) reads 0, ``deg u``, the new labels, then 2, whenever (u, v)
+    lies on no separating triangle, so it is fixed by the head; row 2
+    alone halves the traversals of level-11 growth children, but the
+    ranking costs more than the aborted traversals it saves.
     """
     n = len(rot)
     if n == 0:
         raise MapError("empty map")
+    if n > MAX_CODE_VERTICES:
+        raise MapError(f"canonical codes cover at most {MAX_CODE_VERTICES} "
+                       f"vertices, got {n}")
     if marks is None:
         marks = [0] * n
     deg = [len(nbrs) for nbrs in rot]
@@ -237,15 +260,20 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None,
                 starts = [(u, v)]
             elif key == best_key:
                 starts.append((u, v))
+    if not starts:
+        raise MapError("map has no edges")
+    starts = [(u, v, s) for (u, v) in starts for s in (1, -1)]
+    # a simple spherical map is a triangulation exactly when 2E = 6n - 12
+    if sum(deg) != 6 * n - 12:
+        starts = _least_prefix_starts(rot, starts)
     if face_marks is None:
         best = None
         best_rot = None
         best_order = None
-        for (u, v) in starts:
-            for s in (1, -1):
-                res = _encode(rot, marks, u, v, s, best)
-                if res is not None and (best is None or res[0] < best):
-                    best, best_rot, best_order = res
+        for (u, v, s) in starts:
+            res = _encode(rot, marks, u, v, s, best)
+            if res is not None and (best is None or res[0] < best):
+                best, best_rot, best_order = res
         return best, best_rot, best_order
 
     # marked faces: the tail depends on the traversal's labelling, and
@@ -256,13 +284,82 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None,
     best = None
     best_rot = None
     best_order = None
-    for (u, v) in starts:
-        for s in (1, -1):
-            res = _encode(rot, marks, u, v, s, None)
-            code = res[0] + _face_tail(faces, res[2])
-            if best is None or code < best:
-                best, best_rot, best_order = code, res[1], res[2]
+    for (u, v, s) in starts:
+        res = _encode(rot, marks, u, v, s, None)
+        code = res[0] + _face_tail(faces, res[2])
+        if best is None or code < best:
+            best, best_rot, best_order = code, res[1], res[2]
     return best, best_rot, best_order
+
+
+def _least_prefix_starts(rot, starts):
+    """The starts ``(u, v, s)``, tied on the head, whose codes open with
+    the least rows 1 and 2, in their original order.
+
+    Row 1 is v's ring from u; row 2 is the ring of u's second neighbour
+    (label 2), also entered from u.  A vertex of u's ring is labelled by
+    its place in u's ring from v in orientation s; the others are labelled
+    in order of first appearance from ``deg u + 1`` on.  Row 1 has the
+    length ``deg v`` of every tied start; row 2 may not, so its key ends
+    with the separator 254, above every label, as in the code.
+    """
+    pos = [{w: i for i, w in enumerate(nbrs)} for nbrs in rot]
+    least = None
+    kept = []
+    for (u, v, s) in starts:
+        pu = pos[u]
+        du = len(pu)
+        k = pu[v]
+        r = rot[v]
+        j = pos[v][u]
+        ring = r[j + 1:] + r[:j]
+        if s == -1:
+            ring = ring[::-1]
+        new = {}
+        key = []
+        for w in ring:
+            i = pu.get(w)
+            if i is None:
+                label = new[w] = du + 1 + len(new)
+            else:
+                label = 1 + (i - k) * s % du
+            key.append(label)
+        if least is None or key < least:
+            least = key
+            kept = [(u, v, s, k, new)]
+        elif key == least:
+            kept.append((u, v, s, k, new))
+    # with deg u = 1, label 2 goes to a vertex of row 1, not of u's ring
+    if len(kept) == 1 or len(rot[kept[0][0]]) < 2:
+        return [start[:3] for start in kept]
+    least = None
+    survivors = []
+    for (u, v, s, k, new) in kept:
+        pu = pos[u]
+        du = len(pu)
+        x = rot[u][(k + s) % du]
+        r = rot[x]
+        j = pos[x][u]
+        ring = r[j + 1:] + r[:j]
+        if s == -1:
+            ring = ring[::-1]
+        key = []
+        for w in ring:
+            i = pu.get(w)
+            if i is not None:
+                label = 1 + (i - k) * s % du
+            elif w in new:
+                label = new[w]
+            else:
+                label = new[w] = du + 1 + len(new)
+            key.append(label)
+        key.append(254)
+        if least is None or key < least:
+            least = key
+            survivors = [(u, v, s)]
+        elif key == least:
+            survivors.append((u, v, s))
+    return survivors
 
 
 def _face_tail(faces, order) -> bytes:

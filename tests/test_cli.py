@@ -206,6 +206,21 @@ def test_cache_check_refuses_oversized_polyhedron(capsys, tmp_path, k_gonal_pris
     assert "at most 252 vertices, got 258" in err
 
 
+@pytest.mark.parametrize("faces, cusps", [("6", "1"), ("7", "0")])
+def test_cache_check_refuses_other_spec(capsys, tmp_path, faces, cusps):
+    """A cache of the 1-cusp types up to 7 faces fails a check for fewer
+    faces or another cusp count, though its codes match its index."""
+    out_dir = tmp_path / "types"
+    run(capsys, "enumerate", "--faces", "7", "--cusps", "1", "--out", str(out_dir))
+    code, out, _ = run(capsys, "enumerate", "--faces", "7", "--cusps", "1",
+                       "--out", str(out_dir), "--check-cache")
+    assert code == 0 and out == "cache of 11 codes: verified\n"
+    code, out, _ = run(capsys, "--machine", "enumerate", "--faces", faces, "--cusps", cusps,
+                       "--out", str(out_dir), "--check-cache")
+    assert code == 1
+    assert out == "cache=MISMATCH\n"
+
+
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ORTHOCUSP_CACHE", str(tmp_path / "envcache"))
     code, out, _ = run(capsys, "enumerate", "--faces", "6", "--cusps", "0")

@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from orthocusp import maps
+from orthocusp import core, enum3, maps
+from orthocusp.data import FIXTURES, load_fixture
 from orthocusp.enum3 import triangulations
 
 
@@ -15,13 +16,20 @@ def _every_traversal(rot, marks):
             for u in range(len(rot)) for v in rot[u] for s in (1, -1)]
 
 
-def exhaustive_form(rot, marks=None):
+def exhaustive_form(rot, marks=None, face_marks=None):
     """The first traversal with the least code over every start dart and
-    both orientations, bypassing the invariant-key restriction and the
-    early abort used by canonical_form."""
+    both orientations, bypassing the invariant-key restriction, the prefix
+    ranking and the early abort used by canonical_form.  With
+    ``face_marks``, each code carries its face tail."""
     if marks is None:
         marks = [0] * len(rot)
-    return min(_every_traversal(rot, marks), key=lambda res: res[0])
+    full = _every_traversal(rot, marks)
+    if face_marks is not None:
+        faces = [(face, int(frozenset(face) in face_marks))
+                 for face in maps.faces_of_rotation(rot)]
+        full = [(code + maps._face_tail(faces, order), canon, order)
+                for code, canon, order in full]
+    return min(full, key=lambda res: res[0])
 
 
 def brute_force_code(rot, marks=None):
@@ -191,3 +199,81 @@ def test_canonical_form_matches_exhaustive_minimum(enum_all_small):
     marked = _marked_maps([enum_all_small[1], enum_all_small[2]])
     for rot, marks in [*unmarked, *marked]:
         assert maps.canonical_form(rot, marks) == exhaustive_form(rot, marks)
+
+
+def _form_args(p):
+    """Rotation, cusp marks and marked faces of a polyhedron, as
+    ``core.canonical_code`` passes them to canonical_form."""
+    marks = [int(v in p.ideal_vertices) for v in range(p.vertex_count)]
+    face_marks = {frozenset(p.faces[i]) for i in p.ideal_faces} or None
+    return p.rotation(), marks, face_marks
+
+
+def assert_form_is_exhaustive(polyhedra):
+    """canonical_form gives the exhaustive code, canon_rot and order."""
+    count = 0
+    for p in polyhedra:
+        args = _form_args(p)
+        assert maps.canonical_form(*args) == exhaustive_form(*args), p
+        count += 1
+    assert count
+
+
+def test_ranked_form_on_prisms(k_gonal_prism):
+    assert_form_is_exhaustive(k_gonal_prism(k) for k in range(3, 13))
+
+
+def test_ranked_form_on_fixtures(one_cusp_12):
+    """Fixtures with many automorphisms, where ties pin ``order``."""
+    assert_form_is_exhaustive([*(load_fixture(name) for name in FIXTURES), one_cusp_12])
+
+
+def test_ranked_form_on_face_marked_duals(enum_all_small):
+    duals = [core.dual(t.polyhedron) for c in (1, 2) for t in enum_all_small[c].types]
+    assert all(p.ideal_faces for p in duals)
+    assert_form_is_exhaustive(duals)
+
+
+@pytest.mark.parametrize("cusps", [1, 2])
+def test_ranked_form_with_nine_faces(cusps):
+    report = enum3.enumerate_types(enum3.EnumSpec(9, cusps))
+    assert_form_is_exhaustive(t.polyhedron for t in report.types if t.faces == 9)
+
+
+@pytest.mark.slow
+def test_ranked_form_on_two_cusp_census():
+    report = enum3.enumerate_types(enum3.EnumSpec(10, 2))
+    assert len(report.types) == 4498
+    assert_form_is_exhaustive(t.polyhedron for t in report.types)
+
+
+def test_ranking_skips_tied_starts(prism, monkeypatch):
+    """The triangular prism's 18 darts all tie on the head, but a start on
+    a triangle edge has a smaller row 1, so fewer traversals run."""
+    rot, marks, _ = _form_args(prism)
+    want = exhaustive_form(rot, marks)
+    calls = []
+    real = maps._encode
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(maps, "_encode", counting)
+    assert maps.canonical_form(rot, marks) == want
+    tied_starts = 2 * sum(len(nbrs) for nbrs in rot)
+    assert 0 < len(calls) < tied_starts
+
+
+def test_code_vertex_limit(k_gonal_prism):
+    # labels are single bytes below the 252..254 separators
+    assert maps.canonical_form(k_gonal_prism(126).rotation())[0]
+    for k in (127, 129):
+        with pytest.raises(maps.MapError, match=f"at most 252 vertices, got {2 * k}"):
+            maps.canonical_form(k_gonal_prism(k).rotation())
+
+
+def test_edgeless_map_rejected():
+    for rot in [((),), ((), ())]:
+        with pytest.raises(maps.MapError, match="no edges"):
+            maps.canonical_form(rot)
