@@ -309,6 +309,11 @@ def check_right_angled(p: Polyhedron3) -> ConditionReport:
     share a cusp avoiding a common neighbour face.
     """
     require_valid(p)
+    return _check_right_angled(p)
+
+
+def _check_right_angled(p: Polyhedron3) -> ConditionReport:
+    """``check_right_angled`` of a polyhedron already validated."""
     report = ConditionReport()
     if _is_tetrahedron(p) or _is_triangular_prism(p):
         report.excluded_family = True

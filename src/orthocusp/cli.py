@@ -166,7 +166,7 @@ def cmd_enumerate(args, out: _Out) -> int:
         if cache is None:
             print("--check-cache needs --out or ORTHOCUSP_CACHE", file=sys.stderr)
             return EXIT_USAGE
-        return _check_cache(spec, cache, out, workers=args.workers)
+        return _check_cache(spec, cache, out)
     report = enum3.enumerate_types(spec, workers=args.workers, hard_cap=args.cap)
     for line in report.lines():
         out.text(line)
@@ -193,10 +193,11 @@ def cmd_enumerate(args, out: _Out) -> int:
     return EXIT_OK
 
 
-def _check_cache(spec, cache: Path, out: _Out, workers: int) -> int:
+def _check_cache(spec, cache: Path, out: _Out) -> int:
     """Re-code every cached POLY3 file against ``index.txt``; the cache
-    also fails when a file has more than ``spec.max_faces`` faces or other
-    than ``spec.num_cusps`` ideal vertices."""
+    also fails when a file has more than ``spec.max_faces`` faces, other
+    than ``spec.num_cusps`` ideal vertices or, under the right-angled
+    filter, fails ``check_right_angled``."""
     index_path = cache / "index.txt"
     try:
         stored = [line.strip() for line in index_path.read_text(encoding="utf-8").splitlines()
@@ -210,7 +211,9 @@ def _check_cache(spec, cache: Path, out: _Out, workers: int) -> int:
         p = parse_poly3(path.read_text(encoding="utf-8"))
         recomputed.append(canonical_code(p).hex())
         in_spec = (in_spec and p.face_count <= spec.max_faces
-                   and len(p.ideal_vertices) == spec.num_cusps)
+                   and len(p.ideal_vertices) == spec.num_cusps
+                   and (spec.filter != enum3.FILTER_RIGHT_ANGLED
+                        or andreev.check_right_angled(p).verdict == "pass"))
     ok = (in_spec and sorted(stored) == sorted(recomputed)
           and len(stored) == len(set(stored)))
     out.both("cache", "ok" if ok else "MISMATCH",

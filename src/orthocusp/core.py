@@ -10,6 +10,7 @@ lattice live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import maps
@@ -79,6 +80,12 @@ class Polyhedron3:
 
     def rotation(self) -> maps.Rotation:
         return maps.rotation_from_faces(self.vertex_count, self.faces)
+
+    @cached_property
+    def _validation(self) -> ValidationReport:
+        """``validate(self)``, kept for ``require_valid``; not a field, so
+        equality, hashing and repr ignore it."""
+        return validate(self)
 
 
 @dataclass(frozen=True)
@@ -229,102 +236,109 @@ def validate(p: Polyhedron3, profile: DegreeProfile | None = None) -> Validation
     All problems are report entries, never exceptions.  Two faces sharing
     more than one edge is legal for the data model but reported as a
     warning; right-angled checks reject it downstream.
+
+    One pass over the faces records each dart u->v, its face and the vertex
+    after v; every other check reads that record.
     """
     report = ValidationReport()
-    directed: dict[tuple[int, int], list[int]] = {}
+    violations = report.violations
+    n = p.vertex_count
+    succ: dict[tuple[int, int], int] = {}    # dart -> vertex after its head
+    owner: dict[tuple[int, int], int] = {}   # dart -> its face
+    repeats: dict[tuple[int, int], int] = {}  # dart -> traversals, when above one
+    stray: set[int] = set()                  # vertices of faces that repeat one
     for fi, face in enumerate(p.faces):
-        if len(set(face)) != len(face):
-            report.violations.append(("face-cycle", f"face {fi} repeats a vertex"))
-            continue
         k = len(face)
-        for i in range(k):
-            u, v = face[i], face[(i + 1) % k]
-            if not (0 <= u < p.vertex_count and 0 <= v < p.vertex_count):
-                report.violations.append(("vertex-range", f"face {fi} uses id outside 0..{p.vertex_count - 1}"))
-                return report
-            directed.setdefault((u, v), []).append(fi)
+        if len(set(face)) != k:
+            violations.append(("face-cycle", f"face {fi} repeats a vertex"))
+            stray.update(face)
+            continue
+        if k and (min(face) < 0 or max(face) >= n):
+            violations.append(("vertex-range", f"face {fi} uses id outside 0..{n - 1}"))
+            return report
+        heads = face[1:] + face[:1]   # darts (face[i], face[i+1]), then face[i+2]
+        for dart, after in zip(zip(face, heads), heads[1:] + heads[:1]):
+            if dart in succ:
+                repeats[dart] = repeats.get(dart, 1) + 1
+            else:
+                succ[dart] = after
+                owner[dart] = fi
     for v in p.ideal_vertices:
-        if not 0 <= v < p.vertex_count:
-            report.violations.append(("ideal-range", f"ideal id {v} out of range"))
+        if not 0 <= v < n:
+            violations.append(("ideal-range", f"ideal id {v} out of range"))
     for fi in p.ideal_faces:
         if not 0 <= fi < len(p.faces):
-            report.violations.append(("ideal-face-range", f"ideal face index {fi} out of range"))
+            violations.append(("ideal-face-range", f"ideal face index {fi} out of range"))
 
-    edge_faces: dict[Edge, list[int]] = {}
-    for (u, v), owners in directed.items():
-        if len(owners) > 1:
-            report.violations.append(
-                ("edge-pairing", f"dart {u}->{v} traversed {len(owners)} times"))
-        if (v, u) not in directed:
-            report.violations.append(
+    out_darts: list[list[int]] = [[] for _ in range(n)]  # heads per tail, in dart order
+    edges = 0
+    shared: dict[tuple[int, int], int] = {}   # face pair -> edges between them
+    for (u, v), fi in owner.items():
+        if (u, v) in repeats:
+            violations.append(
+                ("edge-pairing", f"dart {u}->{v} traversed {repeats[(u, v)]} times"))
+        fj = owner.get((v, u))
+        if fj is None:
+            violations.append(
                 ("edge-pairing", f"edge {{{u},{v}}} lacks the opposite traversal {v}->{u}"))
-        if u < v:
-            edge_faces[(u, v)] = owners + directed.get((v, u), [])
+        elif u < v:
+            edges += 1
+            pair = (fi, fj) if fi < fj else (fj, fi)
+            shared[pair] = shared.get(pair, 0) + 1
+        out_darts[u].append(v)
+    for v in range(n):
+        if not out_darts[v] and v not in stray:
+            violations.append(("isolated-vertex", f"vertex {v} lies on no face"))
 
-    touched = {v for face in p.faces for v in face}
-    for v in range(p.vertex_count):
-        if v not in touched:
-            report.violations.append(("isolated-vertex", f"vertex {v} lies on no face"))
-
-    if report.violations:
+    if violations:
         return report
 
-    n_edges = len(edge_faces)
-    euler = p.vertex_count - n_edges + len(p.faces)
+    euler = n - edges + len(p.faces)
     if euler != 2:
-        report.violations.append(
-            ("euler", f"V-E+F = {p.vertex_count}-{n_edges}+{len(p.faces)} = {euler}, expected 2"))
-
-    # connectivity of the incidence structure
-    if p.faces:
-        adj: dict[int, set[int]] = {v: set() for v in touched}
-        for (u, v) in edge_faces:
-            adj[u].add(v)
-            adj[v].add(u)
-        start = next(iter(touched))
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(touched):
-            report.violations.append(("connectivity", "incidence graph is not connected"))
-
+        violations.append(
+            ("euler", f"V-E+F = {n}-{edges}+{len(p.faces)} = {euler}, expected 2"))
+    # every vertex lies on a face here, so n > 0 means there are faces
+    if n and not _connected(out_darts):
+        violations.append(("connectivity", "incidence graph is not connected"))
     # each vertex's rotation must close into a single cycle (disk neighbourhood)
-    if not report.violations:
+    if not violations:
         try:
-            report.rotation = p.rotation()
+            report.rotation = maps._close_rotation(succ, out_darts)
         except maps.MapError as exc:
-            report.violations.append(("embedding", str(exc)))
+            violations.append(("embedding", str(exc)))
 
-    shared: dict[tuple[int, int], int] = {}
-    for e, owners in edge_faces.items():
-        if len(owners) == 2:
-            a, b = sorted(owners)
-            shared[(a, b)] = shared.get((a, b), 0) + 1
-    for (a, b), count in sorted(shared.items()):
-        if count > 1:
-            report.warnings.append(
-                ("multi-adjacency", f"faces {a} and {b} share {count} edges"))
+    if len(shared) < edges:   # some face pair shares several edges
+        for (a, b), count in sorted(shared.items()):
+            if count > 1:
+                report.warnings.append(
+                    ("multi-adjacency", f"faces {a} and {b} share {count} edges"))
 
-    if profile is not None and not report.violations:
-        degree = {v: 0 for v in range(p.vertex_count)}
-        for (u, v) in edge_faces:
-            degree[u] += 1
-            degree[v] += 1
-        for v in range(p.vertex_count):
+    if profile is not None and not violations:
+        for v, heads in enumerate(out_darts):
+            # a one-vertex face makes a loop, which adds no edge
+            got = len(heads) - (v in heads)
             want = profile.ideal_degree if v in p.ideal_vertices else profile.finite_degree
-            if degree[v] != want:
-                report.degree_violations.append((v, degree[v], want))
+            if got != want:
+                report.degree_violations.append((v, got, want))
     return report
 
 
+def _connected(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether the graph with these neighbour rows is connected."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        for y in rows[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(rows)
+
+
 def require_valid(p: Polyhedron3) -> maps.Rotation:
-    """Raise ``Poly3Error`` unless ``p`` is valid; return its rotation system."""
-    report = validate(p)
+    """Raise ``Poly3Error`` unless ``p`` is valid; return its rotation system.
+    The validation is made once per instance and kept on it."""
+    report = p._validation
     if not report.valid:
         raise Poly3Error("invalid polyhedron: " + "; ".join(m for _, m in report.violations))
     return report.rotation

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import maps
-from .andreev import adjacency, check_right_angled
+from .andreev import _check_right_angled, adjacency
 from .core import (Polyhedron3, canonical_code, contract_edge, validate,
                    RIGHT_ANGLED_PROFILE, _canonical_code, _dual_cycles, _follows)
 from .data import load_fixture
@@ -381,7 +381,7 @@ def enumerate_types(spec: EnumSpec, workers: int = 1,
                 raise AssertionError(f"enumerated type fails validation: {rep.lines()}")
             if len(p.ideal_vertices) != spec.num_cusps:
                 raise AssertionError("cusp count mismatch after dualisation")
-            if prefilter and check_right_angled(p).verdict != "pass":
+            if prefilter and _check_right_angled(p).verdict != "pass":
                 continue
             shared = None
             if spec.num_cusps == 2:

@@ -44,23 +44,29 @@ def rotation_from_faces(n: int, faces: Sequence[Sequence[int]]) -> Rotation:
         if not 0 <= u < n:
             raise MapError(f"vertex id {u} out of range")
         out_darts[u].append(v)
+    return _close_rotation(succ, out_darts)
+
+
+def _close_rotation(succ: dict[tuple[int, int], int],
+                    out_darts: Sequence[Sequence[int]]) -> Rotation:
+    """Rotation rows from ``succ[(u, v)]``, the vertex after v on the face
+    through the dart u->v, starting row v at ``out_darts[v][0]``.  Each dart
+    must occur once with its reverse, so x -> succ[(x, v)] permutes v's
+    neighbours ``out_darts[v]`` and each row closes."""
     rot = []
-    for v in range(n):
-        darts = out_darts[v]
+    for v, darts in enumerate(out_darts):
         if not darts:
             rot.append(())
             continue
         start = darts[0]
-        cycle = [start]
+        row = [start]
         cur = succ[(start, v)]
         while cur != start:
-            cycle.append(cur)
-            if len(cycle) > len(darts):
-                raise MapError(f"rotation at vertex {v} is not a single cycle")
-            cur = succ[(cycle[-1], v)]
-        if len(cycle) != len(darts):
+            row.append(cur)
+            cur = succ[(cur, v)]
+        if len(row) != len(darts):
             raise MapError(f"rotation at vertex {v} is not a single cycle")
-        rot.append(tuple(cycle))
+        rot.append(tuple(row))
     return tuple(rot)
 
 
@@ -91,35 +97,6 @@ def faces_of_rotation(rot: Rotation) -> list[tuple[int, ...]]:
 
 def edge_set(rot: Rotation) -> list[tuple[int, int]]:
     return [(v, u) for v, nbrs in enumerate(rot) for u in nbrs if v < u]
-
-
-def is_connected(rot: Rotation) -> bool:
-    n = len(rot)
-    if n == 0:
-        return False
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        v = stack.pop()
-        for u in rot[v]:
-            if not seen[u]:
-                seen[u] = True
-                count += 1
-                stack.append(u)
-    return count == n
-
-
-def is_three_connected(rot: Rotation) -> bool:
-    """Vertex 3-connectivity by removing every vertex pair (maps are small)."""
-    n = len(rot)
-    if n < 4:
-        return False
-    if not is_connected(rot):
-        return False
-    return all(_connected_without(rot, a, b)
-               for a in range(n) for b in range(a + 1, n))
 
 
 def _connected_without(rot: Rotation, a: int, b: int) -> bool:

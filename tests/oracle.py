@@ -5,6 +5,11 @@ adjacency-matrix backtracking over degree-sorted degree sequences, planarity
 and embeddings come from networkx, and isomorphism filtering uses VF2 with
 Weisfeiler-Lehman pre-bucketing.  Only suitable for small sizes; the dual
 side of a polyhedron with F faces has F vertices here.
+
+It also keeps the references that only tests use: vertex 3-connectivity
+of a rotation system by removing every vertex pair, the every-tuple scan
+for prismatic circuits, and structural validation as it was before the
+one-pass kernel, with the rotation builder it called.
 """
 
 from __future__ import annotations
@@ -12,6 +17,9 @@ from __future__ import annotations
 from itertools import combinations
 
 import networkx as nx
+
+from orthocusp.core import ValidationReport
+from orthocusp.maps import MapError
 
 
 def _degree_sequences(n: int, total: int, lo: int = 3):
@@ -155,6 +163,27 @@ def count_dual_types(n: int, quads: int) -> int:
     return len(brute_force_dual_types(n, quads))
 
 
+def _connected_without(rot, removed) -> bool:
+    """Whether the map stays connected once the vertices ``removed`` go."""
+    rest = [v for v in range(len(rot)) if v not in removed]
+    seen = {rest[0]}
+    stack = [rest[0]]
+    while stack:
+        for u in rot[stack.pop()]:
+            if u not in removed and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(rest)
+
+
+def is_three_connected(rot) -> bool:
+    """Vertex 3-connectivity: at least four vertices, and connected after
+    removing no vertex, any one or any two (maps are small)."""
+    n = len(rot)
+    return n >= 4 and _connected_without(rot, set()) and all(
+        _connected_without(rot, {a, b}) for a in range(n) for b in range(a, n))
+
+
 def prismatic_circuits_by_scan(faces, length: int):
     """Prismatic 3- or 4-circuits of the polyhedron with these faces, found
     by testing every face triple or quadruple.
@@ -196,3 +225,137 @@ def prismatic_circuits_by_scan(faces, length: int):
             c = next(x for x in group[1:] if not adj[a] >> x & 1)
             out.append((a, b, c, d))
     return out
+
+
+def rotation_from_faces_reference(n: int, faces):
+    """``maps.rotation_from_faces`` before the one-pass validation kernel."""
+    succ: dict[tuple[int, int], int] = {}
+    for face in faces:
+        k = len(face)
+        for i in range(k):
+            u, v, w = face[i - 1], face[i], face[(i + 1) % k]
+            if (u, v) in succ:
+                raise MapError(f"dart {u}->{v} traversed twice")
+            succ[(u, v)] = w
+    for (u, v) in succ:
+        if (v, u) not in succ:
+            raise MapError(f"edge {{{u},{v}}} traversed in one direction only")
+    out_darts: list[list[int]] = [[] for _ in range(n)]
+    for (u, v) in succ:
+        if not 0 <= u < n:
+            raise MapError(f"vertex id {u} out of range")
+        out_darts[u].append(v)
+    rot = []
+    for v in range(n):
+        darts = out_darts[v]
+        if not darts:
+            rot.append(())
+            continue
+        start = darts[0]
+        cycle = [start]
+        cur = succ[(start, v)]
+        while cur != start:
+            cycle.append(cur)
+            if len(cycle) > len(darts):
+                raise MapError(f"rotation at vertex {v} is not a single cycle")
+            cur = succ[(cycle[-1], v)]
+        if len(cycle) != len(darts):
+            raise MapError(f"rotation at vertex {v} is not a single cycle")
+        rot.append(tuple(cycle))
+    return tuple(rot)
+
+
+def validate_reference(p, profile=None) -> ValidationReport:
+    """``core.validate`` before the one-pass kernel: a dart table, an edge
+    table, a vertex set and a search, then the rotation built apart by
+    ``rotation_from_faces_reference``."""
+    report = ValidationReport()
+    directed: dict[tuple[int, int], list[int]] = {}
+    for fi, face in enumerate(p.faces):
+        if len(set(face)) != len(face):
+            report.violations.append(("face-cycle", f"face {fi} repeats a vertex"))
+            continue
+        k = len(face)
+        for i in range(k):
+            u, v = face[i], face[(i + 1) % k]
+            if not (0 <= u < p.vertex_count and 0 <= v < p.vertex_count):
+                report.violations.append(("vertex-range", f"face {fi} uses id outside 0..{p.vertex_count - 1}"))
+                return report
+            directed.setdefault((u, v), []).append(fi)
+    for v in p.ideal_vertices:
+        if not 0 <= v < p.vertex_count:
+            report.violations.append(("ideal-range", f"ideal id {v} out of range"))
+    for fi in p.ideal_faces:
+        if not 0 <= fi < len(p.faces):
+            report.violations.append(("ideal-face-range", f"ideal face index {fi} out of range"))
+
+    edge_faces: dict[tuple[int, int], list[int]] = {}
+    for (u, v), owners in directed.items():
+        if len(owners) > 1:
+            report.violations.append(
+                ("edge-pairing", f"dart {u}->{v} traversed {len(owners)} times"))
+        if (v, u) not in directed:
+            report.violations.append(
+                ("edge-pairing", f"edge {{{u},{v}}} lacks the opposite traversal {v}->{u}"))
+        if u < v:
+            edge_faces[(u, v)] = owners + directed.get((v, u), [])
+
+    touched = {v for face in p.faces for v in face}
+    for v in range(p.vertex_count):
+        if v not in touched:
+            report.violations.append(("isolated-vertex", f"vertex {v} lies on no face"))
+
+    if report.violations:
+        return report
+
+    n_edges = len(edge_faces)
+    euler = p.vertex_count - n_edges + len(p.faces)
+    if euler != 2:
+        report.violations.append(
+            ("euler", f"V-E+F = {p.vertex_count}-{n_edges}+{len(p.faces)} = {euler}, expected 2"))
+
+    # connectivity of the incidence structure
+    if p.faces:
+        adj: dict[int, set[int]] = {v: set() for v in touched}
+        for (u, v) in edge_faces:
+            adj[u].add(v)
+            adj[v].add(u)
+        start = next(iter(touched))
+        seen = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) != len(touched):
+            report.violations.append(("connectivity", "incidence graph is not connected"))
+
+    # each vertex's rotation must close into a single cycle (disk neighbourhood)
+    if not report.violations:
+        try:
+            report.rotation = rotation_from_faces_reference(p.vertex_count, p.faces)
+        except MapError as exc:
+            report.violations.append(("embedding", str(exc)))
+
+    shared: dict[tuple[int, int], int] = {}
+    for e, owners in edge_faces.items():
+        if len(owners) == 2:
+            a, b = sorted(owners)
+            shared[(a, b)] = shared.get((a, b), 0) + 1
+    for (a, b), count in sorted(shared.items()):
+        if count > 1:
+            report.warnings.append(
+                ("multi-adjacency", f"faces {a} and {b} share {count} edges"))
+
+    if profile is not None and not report.violations:
+        degree = {v: 0 for v in range(p.vertex_count)}
+        for (u, v) in edge_faces:
+            degree[u] += 1
+            degree[v] += 1
+        for v in range(p.vertex_count):
+            want = profile.ideal_degree if v in p.ideal_vertices else profile.finite_degree
+            if degree[v] != want:
+                report.degree_violations.append((v, degree[v], want))
+    return report

@@ -230,10 +230,15 @@ def test_compact_accepted_face_floor(enum_right_angled_compact_12):
 
 
 def test_checks_validate_once(one_cusp_12, monkeypatch):
-    """Each check validates its polyhedron once and reads its edges once."""
-    from orthocusp import Polyhedron3, core
+    """The audit chain on one instance (both checks, its face lattice and
+    its canonical code) validates it once; each check reads the edge list
+    once."""
+    from dataclasses import replace
 
-    angles = right_angles(one_cusp_12)
+    from orthocusp import Polyhedron3, canonical_code, core, to_face_lattice
+
+    p = replace(one_cusp_12)   # a fresh instance: nothing is kept on it yet
+    angles = right_angles(p)
     calls = Counter()
     real_validate = core.validate
     real_edges = Polyhedron3.edges.fget
@@ -248,7 +253,11 @@ def test_checks_validate_once(one_cusp_12, monkeypatch):
 
     monkeypatch.setattr(core, "validate", validate)
     monkeypatch.setattr(Polyhedron3, "edges", property(edges))
-    for check in (check_right_angled, lambda p: check_andreev(p, angles)):
-        calls.clear()
-        check(one_cusp_12)
-        assert calls == {"validate": 1, "edges": 1}
+    edge_reads = []
+    for step in (check_right_angled, lambda p: check_andreev(p, angles),
+                 to_face_lattice, canonical_code):
+        before = calls["edges"]
+        step(p)
+        edge_reads.append(calls["edges"] - before)
+    assert calls["validate"] == 1
+    assert edge_reads[:2] == [1, 1]

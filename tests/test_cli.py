@@ -221,6 +221,22 @@ def test_cache_check_refuses_other_spec(capsys, tmp_path, faces, cusps):
     assert out == "cache=MISMATCH\n"
 
 
+@pytest.mark.parametrize("faces, cusps, realizable, verdict", [
+    ("7", "1", False, "MISMATCH"), ("8", "2", True, "ok")])
+def test_cache_check_under_realizable(capsys, tmp_path, faces, cusps, realizable, verdict):
+    """With --realizable the check fails a cache holding a type that fails
+    the right-angled conditions, here the 11 unfiltered 1-cusp types up to
+    7 faces (the realizable census there is empty), and passes the cache
+    of a realizable census."""
+    out_dir = tmp_path / "types"
+    flags = ["--realizable"] if realizable else []
+    run(capsys, "enumerate", "--faces", faces, "--cusps", cusps, *flags, "--out", str(out_dir))
+    code, out, _ = run(capsys, "--machine", "enumerate", "--faces", faces, "--cusps", cusps,
+                       "--realizable", "--out", str(out_dir), "--check-cache")
+    assert out == f"cache={verdict}\n"
+    assert code == (0 if verdict == "ok" else 1)
+
+
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ORTHOCUSP_CACHE", str(tmp_path / "envcache"))
     code, out, _ = run(capsys, "enumerate", "--faces", "6", "--cusps", "0")

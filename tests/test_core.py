@@ -152,6 +152,94 @@ def test_validate_no_warning_on_tetrahedron(tetrahedron):
     assert not validate(tetrahedron).warnings
 
 
+TETRA_FACES = ((0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2))
+
+
+def _torus(offset: int) -> tuple[tuple[int, ...], ...]:
+    """The 3 x 3 quadrangulated torus on vertices offset..offset+8."""
+    def v(i, j):
+        return offset + 3 * (i % 3) + j % 3
+    return tuple((v(i, j), v(i, j + 1), v(i + 1, j + 1), v(i + 1, j))
+                 for i in range(3) for j in range(3))
+
+
+def _malformed(cube) -> dict[str, Polyhedron3]:
+    """One polyhedron per violation code, named after the code it raises
+    first (the pairing one raises both pairing messages, interleaved)."""
+    octahedron = dual(cube)   # vertices 0 and 1 are opposite
+    relabel = {0: 0, 1: 1, 2: 4, 3: 5, 4: 6, 5: 7}
+    pinched = TETRA_FACES + tuple(tuple(relabel[x] for x in f) for f in octahedron.faces)
+    flipped = ((0, 2, 1),) + TETRA_FACES[1:]
+    return {
+        "face-cycle": Polyhedron3(4, frozenset(), ((0, 1, 2, 1),) + TETRA_FACES[1:]),
+        "vertex-range": Polyhedron3(4, frozenset(), TETRA_FACES[:3] + ((1, 3, 4),)),
+        "ideal-range": Polyhedron3(4, frozenset({0, 7}), TETRA_FACES),
+        "ideal-face-range": Polyhedron3(4, frozenset(), TETRA_FACES, frozenset({1, 9})),
+        "edge-pairing": Polyhedron3(4, frozenset(), flipped),
+        "isolated-vertex": Polyhedron3(6, frozenset(), TETRA_FACES),
+        "euler": Polyhedron3(9, frozenset(), _torus(0)),
+        "connectivity": Polyhedron3(13, frozenset(), TETRA_FACES + _torus(4)),
+        "embedding": Polyhedron3(8, frozenset(), pinched),
+    }
+
+
+def _assert_matches_reference(p: Polyhedron3):
+    from oracle import validate_reference
+
+    for profile in (None, RIGHT_ANGLED_PROFILE):
+        got, want = validate(p, profile), validate_reference(p, profile)
+        assert got.violations == want.violations, p
+        assert got.warnings == want.warnings, p
+        assert got.degree_violations == want.degree_violations, p
+        assert got.rotation == want.rotation, p
+
+
+def test_validate_matches_reference_on_malformed(cube):
+    """Each malformed polyhedron gives the reference's report, entry for
+    entry and in order, and its own code comes first."""
+    for code, p in _malformed(cube).items():
+        _assert_matches_reference(p)
+        assert validate(p).violations[0][0] == code
+    pairing = validate(_malformed(cube)["edge-pairing"]).violations
+    assert [m.split()[0] for _, m in pairing] == ["dart", "edge"] * 3
+
+
+def test_validate_matches_reference_on_multi_adjacency(cube):
+    """A pillow, and a cube with an edge subdivided: the two faces through
+    the new vertex share two edges, and it has degree 2."""
+    pillow = Polyhedron3(4, frozenset(), ((0, 1, 2, 3), (1, 0, 3, 2)))
+    faces = [list(f) for f in cube.faces]
+    faces[0].insert(1, 8)   # on edge 0-3 of faces 0 and 5
+    faces[5].insert(1, 8)
+    subdivided = Polyhedron3(9, frozenset({2}), tuple(map(tuple, faces)))
+    for p in (pillow, subdivided):
+        assert validate(p, RIGHT_ANGLED_PROFILE).warnings
+        _assert_matches_reference(p)
+    assert validate(subdivided, RIGHT_ANGLED_PROFILE).degree_violations[0] == (2, 3, 4)
+
+
+def test_validate_matches_reference_on_valid(one_cusp_12, k_gonal_prism):
+    """Fixtures, prisms, the contracted dodecahedron and their duals, whose
+    marked faces are ideal face marks."""
+    polys = [load_fixture(name) for name in FIXTURES] + [one_cusp_12]
+    polys += [k_gonal_prism(k) for k in range(3, 13)]
+    polys += [dual(p) for p in polys]
+    assert any(p.ideal_faces for p in polys)
+    for p in polys:
+        _assert_matches_reference(p)
+
+
+@pytest.mark.parametrize("cusps", [0, 1, 2])
+def test_validate_matches_reference_on_census(cusps):
+    """Every type with at most 9 faces, and the duals of the cusped ones."""
+    from orthocusp import enum3
+
+    for t in enum3.enumerate_types(enum3.EnumSpec(9, cusps)).types:
+        _assert_matches_reference(t.polyhedron)
+        if cusps:
+            _assert_matches_reference(dual(t.polyhedron))
+
+
 def test_sum_face_sizes_is_twice_edges():
     for name in FIXTURES:
         p = load_fixture(name)

@@ -11,6 +11,7 @@ from orthocusp.core import RIGHT_ANGLED_PROFILE
 from orthocusp.enum3 import (FILTER_RIGHT_ANGLED, _candidates, _collect_chunk, _dualize,
                              _is_canonical_augmentation, _pool_size,
                              _quads_keep_three_connected, triangulations)
+from oracle import is_three_connected
 
 
 #: Counts frozen from the independent brute-force generator (see oracle.py);
@@ -177,7 +178,7 @@ def test_quad_pairs_decide_three_connectivity(unfiltered_candidates):
     for found, _ in unfiltered_candidates.values():
         for rot in found.values():
             got = _quads_keep_three_connected(rot, maps.faces_of_rotation(rot))
-            assert got == maps.is_three_connected(rot), rot
+            assert got == is_three_connected(rot), rot
             verdicts[got] += 1
     assert verdicts == {True: 1672 + 4498, False: 442 + 2349}
 
@@ -203,7 +204,7 @@ def test_dualize_matches_core_dual(unfiltered_candidates):
 
 def test_each_emitted_type_validated_once(monkeypatch):
     """Without the right-angled filter, an enumeration validates each
-    emitted type once and builds its rotation system once."""
+    emitted type once and closes its rotation system once."""
     triangulations(8)
     calls = Counter()
 
@@ -215,10 +216,22 @@ def test_each_emitted_type_validated_once(monkeypatch):
 
     monkeypatch.setattr(core, "validate", counted("validate", core.validate))
     monkeypatch.setattr("orthocusp.enum3.validate", core.validate)
+    monkeypatch.setattr(maps, "_close_rotation", counted("rotation", maps._close_rotation))
     monkeypatch.setattr(maps, "rotation_from_faces",
-                        counted("rotation", maps.rotation_from_faces))
+                        counted("rotation_from_faces", maps.rotation_from_faces))
     report = enumerate_types(EnumSpec(8, 2))
     assert calls == {"validate": len(report.types), "rotation": len(report.types)}
+
+
+@pytest.mark.parametrize("spec", [EnumSpec(8, 2), EnumSpec(9, 2, FILTER_RIGHT_ANGLED)],
+                         ids=["all", "right-angled"])
+def test_emitted_types_keep_no_validation(spec):
+    """``enumerate_types`` validates through the uncached ``validate``, so
+    no emitted polyhedron holds the validation ``require_valid`` keeps: a
+    census holds thousands of them at once."""
+    report = enumerate_types(spec)
+    assert report.types
+    assert not any("_validation" in vars(t.polyhedron) for t in report.types)
 
 
 def test_deficit_screen_matches_prefilter():
@@ -328,9 +341,8 @@ def test_nonpolyhedral_counted_not_emitted(enum_all_small):
     report = enum_all_small[2]
     assert sum(report.nonpolyhedral_by_faces.values()) > 0
     # emitted types are exactly the 3-connected ones; re-check a sample
-    from orthocusp import maps
     for t in report.types[:10]:
-        assert maps.is_three_connected(t.polyhedron.rotation())
+        assert is_three_connected(t.polyhedron.rotation())
 
 
 def test_right_angled_filter_is_a_subset(enum_all_small):
