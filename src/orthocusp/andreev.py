@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .core import Edge, Polyhedron3, Poly3Error, require_valid, _norm_edge
+from .core import Edge, Polyhedron3, Poly3Error, ValidationReport, require_valid, _norm_edge
 
 HALF = Fraction(1, 2)
 
@@ -81,24 +81,22 @@ def adjacency(p: Polyhedron3) -> dict[tuple[int, int], list[Edge]]:
     Entries under both (i, j) and (j, i); a multiplicity above one signals
     two faces sharing several edges.
     """
-    require_valid(p)
-    return _adjacency(p)
+    return _adjacency(require_valid(p))
 
 
-def _adjacency(p: Polyhedron3) -> dict[tuple[int, int], list[Edge]]:
-    """``adjacency`` of a polyhedron already validated."""
-    edge_owner: dict[Edge, list[int]] = {}
-    for fi, face in enumerate(p.faces):
-        k = len(face)
-        for t in range(k):
-            e = _norm_edge(face[t], face[(t + 1) % k])
-            owners = edge_owner.setdefault(e, [])
-            if fi not in owners:
-                owners.append(fi)
+def _adjacency(incidence: ValidationReport) -> dict[tuple[int, int], list[Edge]]:
+    """``adjacency`` from the validation report of a valid polyhedron.
+
+    Each edge enters at its dart in the earlier face, so the pairs come in
+    the order their first shared edge appears in the faces.  A dart whose
+    reverse lies on the same face joins no pair.
+    """
+    face_of = incidence.face_of
     table: dict[tuple[int, int], list[Edge]] = {}
-    for e, owners in edge_owner.items():
-        if len(owners) == 2:
-            a, b = owners
+    for (u, v), a in face_of.items():
+        b = face_of[(v, u)]
+        if a < b:
+            e = _norm_edge(u, v)
             table.setdefault((a, b), []).append(e)
             table.setdefault((b, a), []).append(e)
     for key in table:
@@ -217,13 +215,11 @@ def _is_triangular_prism(p: Polyhedron3) -> bool:
     return p.face_count == 5 and p.face_sizes() == [3, 3, 4, 4, 4]
 
 
-def _edges_at_vertices(p: Polyhedron3, edges: list[Edge]) -> list[list[Edge]]:
-    """The edges at each vertex, in the order of ``edges``."""
-    at: list[list[Edge]] = [[] for _ in range(p.vertex_count)]
-    for e in edges:
-        at[e[0]].append(e)
-        at[e[1]].append(e)
-    return at
+def _edges_at_vertices(incidence: ValidationReport) -> list[list[Edge]]:
+    """The edges at each vertex of a valid polyhedron, by the other
+    endpoint, which is their order in the sorted edge list."""
+    return [[_norm_edge(v, u) for u in sorted(nbrs)]
+            for v, nbrs in enumerate(incidence.rotation)]
 
 
 def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionReport:
@@ -234,15 +230,14 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
     tetrahedron and triangular prism types receive the outside-scope
     verdict.  Angle q means q*pi; every edge needs one entry in (0, 1/2].
     """
-    require_valid(p)
-    edges = p.edges
-    for e in edges:
+    incidence = require_valid(p)
+    for e in p.edges:
         if e not in angles:
             raise AngleError(f"missing angle for edge {e}")
         q = angles[e]
         if not (0 < q <= HALF):
             raise AngleError(f"angle {q} for edge {e} outside (0, 1/2]")
-    edges_at = _edges_at_vertices(p, edges)
+    edges_at = _edges_at_vertices(incidence)
     for v, at in enumerate(edges_at):
         d = len(at)
         if v in p.ideal_vertices:
@@ -257,7 +252,7 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
         return report
 
     report.entries = {k: [] for k in ("a", "b", "c", "d", "e")}
-    table = _adjacency(p)
+    table = _adjacency(incidence)
 
     for v, at in enumerate(edges_at):
         total = sum(angles[e] for e in at)
@@ -308,12 +303,12 @@ def check_right_angled(p: Polyhedron3) -> ConditionReport:
     no prismatic 3- or 4-circuit may exist and no non-adjacent face pair may
     share a cusp avoiding a common neighbour face.
     """
-    require_valid(p)
-    return _check_right_angled(p)
+    return _check_right_angled(p, require_valid(p))
 
 
-def _check_right_angled(p: Polyhedron3) -> ConditionReport:
-    """``check_right_angled`` of a polyhedron already validated."""
+def _check_right_angled(p: Polyhedron3, incidence: ValidationReport) -> ConditionReport:
+    """``check_right_angled`` of a valid polyhedron, given its validation
+    report."""
     report = ConditionReport()
     if _is_tetrahedron(p) or _is_triangular_prism(p):
         report.excluded_family = True
@@ -325,13 +320,13 @@ def _check_right_angled(p: Polyhedron3) -> ConditionReport:
         if len(face) + cusps < 5:
             report.entries["face_size"].append((fi, len(face), cusps))
 
-    table = _adjacency(p)
+    table = _adjacency(incidence)
     for (a, b), shared in table.items():
         if a < b and len(shared) > 1:
             report.entries["single_shared_edge"].append((a, b, shared))
 
-    for v, at in enumerate(_edges_at_vertices(p, p.edges)):
-        d = len(at)
+    for v, nbrs in enumerate(incidence.rotation):
+        d = len(nbrs)
         if v in p.ideal_vertices:
             if d != 4:
                 report.entries["cusp_degree"].append((v, d))

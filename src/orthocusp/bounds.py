@@ -94,27 +94,6 @@ def n7_certificate() -> N7Certificate:
 # dimensions 8..12: recursion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lemma61Params:
-    """Instance data for the recursion inequality: every (n-1)-face has at
-    least m cusps; k cusps avoid the fixed parallel pair (L, L'), whose own
-    cusp counts are cL and cL_prime."""
-
-    n: int
-    m: int
-    k: int
-    cL: int
-    cL_prime: int
-
-    def __post_init__(self):
-        if self.n not in RECURSION_RANGE:
-            raise ValueError("recursion covers dimensions 8..12 only")
-        if self.m < 2 * (self.n - 1):
-            raise ValueError("need m >= 2(n-1) for the sign argument")
-        if min(self.k, self.cL, self.cL_prime) < 0:
-            raise ValueError("counts must be non-negative")
-
-
 def lemma61(n: int, m: int) -> int:
     """Cusp floor 3m - 2n + 1 for an n-polyhedron (8 <= n <= 12) all of
     whose hyperfaces carry at least m cusps.
@@ -127,14 +106,6 @@ def lemma61(n: int, m: int) -> int:
     if m < 2 * (n - 1):
         raise ValueError(f"need m >= 2(n-1) = {2 * (n - 1)}, got {m}")
     return 3 * m - 2 * n + 1
-
-
-def eq2_check(params: Lemma61Params) -> bool:
-    """Counting inequality behind the recursion:
-    (m-1-k)(m-1) <= (2(n-1)-1)(cL'-1)."""
-    lhs = (params.m - 1 - params.k) * (params.m - 1)
-    rhs = (2 * (params.n - 1) - 1) * (params.cL_prime - 1)
-    return lhs <= rhs
 
 
 def chained_floor(n: int, m: int) -> Fraction:

@@ -13,10 +13,7 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
-from typing import Any, Mapping
 
 from . import andreev, bounds, cusplink, enum3, nikulin
 from .core import (Poly3Error, RIGHT_ANGLED_PROFILE, canonical_code,
@@ -27,21 +24,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: the subcommand plus its options (input
-    paths, budgets, flags, worker count)."""
-
-    command: str
-    machine: bool = False
-    options: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        workers = self.options.get("workers")
-        if workers is not None and workers < 1:
-            raise ValueError("worker count must be at least 1")
 
 
 class _Out:
@@ -65,13 +47,20 @@ class _Out:
             print(line if line is not None else f"{key}: {value}")
 
 
-def _read_poly(path: str):
+def _read_text(path) -> str:
+    """The UTF-8 text of an input file.  A file that cannot be read exits
+    with the I/O code; text that does not decode is a ``Poly3Error``."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO) from None
-    return parse_poly3(text)
+    except UnicodeDecodeError as exc:
+        raise Poly3Error(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _read_poly(path):
+    return parse_poly3(_read_text(path))
 
 
 def _cache_dir(explicit: str | None) -> Path | None:
@@ -106,12 +95,7 @@ def cmd_andreev(args, out: _Out) -> int:
     if args.right_angled:
         angles = andreev.right_angles(p)
     elif args.angles:
-        try:
-            text = Path(args.angles).read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"cannot read {args.angles}: {exc}", file=sys.stderr)
-            return EXIT_IO
-        angles = andreev.parse_angles(text)
+        angles = andreev.parse_angles(_read_text(args.angles))
     else:
         print("need an angle file or --right-angled", file=sys.stderr)
         return EXIT_USAGE
@@ -198,17 +182,12 @@ def _check_cache(spec, cache: Path, out: _Out) -> int:
     also fails when a file has more than ``spec.max_faces`` faces, other
     than ``spec.num_cusps`` ideal vertices or, under the right-angled
     filter, fails ``check_right_angled``."""
-    index_path = cache / "index.txt"
-    try:
-        stored = [line.strip() for line in index_path.read_text(encoding="utf-8").splitlines()
-                  if line.strip()]
-    except OSError as exc:
-        print(f"cannot read {index_path}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    stored = [line.strip() for line in _read_text(cache / "index.txt").splitlines()
+              if line.strip()]
     recomputed = []
     in_spec = True
     for path in sorted(cache.glob("*.poly3")):
-        p = parse_poly3(path.read_text(encoding="utf-8"))
+        p = _read_poly(path)
         recomputed.append(canonical_code(p).hex())
         in_spec = (in_spec and p.face_count <= spec.max_faces
                    and len(p.ideal_vertices) == spec.num_cusps
@@ -293,26 +272,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="structural validation of a POLY3 file")
+    sp.set_defaults(handler=cmd_validate)
     sp.add_argument("file")
     sp.add_argument("--right-angled-profile", action="store_true",
                     help="also check degrees (finite 3, ideal 4)")
 
     sp = sub.add_parser("andreev", help="acute-angled realizability conditions")
+    sp.set_defaults(handler=cmd_andreev)
     sp.add_argument("file")
     sp.add_argument("--angles", help="angle file: lines 'angle: u v p q'")
     sp.add_argument("--right-angled", action="store_true",
                     help="use the all-right assignment (every angle pi/2)")
 
     sp = sub.add_parser("right-angled", help="right-angled realizability conditions")
+    sp.set_defaults(handler=cmd_right_angled)
     sp.add_argument("file")
 
     sp = sub.add_parser("nikulin", help="face-average bound or lattice audit")
+    sp.set_defaults(handler=cmd_nikulin)
     sp.add_argument("file", nargs="?")
     sp.add_argument("--n", type=int)
     sp.add_argument("--k", type=int)
     sp.add_argument("--l", type=int)
 
     sp = sub.add_parser("enumerate", help="exhaustive enumeration of combinatorial types")
+    sp.set_defaults(handler=cmd_enumerate)
     sp.add_argument("--faces", type=int, required=True)
     sp.add_argument("--cusps", type=int, default=0)
     sp.add_argument("--realizable", action="store_true",
@@ -326,37 +310,27 @@ def build_parser() -> argparse.ArgumentParser:
                     help="hard face-budget cap (default 13)")
 
     sp = sub.add_parser("verify", help="named verification pipelines")
+    sp.set_defaults(handler=cmd_verify)
     sp.add_argument("stage", choices=("lemma31", "tables", "minima", "n7", "all"))
     sp.add_argument("--budget", type=int, default=10,
                     help="face budget for the two-cusp minima stage")
     sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser("bounds", help="certified cusp-count lower bounds")
+    sp.set_defaults(handler=cmd_bounds)
     sp.add_argument("--certificate", action="store_true",
                     help="expand the full arithmetic trail")
     return parser
 
 
-_HANDLERS = {
-    "validate": cmd_validate,
-    "andreev": cmd_andreev,
-    "right-angled": cmd_right_angled,
-    "nikulin": cmd_nikulin,
-    "enumerate": cmd_enumerate,
-    "verify": cmd_verify,
-    "bounds": cmd_bounds,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch one invocation; the rendered report goes to stdout."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        print(f"unknown command {config.command!r}", file=sys.stderr)
+def main(argv: list[str] | None = None) -> int:
+    """Run one invocation; the rendered report goes to stdout."""
+    args = build_parser().parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        print("error: worker count must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    out = _Out(machine=config.machine)
     try:
-        return handler(SimpleNamespace(**config.options), out)
+        return args.handler(args, _Out(machine=args.machine))
     except Poly3Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -367,20 +341,6 @@ def run(config: RunConfig) -> int:
         # not caused by the arguments, e.g. a maps.MapError
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    options = {k: v for k, v in vars(args).items()
-               if k not in ("command", "machine", "func")}
-    try:
-        config = RunConfig(command=args.command, machine=args.machine,
-                           options=options)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return run(config)
 
 
 if __name__ == "__main__":

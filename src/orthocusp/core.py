@@ -79,7 +79,7 @@ class Polyhedron3:
         return [i for i, f in enumerate(self.faces) if v in f]
 
     def rotation(self) -> maps.Rotation:
-        return maps.rotation_from_faces(self.vertex_count, self.faces)
+        return require_valid(self).rotation
 
     @cached_property
     def _validation(self) -> ValidationReport:
@@ -109,12 +109,15 @@ RIGHT_ANGLED_PROFILE = DegreeProfile(finite_degree=3, ideal_degree=4)
 class ValidationReport:
     """Outcome of ``validate``: structural violations, soft warnings and
     degree-profile deviations, each with a witness.  ``rotation`` is the
-    rotation system validation built, or None when it stopped earlier."""
+    rotation system validation built, and ``face_of`` maps each dart
+    ``(u, v)`` to the index of its face; both are None when validation
+    stopped earlier."""
 
     violations: list[tuple[str, str]] = field(default_factory=list)
     warnings: list[tuple[str, str]] = field(default_factory=list)
     degree_violations: list[tuple[int, int, int]] = field(default_factory=list)
     rotation: maps.Rotation | None = field(default=None, repr=False, compare=False)
+    face_of: dict[tuple[int, int], int] | None = field(default=None, repr=False, compare=False)
 
     @property
     def valid(self) -> bool:
@@ -304,6 +307,7 @@ def validate(p: Polyhedron3, profile: DegreeProfile | None = None) -> Validation
     if not violations:
         try:
             report.rotation = maps._close_rotation(succ, out_darts)
+            report.face_of = owner
         except maps.MapError as exc:
             violations.append(("embedding", str(exc)))
 
@@ -335,13 +339,14 @@ def _connected(rows: Sequence[Sequence[int]]) -> bool:
     return len(seen) == len(rows)
 
 
-def require_valid(p: Polyhedron3) -> maps.Rotation:
-    """Raise ``Poly3Error`` unless ``p`` is valid; return its rotation system.
-    The validation is made once per instance and kept on it."""
+def require_valid(p: Polyhedron3) -> ValidationReport:
+    """Raise ``Poly3Error`` unless ``p`` is valid; return its validation
+    report, whose ``rotation`` and ``face_of`` are set.  The validation is
+    made once per instance and kept on it."""
     report = p._validation
     if not report.valid:
         raise Poly3Error("invalid polyhedron: " + "; ".join(m for _, m in report.violations))
-    return report.rotation
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +360,10 @@ def dual(p: Polyhedron3) -> Polyhedron3:
     double dual is isomorphic to the input including cusp marks.  An ideal
     vertex of degree d becomes a d-gonal marked face.
     """
-    rot = require_valid(p)
     return Polyhedron3(
         vertex_count=len(p.faces),
         ideal_vertices=frozenset(p.ideal_faces),
-        faces=_dual_cycles(rot, p.faces),
+        faces=_dual_cycles(require_valid(p).rotation, p.faces),
         ideal_faces=frozenset(p.ideal_vertices),
     )
 
@@ -370,9 +374,8 @@ def _dual_cycles(rot: maps.Rotation, faces: Sequence[Sequence[int]]) -> tuple[tu
     corner, in rotation order.
 
     Each cycle starts at the face on the dart into v from v's first
-    out-neighbour in face order, which is where ``rotation_from_faces``
-    starts ``rot[v]``, so any rotation of the same map gives the same
-    cycles.
+    out-neighbour in face order, which is where ``validate`` starts
+    ``rot[v]``, so any rotation of the same map gives the same cycles.
     """
     face_index: dict[tuple[int, int], int] = {}
     first = [-1] * len(rot)
@@ -397,18 +400,19 @@ def contract_edge(p: Polyhedron3, e: Edge) -> Polyhedron3:
     endpoint becomes an ideal vertex of degree four; V and E drop by one
     while F is unchanged.
     """
-    require_valid(p)
+    report = require_valid(p)
+    rot, face_of = report.rotation, report.face_of
     u, v = e
-    if _norm_edge(u, v) not in set(p.edges):
+    if (u, v) not in face_of:
         raise Poly3Error(f"{e} is not an edge")
     if u in p.ideal_vertices or v in p.ideal_vertices:
         raise Poly3Error("contraction endpoint is already ideal")
-    if p.vertex_degree(u) != 3 or p.vertex_degree(v) != 3:
+    if len(rot[u]) != 3 or len(rot[v]) != 3:
         raise Poly3Error("contraction endpoints must have degree 3")
-    through = [f for f in p.faces if _edge_on_face(f, u, v)]
-    if len(through) != 2:
+    fu, fv = face_of[(u, v)], face_of[(v, u)]
+    if fu == fv:
         raise Poly3Error("edge does not lie on exactly two faces")
-    if any(len(f) < 4 for f in through):
+    if len(p.faces[fu]) < 4 or len(p.faces[fv]) < 4:
         raise Poly3Error("a face through the edge is a triangle")
 
     old_ids = [x for x in range(p.vertex_count) if x not in (u, v)]
@@ -417,27 +421,15 @@ def contract_edge(p: Polyhedron3, e: Edge) -> Polyhedron3:
     remap[u] = remap[v] = w
 
     new_faces = []
-    for face in p.faces:
-        if _edge_on_face(face, u, v):
-            cycle = [x for x in face if x != v] if _follows(face, u, v) else [x for x in face if x != u]
-        else:
-            cycle = list(face)
-        mapped = tuple(remap[x] for x in cycle)
+    for fi, face in enumerate(p.faces):
+        # the face through u->v keeps u, the face through v->u keeps v
+        drop = v if fi == fu else u if fi == fv else None
+        mapped = tuple(remap[x] for x in face if x != drop)
         if len(set(mapped)) != len(mapped):
             raise Poly3Error("contraction would repeat a vertex inside a face")
         new_faces.append(mapped)
     ideal = frozenset(remap[x] for x in p.ideal_vertices) | {w}
     return Polyhedron3(vertex_count=w + 1, ideal_vertices=ideal, faces=tuple(new_faces))
-
-
-def _edge_on_face(face: Sequence[int], u: int, v: int) -> bool:
-    k = len(face)
-    return any({face[i], face[(i + 1) % k]} == {u, v} for i in range(k))
-
-
-def _follows(face: Sequence[int], u: int, v: int) -> bool:
-    k = len(face)
-    return any(face[i] == u and face[(i + 1) % k] == v for i in range(k))
 
 
 def canonical_code(p: Polyhedron3) -> bytes:
@@ -451,7 +443,7 @@ def canonical_code(p: Polyhedron3) -> bytes:
     if p.vertex_count > maps.MAX_CODE_VERTICES:
         raise Poly3Error(f"canonical codes cover at most {maps.MAX_CODE_VERTICES} "
                          f"vertices, got {p.vertex_count}")
-    return _canonical_code(p, require_valid(p))
+    return _canonical_code(p, require_valid(p).rotation)
 
 
 def _canonical_code(p: Polyhedron3, rot: maps.Rotation) -> bytes:

@@ -35,8 +35,8 @@ from itertools import combinations
 
 from . import maps
 from .andreev import _check_right_angled, adjacency
-from .core import (Polyhedron3, canonical_code, contract_edge, validate,
-                   RIGHT_ANGLED_PROFILE, _canonical_code, _dual_cycles, _follows)
+from .core import (Polyhedron3, canonical_code, contract_edge, require_valid, validate,
+                   RIGHT_ANGLED_PROFILE, _canonical_code, _dual_cycles)
 from .data import load_fixture
 
 FILTER_ALL = "all-almost-simple"
@@ -381,7 +381,7 @@ def enumerate_types(spec: EnumSpec, workers: int = 1,
                 raise AssertionError(f"enumerated type fails validation: {rep.lines()}")
             if len(p.ideal_vertices) != spec.num_cusps:
                 raise AssertionError("cusp count mismatch after dualisation")
-            if prefilter and _check_right_angled(p).verdict != "pass":
+            if prefilter and _check_right_angled(p, rep).verdict != "pass":
                 continue
             shared = None
             if spec.num_cusps == 2:
@@ -443,13 +443,10 @@ def verify_lemma31(workers: int = 1) -> OneCuspMinimumReport:
         p = report.types[-1].polyhedron
         face_sizes = p.face_sizes()
         cusp = next(iter(p.ideal_vertices))
-        rot = p.rotation()
-        around = []
-        for u in rot[cusp]:
-            fi = next(i for i, f in enumerate(p.faces)
-                      if _follows(f, u, cusp))
-            around.append(len(p.faces[fi]))
-        cusp_cycle = tuple(around)
+        incidence = require_valid(p)
+        # the face through the dart u->cusp, for each neighbour u in turn
+        cusp_cycle = tuple(len(p.faces[incidence.face_of[(u, cusp)]])
+                           for u in incidence.rotation[cusp])
         quad_ids = [i for i, f in enumerate(p.faces) if len(f) == 4]
         quads_adjacent = tuple(quad_ids) in adjacency(p)
         dode = load_fixture("dodecahedron")

@@ -22,35 +22,11 @@ class MapError(ValueError):
     """Raised when data does not describe a single spherical map."""
 
 
-def rotation_from_faces(n: int, faces: Sequence[Sequence[int]]) -> Rotation:
-    """Derive the rotation system from consistently oriented face cycles.
-
-    Each edge must be traversed exactly once in each direction across the
-    face cycles; otherwise a MapError is raised.
-    """
-    succ: dict[tuple[int, int], int] = {}
-    for face in faces:
-        k = len(face)
-        for i in range(k):
-            u, v, w = face[i - 1], face[i], face[(i + 1) % k]
-            if (u, v) in succ:
-                raise MapError(f"dart {u}->{v} traversed twice")
-            succ[(u, v)] = w
-    for (u, v) in succ:
-        if (v, u) not in succ:
-            raise MapError(f"edge {{{u},{v}}} traversed in one direction only")
-    out_darts: list[list[int]] = [[] for _ in range(n)]
-    for (u, v) in succ:
-        if not 0 <= u < n:
-            raise MapError(f"vertex id {u} out of range")
-        out_darts[u].append(v)
-    return _close_rotation(succ, out_darts)
-
-
 def _close_rotation(succ: dict[tuple[int, int], int],
                     out_darts: Sequence[Sequence[int]]) -> Rotation:
     """Rotation rows from ``succ[(u, v)]``, the vertex after v on the face
-    through the dart u->v, starting row v at ``out_darts[v][0]``.  Each dart
+    through the dart u->v, starting row v at ``out_darts[v][0]``; used by
+    ``core.validate``, which reads both from the face cycles.  Each dart
     must occur once with its reverse, so x -> succ[(x, v)] permutes v's
     neighbours ``out_darts[v]`` and each row closes."""
     rot = []
@@ -73,8 +49,9 @@ def _close_rotation(succ: dict[tuple[int, int], int],
 def faces_of_rotation(rot: Rotation) -> list[tuple[int, ...]]:
     """Trace all face cycles of a rotation system.
 
-    Inverse of rotation_from_faces up to face order and starting points:
-    every dart belongs to exactly one returned face.
+    Inverse of the rotation ``core.validate`` builds from face cycles, up
+    to face order and starting points: every dart belongs to exactly one
+    returned face.
     """
     pos = [{u: i for i, u in enumerate(nbrs)} for nbrs in rot]
     seen: set[tuple[int, int]] = set()
@@ -404,5 +381,6 @@ def delete_edge(rot: Rotation, u: int, v: int) -> Rotation:
     return tuple(new_rot)
 
 
-TETRAHEDRON: Rotation = rotation_from_faces(
-    4, [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)])
+#: The rotation of the tetrahedron with faces (0 1 2), (0 2 3), (0 3 1)
+#: and (1 3 2).
+TETRAHEDRON: Rotation = ((1, 3, 2), (2, 3, 0), (0, 3, 1), (0, 1, 2))

@@ -9,7 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from orthocusp import Polyhedron3, contract_edge, enum3
-from orthocusp.data import load_fixture
+from orthocusp.data import FIXTURES, load_fixture
 
 
 @pytest.fixture(scope="session")
@@ -52,6 +52,30 @@ def k_gonal_prism():
         sides = tuple((i, (i + 1) % k, k + (i + 1) % k, k + i) for i in range(k))
         return Polyhedron3(2 * k, frozenset(), (bottom, top) + sides)
     return build
+
+
+@pytest.fixture(scope="session")
+def subdivided_cube(cube):
+    """The cube with a new vertex 8 on its edge 0-3 and vertex 2 marked
+    ideal: faces 0 and 5 through vertex 8 share two edges, and vertex 8
+    has degree 2."""
+    faces = [list(f) for f in cube.faces]
+    faces[0].insert(1, 8)   # on edge 0-3 of faces 0 and 5
+    faces[5].insert(1, 8)
+    return Polyhedron3(9, frozenset({2}), tuple(map(tuple, faces)))
+
+
+@pytest.fixture(scope="session")
+def incidence_corpus(k_gonal_prism, subdivided_cube):
+    """Valid polyhedra for checking incidence readers against the face-scan
+    references: the fixtures, every type with at most 9 faces and 0, 1 or
+    2 cusps, the k-gonal prisms for k = 3..12 and the subdivided cube."""
+    polys = [load_fixture(name) for name in FIXTURES]
+    for c in (0, 1, 2):
+        polys += [t.polyhedron for t in enum3.enumerate_types(enum3.EnumSpec(9, c)).types]
+    polys += [k_gonal_prism(k) for k in range(3, 13)]
+    polys.append(subdivided_cube)
+    return polys
 
 
 @pytest.fixture(scope="session")

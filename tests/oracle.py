@@ -8,8 +8,10 @@ side of a polyhedron with F faces has F vertices here.
 
 It also keeps the references that only tests use: vertex 3-connectivity
 of a rotation system by removing every vertex pair, the every-tuple scan
-for prismatic circuits, and structural validation as it was before the
-one-pass kernel, with the rotation builder it called.
+for prismatic circuits, structural validation as it was before the
+one-pass kernel, with the rotation builder it called, and the face
+adjacency table and edge contraction as they were before they read the
+validation report.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import combinations
 
 import networkx as nx
 
-from orthocusp.core import ValidationReport
+from orthocusp.core import Poly3Error, Polyhedron3, ValidationReport
 from orthocusp.maps import MapError
 
 
@@ -359,3 +361,74 @@ def validate_reference(p, profile=None) -> ValidationReport:
             if degree[v] != want:
                 report.degree_violations.append((v, degree[v], want))
     return report
+
+
+def _norm_edge(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u < v else (v, u)
+
+
+def adjacency_reference(p):
+    """``andreev.adjacency`` of a valid polyhedron by a scan of its faces:
+    each edge records the faces it lies on, in order of first appearance."""
+    edge_owner: dict[tuple[int, int], list[int]] = {}
+    for fi, face in enumerate(p.faces):
+        k = len(face)
+        for t in range(k):
+            e = _norm_edge(face[t], face[(t + 1) % k])
+            owners = edge_owner.setdefault(e, [])
+            if fi not in owners:
+                owners.append(fi)
+    table: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for e, owners in edge_owner.items():
+        if len(owners) == 2:
+            a, b = owners
+            table.setdefault((a, b), []).append(e)
+            table.setdefault((b, a), []).append(e)
+    for key in table:
+        table[key].sort()
+    return table
+
+
+def _edge_on_face(face, u: int, v: int) -> bool:
+    k = len(face)
+    return any({face[i], face[(i + 1) % k]} == {u, v} for i in range(k))
+
+
+def _follows(face, u: int, v: int) -> bool:
+    k = len(face)
+    return any(face[i] == u and face[(i + 1) % k] == v for i in range(k))
+
+
+def contract_edge_reference(p, e):
+    """``core.contract_edge`` of a valid polyhedron, reading the edge list,
+    the degrees and the faces through the edge from the face cycles."""
+    u, v = e
+    if _norm_edge(u, v) not in set(p.edges):
+        raise Poly3Error(f"{e} is not an edge")
+    if u in p.ideal_vertices or v in p.ideal_vertices:
+        raise Poly3Error("contraction endpoint is already ideal")
+    if p.vertex_degree(u) != 3 or p.vertex_degree(v) != 3:
+        raise Poly3Error("contraction endpoints must have degree 3")
+    through = [f for f in p.faces if _edge_on_face(f, u, v)]
+    if len(through) != 2:
+        raise Poly3Error("edge does not lie on exactly two faces")
+    if any(len(f) < 4 for f in through):
+        raise Poly3Error("a face through the edge is a triangle")
+
+    old_ids = [x for x in range(p.vertex_count) if x not in (u, v)]
+    remap = {x: i for i, x in enumerate(old_ids)}
+    w = len(old_ids)
+    remap[u] = remap[v] = w
+
+    new_faces = []
+    for face in p.faces:
+        if _edge_on_face(face, u, v):
+            cycle = [x for x in face if x != v] if _follows(face, u, v) else [x for x in face if x != u]
+        else:
+            cycle = list(face)
+        mapped = tuple(remap[x] for x in cycle)
+        if len(set(mapped)) != len(mapped):
+            raise Poly3Error("contraction would repeat a vertex inside a face")
+        new_faces.append(mapped)
+    ideal = frozenset(remap[x] for x in p.ideal_vertices) | {w}
+    return Polyhedron3(vertex_count=w + 1, ideal_vertices=ideal, faces=tuple(new_faces))

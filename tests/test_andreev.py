@@ -41,6 +41,15 @@ def test_adjacency_multiplicity_recorded():
     assert len(table[(0, 1)]) == 4
 
 
+def test_adjacency_matches_reference(incidence_corpus):
+    """The table equals the face-scan reference's, key order included,
+    which sets the order of the single_shared_edge witnesses."""
+    from oracle import adjacency_reference
+
+    for p in incidence_corpus:
+        assert list(adjacency(p).items()) == list(adjacency_reference(p).items()), p
+
+
 def test_prismatic_3_circuits_prism(prism):
     circuits = prismatic_circuits(prism, 3)
     assert len(circuits) == 1
@@ -232,7 +241,7 @@ def test_compact_accepted_face_floor(enum_right_angled_compact_12):
 def test_checks_validate_once(one_cusp_12, monkeypatch):
     """The audit chain on one instance (both checks, its face lattice and
     its canonical code) validates it once; each check reads the edge list
-    once."""
+    at most once, and the right-angled check not at all."""
     from dataclasses import replace
 
     from orthocusp import Polyhedron3, canonical_code, core, to_face_lattice
@@ -260,4 +269,4 @@ def test_checks_validate_once(one_cusp_12, monkeypatch):
         step(p)
         edge_reads.append(calls["edges"] - before)
     assert calls["validate"] == 1
-    assert edge_reads[:2] == [1, 1]
+    assert edge_reads[0] == 0 and edge_reads[1] <= 1

@@ -9,7 +9,7 @@ from orthocusp import (
     n7_polynomial,
     n7_preform,
 )
-from orthocusp.bounds import Lemma61Params, chained_floor, eq2_check
+from orthocusp.bounds import chained_floor
 
 MAIN_TABLE = {6: 3, 7: 17, 8: 36, 9: 91, 10: 254, 11: 741, 12: 2200}
 
@@ -83,22 +83,6 @@ def test_chained_floor_equals_linear_form():
     for n in range(8, 13):
         for m in (2 * (n - 1), 2 * (n - 1) + 1, 50, 741):
             assert chained_floor(n, m) == 3 * m - 2 * n + 1
-
-
-def test_eq2_instances():
-    # (m-1-k)(m-1) <= (2(n-1)-1)(cL'-1)
-    ok = Lemma61Params(n=8, m=17, k=10, cL=17, cL_prime=17)
-    assert eq2_check(ok) == ((17 - 1 - 10) * 16 <= 13 * 16)
-    tight = Lemma61Params(n=8, m=14, k=0, cL=14, cL_prime=14)
-    assert eq2_check(tight) == ((13 * 13) <= (13 * 13))
-    assert not eq2_check(Lemma61Params(n=8, m=17, k=0, cL=17, cL_prime=14))
-
-
-def test_lemma61_params_validation():
-    with pytest.raises(ValueError):
-        Lemma61Params(n=8, m=13, k=0, cL=14, cL_prime=14)
-    with pytest.raises(ValueError):
-        Lemma61Params(n=13, m=30, k=0, cL=30, cL_prime=30)
 
 
 def test_main_bounds_table():

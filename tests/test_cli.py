@@ -138,6 +138,37 @@ def test_missing_file_io_error(capsys):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("flag", [None, "--angles"])
+def test_undecodable_input_is_an_input_error(capsys, tmp_path, flag):
+    """A POLY3 or angle file that is not UTF-8 exits 1 with ``error:``."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff")
+    argv = ["andreev", fixture_path("cube"), "--angles", str(bad)] if flag else ["validate", str(bad)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {bad} is not UTF-8 text: ")
+
+
+def test_cache_check_input_errors(capsys, tmp_path):
+    """A cached file that is not UTF-8 exits 1 with ``error:``; one that
+    cannot be read, here a directory, exits 3 with ``cannot read``."""
+    out_dir = tmp_path / "types"
+    run(capsys, "enumerate", "--faces", "6", "--cusps", "0", "--out", str(out_dir))
+    check = ["enumerate", "--faces", "6", "--cusps", "0", "--out", str(out_dir), "--check-cache"]
+    bad = out_dir / "zz.poly3"
+    bad.write_bytes(b"poly3 v1\n\xff\n")
+    code, _, err = run(capsys, *check)
+    assert code == 1
+    assert err.startswith(f"error: {bad} is not UTF-8 text: ")
+    bad.unlink()
+    bad.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(check)
+    assert exc.value.code == 3
+    assert capsys.readouterr().err.startswith(f"cannot read {bad}: ")
+
+
 def test_verify_tables(capsys):
     code, out, _ = run(capsys, "verify", "tables")
     assert code == 0
@@ -268,16 +299,10 @@ def test_worker_count_validated(capsys):
     code, _, err = run(capsys, "enumerate", "--faces", "6", "--cusps", "0",
                        "--workers", "0")
     assert code == 2
-    assert "worker count" in err
-
-
-def test_run_config_api(capsys):
-    from orthocusp.cli import RunConfig, run as run_config
-    code = run_config(RunConfig(command="bounds",
-                                options={"certificate": False}))
-    assert code == 0
-    assert capsys.readouterr().out == BOUNDS_GOLDEN
-    assert run_config(RunConfig(command="nope")) == 2
+    assert err == "error: worker count must be at least 1\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["nope"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 

@@ -192,6 +192,11 @@ def _assert_matches_reference(p: Polyhedron3):
         assert got.warnings == want.warnings, p
         assert got.degree_violations == want.degree_violations, p
         assert got.rotation == want.rotation, p
+        assert (got.face_of is None) == (got.rotation is None), p
+        if got.face_of is not None:
+            darts = {(face[i - 1], face[i]): fi
+                     for fi, face in enumerate(p.faces) for i in range(len(face))}
+            assert got.face_of == darts, p
 
 
 def test_validate_matches_reference_on_malformed(cube):
@@ -204,18 +209,14 @@ def test_validate_matches_reference_on_malformed(cube):
     assert [m.split()[0] for _, m in pairing] == ["dart", "edge"] * 3
 
 
-def test_validate_matches_reference_on_multi_adjacency(cube):
+def test_validate_matches_reference_on_multi_adjacency(subdivided_cube):
     """A pillow, and a cube with an edge subdivided: the two faces through
     the new vertex share two edges, and it has degree 2."""
     pillow = Polyhedron3(4, frozenset(), ((0, 1, 2, 3), (1, 0, 3, 2)))
-    faces = [list(f) for f in cube.faces]
-    faces[0].insert(1, 8)   # on edge 0-3 of faces 0 and 5
-    faces[5].insert(1, 8)
-    subdivided = Polyhedron3(9, frozenset({2}), tuple(map(tuple, faces)))
-    for p in (pillow, subdivided):
+    for p in (pillow, subdivided_cube):
         assert validate(p, RIGHT_ANGLED_PROFILE).warnings
         _assert_matches_reference(p)
-    assert validate(subdivided, RIGHT_ANGLED_PROFILE).degree_violations[0] == (2, 3, 4)
+    assert validate(subdivided_cube, RIGHT_ANGLED_PROFILE).degree_violations[0] == (2, 3, 4)
 
 
 def test_validate_matches_reference_on_valid(one_cusp_12, k_gonal_prism):
@@ -298,6 +299,30 @@ def test_contract_cube_edge(cube):
     assert (q.vertex_count, q.edge_count, q.face_count) == (7, 11, 6)
     assert validate(q).valid
     assert len(q.ideal_vertices) == 1
+
+
+def test_contract_edge_matches_reference(incidence_corpus):
+    """For every edge of the corpus, both ways round, for (0, 0) and for
+    a non-edge at vertex 0: the contraction, or its error message, is the
+    face-scan reference's."""
+    from oracle import contract_edge_reference
+
+    def outcome(contract, p, e):
+        try:
+            return contract(p, e)
+        except Poly3Error as exc:
+            return str(exc)
+
+    kinds = set()
+    for p in incidence_corpus:
+        edges = set(p.edges)
+        pairs = [*edges, *((v, u) for u, v in edges)]
+        pairs += [(0, x) for x in range(p.vertex_count) if (0, x) not in edges][:2]
+        for e in pairs:
+            got = outcome(contract_edge, p, e)
+            assert got == outcome(contract_edge_reference, p, e), (p, e)
+            kinds.add(got if isinstance(got, str) else "contracted")
+    assert len(kinds) >= 5, kinds
 
 
 def test_contract_triangle_face_rejected(tetrahedron):

@@ -217,8 +217,6 @@ def test_each_emitted_type_validated_once(monkeypatch):
     monkeypatch.setattr(core, "validate", counted("validate", core.validate))
     monkeypatch.setattr("orthocusp.enum3.validate", core.validate)
     monkeypatch.setattr(maps, "_close_rotation", counted("rotation", maps._close_rotation))
-    monkeypatch.setattr(maps, "rotation_from_faces",
-                        counted("rotation_from_faces", maps.rotation_from_faces))
     report = enumerate_types(EnumSpec(8, 2))
     assert calls == {"validate": len(report.types), "rotation": len(report.types)}
 
