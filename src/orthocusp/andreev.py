@@ -115,7 +115,7 @@ def prismatic_circuits(p: Polyhedron3, length: int) -> list[PrismaticCircuit]:
     """
     if length not in (3, 4):
         raise ValueError("circuit length must be 3 or 4")
-    return _prismatic_circuits(p, length, adjacency(p))
+    return _prismatic_circuits(p, length, _neighbours(len(p.faces), adjacency(p)))
 
 
 def _neighbours(nf: int, table: dict[tuple[int, int], list[Edge]]) -> list[set[int]]:
@@ -127,9 +127,9 @@ def _neighbours(nf: int, table: dict[tuple[int, int], list[Edge]]) -> list[set[i
 
 
 def _prismatic_circuits(p: Polyhedron3, length: int,
-                        table: dict[tuple[int, int], list[Edge]]) -> list[PrismaticCircuit]:
-    """``prismatic_circuits`` given the adjacency table of ``p``, found from
-    the neighbour sets N(x) and listed by sorted members.
+                        nbrs: list[set[int]]) -> list[PrismaticCircuit]:
+    """``prismatic_circuits`` given the face neighbour sets N(x) of ``p``
+    (``_neighbours``), listed by sorted members.
 
     Exactly once: a 3-circuit a < b < c is met only from its least member a,
     with b in N(a) and c in N(a) & N(b).  An induced 4-cycle with least
@@ -140,7 +140,6 @@ def _prismatic_circuits(p: Polyhedron3, length: int,
     its members share no vertex.
     """
     nf = len(p.faces)
-    nbrs = _neighbours(nf, table)
     vsets = [set(face) for face in p.faces]
     out = []
     if length == 3:
@@ -163,11 +162,11 @@ def _prismatic_circuits(p: Polyhedron3, length: int,
     return out
 
 
-def _cusp_flanks(p: Polyhedron3, table: dict[tuple[int, int], list[Edge]]):
+def _cusp_flanks(p: Polyhedron3, nbrs: list[set[int]]):
     """The candidates of condition (d): ``(i, j, k, cusps)`` where faces j < k
     are non-adjacent and share the cusps, and face i is adjacent to both
-    without containing every shared cusp.  In (j, k) then i order."""
-    nbrs = _neighbours(len(p.faces), table)
+    without containing every shared cusp, given the face neighbour sets.
+    In (j, k) then i order."""
     cusps = [p.ideal_vertices.intersection(face) for face in p.faces]
     cusped = [fi for fi, found in enumerate(cusps) if found]
     for j, k in combinations(cusped, 2):
@@ -253,6 +252,7 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
 
     report.entries = {k: [] for k in ("a", "b", "c", "d", "e")}
     table = _adjacency(incidence)
+    nbrs = _neighbours(len(p.faces), table)
 
     for v, at in enumerate(edges_at):
         total = sum(angles[e] for e in at)
@@ -271,7 +271,7 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
     def pair_angles(a: int, b: int):
         return [angles[e] for e in table[(a, b)]]
 
-    for circ in _prismatic_circuits(p, 3, table):
+    for circ in _prismatic_circuits(p, 3, nbrs):
         a, b, c = circ.faces
         for qa in pair_angles(a, b):
             for qb in pair_angles(a, c):
@@ -280,11 +280,11 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
                         report.entries["c"].append((circ.faces, qa + qb + qc))
 
     # (d): at each flank F_i of a cusp shared by F_j, F_k, some angle is not 1/2
-    for i, j, k, cusps in _cusp_flanks(p, table):
+    for i, j, k, cusps in _cusp_flanks(p, nbrs):
         if all(q == HALF for q in pair_angles(i, j) + pair_angles(i, k)):
             report.entries["d"].append((i, j, k, cusps))
 
-    for circ in _prismatic_circuits(p, 4, table):
+    for circ in _prismatic_circuits(p, 4, nbrs):
         a, b, c, d = circ.faces
         ring = [(a, b), (b, c), (c, d), (d, a)]
         if all(q == HALF for x, y in ring for q in pair_angles(x, y)):
@@ -333,9 +333,10 @@ def _check_right_angled(p: Polyhedron3, incidence: ValidationReport) -> Conditio
         elif d != 3:
             report.entries["vertex_degree"].append((v, d))
 
-    for circ in _prismatic_circuits(p, 3, table):
+    nbrs = _neighbours(len(p.faces), table)
+    for circ in _prismatic_circuits(p, 3, nbrs):
         report.entries["c"].append((circ.faces, Fraction(3, 2)))
-    for circ in _prismatic_circuits(p, 4, table):
+    for circ in _prismatic_circuits(p, 4, nbrs):
         report.entries["e"].append((circ.faces,))
-    report.entries["d"].extend(_cusp_flanks(p, table))
+    report.entries["d"].extend(_cusp_flanks(p, nbrs))
     return report

@@ -47,14 +47,17 @@ class _Out:
             print(line if line is not None else f"{key}: {value}")
 
 
+class _UnreadableInput(Exception):
+    """An input file that cannot be read; ``main`` returns the I/O code."""
+
+
 def _read_text(path) -> str:
-    """The UTF-8 text of an input file.  A file that cannot be read exits
-    with the I/O code; text that does not decode is a ``Poly3Error``."""
+    """The UTF-8 text of an input file.  A file that cannot be read raises
+    ``_UnreadableInput``; text that does not decode is a ``Poly3Error``."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO) from None
+        raise _UnreadableInput(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise Poly3Error(f"{path} is not UTF-8 text: {exc}") from None
 
@@ -331,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.handler(args, _Out(machine=args.machine))
+    except _UnreadableInput as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_IO
     except Poly3Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

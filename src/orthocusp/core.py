@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import maps
 
@@ -46,16 +46,9 @@ class Polyhedron3:
 
     @property
     def edges(self) -> list[Edge]:
-        seen = set()
-        out = []
-        for face in self.faces:
-            k = len(face)
-            for i in range(k):
-                e = _norm_edge(face[i], face[(i + 1) % k])
-                if e not in seen:
-                    seen.add(e)
-                    out.append(e)
-        return sorted(out)
+        """The sorted edges, read from the face cycles, so invalid
+        polyhedra have them too; a fresh list each time."""
+        return list(self._edges)
 
     @property
     def edge_count(self) -> int:
@@ -64,10 +57,6 @@ class Polyhedron3:
     @property
     def face_count(self) -> int:
         return len(self.faces)
-
-    @property
-    def finite_vertices(self) -> list[int]:
-        return [v for v in range(self.vertex_count) if v not in self.ideal_vertices]
 
     def face_sizes(self) -> list[int]:
         return sorted(len(f) for f in self.faces)
@@ -80,6 +69,12 @@ class Polyhedron3:
 
     def rotation(self) -> maps.Rotation:
         return require_valid(self).rotation
+
+    @cached_property
+    def _edges(self) -> tuple[Edge, ...]:
+        """The edge list ``edges`` copies, built once per instance."""
+        return tuple(sorted({_norm_edge(u, v) for face in self.faces
+                             for u, v in zip(face, face[1:] + face[:1])}))
 
     @cached_property
     def _validation(self) -> ValidationReport:
@@ -301,7 +296,7 @@ def validate(p: Polyhedron3, profile: DegreeProfile | None = None) -> Validation
         violations.append(
             ("euler", f"V-E+F = {n}-{edges}+{len(p.faces)} = {euler}, expected 2"))
     # every vertex lies on a face here, so n > 0 means there are faces
-    if n and not _connected(out_darts):
+    if n and not maps._connected_without(out_darts):
         violations.append(("connectivity", "incidence graph is not connected"))
     # each vertex's rotation must close into a single cycle (disk neighbourhood)
     if not violations:
@@ -327,18 +322,6 @@ def validate(p: Polyhedron3, profile: DegreeProfile | None = None) -> Validation
     return report
 
 
-def _connected(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether the graph with these neighbour rows is connected."""
-    seen = {0}
-    stack = [0]
-    while stack:
-        for y in rows[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(rows)
-
-
 def require_valid(p: Polyhedron3) -> ValidationReport:
     """Raise ``Poly3Error`` unless ``p`` is valid; return its validation
     report, whose ``rotation`` and ``face_of`` are set.  The validation is
@@ -360,36 +343,36 @@ def dual(p: Polyhedron3) -> Polyhedron3:
     double dual is isomorphic to the input including cusp marks.  An ideal
     vertex of degree d becomes a d-gonal marked face.
     """
+    report = require_valid(p)
     return Polyhedron3(
         vertex_count=len(p.faces),
         ideal_vertices=frozenset(p.ideal_faces),
-        faces=_dual_cycles(require_valid(p).rotation, p.faces),
+        faces=_dual_cycles(report.rotation, report.face_of),
         ideal_faces=frozenset(p.ideal_vertices),
     )
 
 
-def _dual_cycles(rot: maps.Rotation, faces: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Face cycles of the dual of the map with rotation ``rot`` and face
-    cycles ``faces``: dual face v lists the faces around vertex v, one per
-    corner, in rotation order.
+def _dual_cycles(rot: maps.Rotation,
+                 face_of: dict[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
+    """Face cycles of the dual of the map with rotation ``rot``, whose
+    dart u->v lies on face ``face_of[(u, v)]``: dual face v lists the faces
+    around vertex v, one per corner, in rotation order.
 
-    Each cycle starts at the face on the dart into v from v's first
-    out-neighbour in face order, which is where ``validate`` starts
-    ``rot[v]``, so any rotation of the same map gives the same cycles.
+    ``face_of`` must list its darts in face order, as ``validate`` and
+    ``maps.faces_of_rotation`` do.  Each cycle starts at the face on the
+    dart into v from v's first out-neighbour in that order, which is where
+    ``validate`` starts ``rot[v]``, so any rotation of the same map gives
+    the same cycles.  A face holds each vertex once, so the order of the
+    darts within a face does not matter.
     """
-    face_index: dict[tuple[int, int], int] = {}
     first = [-1] * len(rot)
-    for fi, face in enumerate(faces):
-        u = face[-1]
-        for v in face:
-            face_index[(u, v)] = fi
-            if first[u] < 0:
-                first[u] = v
-            u = v
+    for u, v in face_of:
+        if first[u] < 0:
+            first[u] = v
     cycles = []
     for v, nbrs in enumerate(rot):
         k = nbrs.index(first[v])
-        cycles.append(tuple(face_index[(u, v)] for u in nbrs[k:] + nbrs[:k]))
+        cycles.append(tuple(face_of[(u, v)] for u in nbrs[k:] + nbrs[:k]))
     return tuple(cycles)
 
 
@@ -524,9 +507,6 @@ class FaceLattice:
         return sum(1 for x in self.lower_set(fid)
                    if self.faces[x].dim == dim
                    and (include_cusps or not self.faces[x].is_cusp))
-
-    def cusps_below(self, fid: object) -> int:
-        return sum(1 for x in self.lower_set(fid) if self.faces[x].is_cusp)
 
     def well_graded(self) -> bool:
         """True when every grade 0..dimension-1 holds at least one face."""

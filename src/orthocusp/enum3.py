@@ -69,13 +69,9 @@ class EnumeratedType:
     code: bytes
     faces: int
     polyhedron: Polyhedron3
+    #: with two cusps, the number of 2-faces containing both (0, 1 or 2);
+    #: 2 signals an edge running from cusp to cusp
     shared_cusp_faces: int | None = None
-
-    @property
-    def two_cusp_class(self) -> int | None:
-        """Number of 2-faces containing both cusps (0, 1 or 2); the value 2
-        signals an edge running from cusp to cusp."""
-        return self.shared_cusp_faces
 
 
 @dataclass
@@ -188,18 +184,6 @@ def _is_canonical_augmentation(rot: maps.Rotation, v: int) -> bool:
 # candidate generation on the dual side
 # ---------------------------------------------------------------------------
 
-def _face_ids_per_edge(faces: list[tuple[int, ...]]) -> dict[tuple[int, int], tuple[int, int]]:
-    """Map each undirected edge to the ids of its two incident faces."""
-    owners: dict[tuple[int, int], list[int]] = {}
-    for fi, face in enumerate(faces):
-        k = len(face)
-        for t in range(k):
-            u, v = face[t], face[(t + 1) % k]
-            e = (u, v) if u < v else (v, u)
-            owners.setdefault(e, []).append(fi)
-    return {e: tuple(fs) for e, fs in owners.items()}
-
-
 def _right_angled_prefilter(rot: maps.Rotation, quad_vertices: dict[int, int]) -> bool:
     """Dual-side necessity check: a face of the polyhedron needs edge count
     plus cusp count at least five, i.e. every dual vertex needs degree plus
@@ -219,6 +203,13 @@ def _degree_key(deg: list[int], drop: dict[int, int], x: int, y: int) -> tuple[i
 def _candidates(rot: maps.Rotation, num_cusps: int, prefilter: bool):
     """Near-triangulations obtained from one triangulation by deleting
     ``num_cusps`` pairwise non-cofacial edges, as (code, canon_rot) pairs.
+
+    No face is traced: the apexes of an edge (u, v), the third corners of
+    its two triangles, are v's neighbours on either side in ``rot[u]``,
+    and two edges are cofacial when a triangle of one, taken as the vertex
+    set {u, v, apex}, is a triangle of the other.  Vertex sets tell faces
+    apart, since two faces on the same three vertices would share all
+    three edges, which leaves no room for a fourth vertex.
 
     Least-diagonal rule: a pick is dropped, before any edge is deleted,
     when one of its edges (u, v) has apexes a, b that are not adjacent in
@@ -247,19 +238,16 @@ def _candidates(rot: maps.Rotation, num_cusps: int, prefilter: bool):
         out.append((code, canon))
         return out
     deg = [len(nbrs) for nbrs in rot]
-    edges = maps.edge_set(rot)
-    faces = maps.faces_of_rotation(rot)
-    face_of = _face_ids_per_edge(faces)
-    # the apexes of each edge are the third corners of its two triangles;
+    apexes = {(u, v): (nbrs[t - 1], nbrs[(t + 1) % len(nbrs)])
+              for u, nbrs in enumerate(rot) for t, v in enumerate(nbrs) if u < v}
     # an edge whose apexes are not adjacent can be flipped
-    apexes = {e: tuple(next(x for x in faces[fi] if x not in e) for fi in fids)
-              for e, fids in face_of.items()}
     flippable = {e for e, (a, b) in apexes.items() if b not in rot[a]}
     if num_cusps == 1:
-        picks = ([e] for e in edges)
+        picks = ([e] for e in apexes)
     else:
-        picks = ([e1, e2] for e1, e2 in combinations(edges, 2)
-                 if not set(face_of[e1]) & set(face_of[e2]))
+        triangles = {e: {frozenset((*e, a)) for a in ab} for e, ab in apexes.items()}
+        picks = ([e1, e2] for e1, e2 in combinations(apexes, 2)
+                 if not triangles[e1] & triangles[e2])
     for pick in picks:
         drop: dict[int, int] = {}
         for (u, v) in pick:
@@ -325,15 +313,17 @@ def _collect_chunk(args):
     return found
 
 
-def _dualize(rot: maps.Rotation, faces: list[tuple[int, ...]]) -> Polyhedron3:
-    """Polyhedron whose dual map is ``rot``, with face cycles ``faces``;
-    quadrilateral faces of the map become ideal vertices.  Equal to
-    ``core.dual`` of the map with those faces marked, without validating
-    the map or rebuilding its rotation."""
+def _dualize(rot: maps.Rotation, faces: list[tuple[int, ...]],
+             face_of: dict[tuple[int, int], int]) -> Polyhedron3:
+    """Polyhedron whose dual map is ``rot``, traced by
+    ``maps.faces_of_rotation`` into ``(faces, face_of)``; quadrilateral
+    faces of the map become ideal vertices.  Equal to ``core.dual`` of the
+    map with those faces marked, without validating the map or rebuilding
+    its rotation."""
     return Polyhedron3(
         vertex_count=len(faces),
         ideal_vertices=frozenset(i for i, f in enumerate(faces) if len(f) == 4),
-        faces=_dual_cycles(rot, faces))
+        faces=_dual_cycles(rot, face_of))
 
 
 def _pool_size(workers: int, chunks: int) -> int:
@@ -370,11 +360,11 @@ def enumerate_types(spec: EnumSpec, workers: int = 1,
             found = _collect_chunk((tris, spec.num_cusps, prefilter))
         for code in sorted(found):
             rot = found[code]
-            faces = maps.faces_of_rotation(rot)
+            faces, face_of = maps.faces_of_rotation(rot)
             if not _quads_keep_three_connected(rot, faces):
                 report.nonpolyhedral_by_faces[n] = report.nonpolyhedral_by_faces.get(n, 0) + 1
                 continue
-            p = _dualize(rot, faces)
+            p = _dualize(rot, faces, face_of)
             # the one validation of the type; its rotation feeds the code
             rep = validate(p, RIGHT_ANGLED_PROFILE)
             if not rep.clean:

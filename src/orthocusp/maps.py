@@ -46,45 +46,44 @@ def _close_rotation(succ: dict[tuple[int, int], int],
     return tuple(rot)
 
 
-def faces_of_rotation(rot: Rotation) -> list[tuple[int, ...]]:
+def faces_of_rotation(rot: Rotation) -> tuple[list[tuple[int, ...]], dict[tuple[int, int], int]]:
     """Trace all face cycles of a rotation system.
 
-    Inverse of the rotation ``core.validate`` builds from face cycles, up
-    to face order and starting points: every dart belongs to exactly one
-    returned face.
+    Returns ``(faces, face_of)``: ``face_of[(a, b)]`` is the index in
+    ``faces`` of the face through the dart a->b, and its keys run in face
+    order, each face's darts in cycle order.  Inverse of the rotation
+    ``core.validate`` builds from face cycles, up to face order and
+    starting points: every dart belongs to exactly one returned face.
     """
     pos = [{u: i for i, u in enumerate(nbrs)} for nbrs in rot]
-    seen: set[tuple[int, int]] = set()
+    face_of: dict[tuple[int, int], int] = {}
     faces = []
     for v, nbrs in enumerate(rot):
         for u in nbrs:
-            if (v, u) in seen:
+            if (v, u) in face_of:
                 continue
+            fi = len(faces)
             cycle = []
             a, b = v, u
-            while (a, b) not in seen:
-                seen.add((a, b))
+            while (a, b) not in face_of:
+                face_of[(a, b)] = fi
                 cycle.append(a)
                 r = rot[b]
                 nxt = r[(pos[b][a] + 1) % len(r)]
                 a, b = b, nxt
             faces.append(tuple(cycle))
-    return faces
+    return faces, face_of
 
 
-def edge_set(rot: Rotation) -> list[tuple[int, int]]:
-    return [(v, u) for v, nbrs in enumerate(rot) for u in nbrs if v < u]
-
-
-def _connected_without(rot: Rotation, a: int, b: int) -> bool:
-    """Whether the map stays connected once vertices ``a`` and ``b`` go."""
-    n = len(rot)
-    start = next(v for v in range(n) if v != a and v != b)
-    seen = {a, b, start}
+def _connected_without(rows: Sequence[Sequence[int]], *gone: int) -> bool:
+    """Whether the graph with these neighbour rows stays connected once
+    the vertices ``gone`` are removed; at least one vertex must stay."""
+    n = len(rows)
+    start = next(v for v in range(n) if v not in gone)
+    seen = {*gone, start}
     stack = [start]
     while stack:
-        v = stack.pop()
-        for u in rot[v]:
+        for u in rows[stack.pop()]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
@@ -234,7 +233,7 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None,
     # traversals tied on the vertex part may disagree on it (an unmarked
     # automorphism need not respect face marks), so minimise the full code
     faces = [(face, 1 if frozenset(face) in face_marks else 0)
-             for face in faces_of_rotation(rot)]
+             for face in faces_of_rotation(rot)[0]]
     best = None
     best_rot = None
     best_order = None

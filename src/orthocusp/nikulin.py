@@ -36,10 +36,6 @@ class NikulinAudit:
     dimension: int
     records: tuple[AuditRecord, ...]
 
-    @property
-    def all_strict(self) -> bool:
-        return all(r.strict_ok for r in self.records)
-
     def lines(self) -> list[str]:
         out = []
         for r in self.records:

@@ -6,12 +6,12 @@ and embeddings come from networkx, and isomorphism filtering uses VF2 with
 Weisfeiler-Lehman pre-bucketing.  Only suitable for small sizes; the dual
 side of a polyhedron with F faces has F vertices here.
 
-It also keeps the references that only tests use: vertex 3-connectivity
-of a rotation system by removing every vertex pair, the every-tuple scan
-for prismatic circuits, structural validation as it was before the
-one-pass kernel, with the rotation builder it called, and the face
-adjacency table and edge contraction as they were before they read the
-validation report.
+It also keeps the references that only tests use: the edge list of a
+rotation system, vertex 3-connectivity of a rotation system by removing
+every vertex pair, the every-tuple scan for prismatic circuits,
+structural validation as it was before the one-pass kernel, with the
+rotation builder it called, and the face adjacency table and edge
+contraction as they were before they read the validation report.
 """
 
 from __future__ import annotations
@@ -163,6 +163,11 @@ def brute_force_dual_types(n: int, quads: int):
 
 def count_dual_types(n: int, quads: int) -> int:
     return len(brute_force_dual_types(n, quads))
+
+
+def edge_set(rot) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, of a rotation system, in row order."""
+    return [(v, u) for v, nbrs in enumerate(rot) for u in nbrs if v < u]
 
 
 def _connected_without(rot, removed) -> bool:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from importlib import resources
 
 import pytest
@@ -133,9 +134,13 @@ def test_andreev_angle_file_zero_denominator(capsys, tmp_path):
 
 
 def test_missing_file_io_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["validate", "/no/such/file.poly3"])
-    assert exc.value.code == 3
+    """An unreadable input file returns the I/O code, as every other
+    outcome returns its code, with one line on stderr."""
+    code, out, err = run(capsys, "validate", "/no/such/file.poly3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("cannot read /no/such/file.poly3: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag", [None, "--angles"])
@@ -163,10 +168,9 @@ def test_cache_check_input_errors(capsys, tmp_path):
     assert err.startswith(f"error: {bad} is not UTF-8 text: ")
     bad.unlink()
     bad.mkdir()
-    with pytest.raises(SystemExit) as exc:
-        main(check)
-    assert exc.value.code == 3
-    assert capsys.readouterr().err.startswith(f"cannot read {bad}: ")
+    code, _, err = run(capsys, *check)
+    assert code == 3
+    assert err.startswith(f"cannot read {bad}: ")
 
 
 def test_verify_tables(capsys):
@@ -213,6 +217,23 @@ def test_enumerate_and_cache_roundtrip(capsys, tmp_path):
                        "--realizable", "--out", str(out_dir), "--check-cache")
     assert code == 0
     assert "verified" in out
+
+
+def test_census_files_pinned(capsys, tmp_path):
+    """The files of the 8-face two-cusp census are pinned byte for byte:
+    SHA-256 over the sorted file names, each followed by a newline and the
+    file's bytes.  The face cycles written come from the dual cycles, so
+    this pins their starting faces too."""
+    out_dir = tmp_path / "types"
+    code, _, _ = run(capsys, "enumerate", "--faces", "8", "--cusps", "2", "--out", str(out_dir))
+    assert code == 0
+    names = sorted(path.name for path in out_dir.iterdir())
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(name.encode() + b"\n" + (out_dir / name).read_bytes())
+    assert len(names) == 75
+    assert digest.hexdigest() == (
+        "313d348ff8f4e4c16571dd7fce6bc3dbeb41ea450ad24f8bd66df3934cbbd6ab")
 
 
 def test_cache_check_detects_tampering(capsys, tmp_path):

@@ -54,6 +54,17 @@ def test_parse_dodecahedron_euler(dodecahedron):
     assert p.vertex_count - p.edge_count + p.face_count == 2
 
 
+def test_edges_are_a_fresh_list(cube):
+    """Each access returns a new list, so changing one leaves the kept
+    edges alone; an invalid polyhedron has edges too."""
+    got = cube.edges
+    got.append((0, 0))
+    assert len(cube.edges) == 12 and cube.edges is not cube.edges
+    bad = Polyhedron3(3, frozenset(), ((0, 1, 2), (0, 1, 2)))
+    assert not validate(bad).valid
+    assert bad.edges == [(0, 1), (0, 2), (1, 2)]
+
+
 def test_parse_duplicate_vertex_in_face():
     text = "poly3 v1\nvertices: 3\nideal:\nface: 0 1 1 2\n"
     with pytest.raises(Poly3Error, match="duplicate vertex"):

@@ -11,7 +11,7 @@ from orthocusp.core import RIGHT_ANGLED_PROFILE
 from orthocusp.enum3 import (FILTER_RIGHT_ANGLED, _candidates, _collect_chunk, _dualize,
                              _is_canonical_augmentation, _pool_size,
                              _quads_keep_three_connected, triangulations)
-from oracle import is_three_connected
+from oracle import edge_set, is_three_connected
 
 
 #: Counts frozen from the independent brute-force generator (see oracle.py);
@@ -89,7 +89,7 @@ def test_augmentation_filter_uses_contractible_edges():
     for n in range(4, 10):
         for rot in triangulations(n):
             for v, child in _splits(rot):
-                faces = maps.faces_of_rotation(child)
+                faces, _ = maps.faces_of_rotation(child)
                 triangles = {frozenset(f) for f in faces}
                 deg = Counter(x for f in faces for x in f)
                 apexes: dict[frozenset, list[int]] = {}
@@ -140,9 +140,9 @@ def _every_pick(rot, c):
     """(code, passes the right-angled prefilter) for every deletion of c
     edges sharing no triangle that leaves all degrees at least 3: the
     candidate stage without its least-diagonal rule."""
-    triangles = {frozenset(f) for f in maps.faces_of_rotation(rot)}
+    triangles = {frozenset(f) for f in maps.faces_of_rotation(rot)[0]}
     out = []
-    for pick in combinations(maps.edge_set(rot), c):
+    for pick in combinations(edge_set(rot), c):
         if c == 2 and frozenset(pick[0] + pick[1]) in triangles:
             continue
         cand = rot
@@ -150,7 +150,7 @@ def _every_pick(rot, c):
             cand = maps.delete_edge(cand, u, v)
         if min(len(nbrs) for nbrs in cand) < 3:
             continue
-        quads = Counter(x for f in maps.faces_of_rotation(cand) if len(f) == 4 for x in f)
+        quads = Counter(x for f in maps.faces_of_rotation(cand)[0] if len(f) == 4 for x in f)
         passes = all(len(nbrs) + quads[x] >= 5 for x, nbrs in enumerate(cand))
         out.append((maps.canonical_form(cand)[0], passes))
     return out
@@ -177,7 +177,7 @@ def test_quad_pairs_decide_three_connectivity(unfiltered_candidates):
     verdicts = Counter()
     for found, _ in unfiltered_candidates.values():
         for rot in found.values():
-            got = _quads_keep_three_connected(rot, maps.faces_of_rotation(rot))
+            got = _quads_keep_three_connected(rot, maps.faces_of_rotation(rot)[0])
             assert got == is_three_connected(rot), rot
             verdicts[got] += 1
     assert verdicts == {True: 1672 + 4498, False: 442 + 2349}
@@ -193,10 +193,10 @@ def test_dualize_matches_core_dual(unfiltered_candidates):
         maps_by_cusps.setdefault(c, []).extend(found.values())
     for c, rots in maps_by_cusps.items():
         for rot in rots:
-            faces = maps.faces_of_rotation(rot)
+            faces, face_of = maps.faces_of_rotation(rot)
             quads = frozenset(i for i, f in enumerate(faces) if len(f) == 4)
             want = dual(Polyhedron3(len(rot), frozenset(), tuple(faces), quads))
-            got = _dualize(rot, faces)
+            got = _dualize(rot, faces, face_of)
             assert len(quads) == c
             assert (got.vertex_count, got.ideal_vertices, got.faces, got.ideal_faces) == (
                 want.vertex_count, want.ideal_vertices, want.faces, want.ideal_faces)

@@ -7,7 +7,7 @@ import pytest
 from orthocusp import core, enum3, maps
 from orthocusp.data import FIXTURES, load_fixture
 from orthocusp.enum3 import triangulations
-from oracle import is_three_connected, rotation_from_faces_reference
+from oracle import edge_set, is_three_connected, rotation_from_faces_reference
 
 
 def _every_traversal(rot, marks):
@@ -27,7 +27,7 @@ def exhaustive_form(rot, marks=None, face_marks=None):
     full = _every_traversal(rot, marks)
     if face_marks is not None:
         faces = [(face, int(frozenset(face) in face_marks))
-                 for face in maps.faces_of_rotation(rot)]
+                 for face in maps.faces_of_rotation(rot)[0]]
         full = [(code + maps._face_tail(faces, order), canon, order)
                 for code, canon, order in full]
     return min(full, key=lambda res: res[0])
@@ -38,13 +38,13 @@ def brute_force_code(rot, marks=None):
 
 
 def test_tetrahedron_faces():
-    faces = maps.faces_of_rotation(maps.TETRAHEDRON)
+    faces, _ = maps.faces_of_rotation(maps.TETRAHEDRON)
     assert len(faces) == 4
     assert all(len(f) == 3 for f in faces)
 
 
 def test_faces_round_trip():
-    faces = maps.faces_of_rotation(maps.TETRAHEDRON)
+    faces, _ = maps.faces_of_rotation(maps.TETRAHEDRON)
     rot = rotation_from_faces_reference(4, faces)
     # same map: every rotation agrees up to its (arbitrary) starting dart
     for got, want in zip(rot, maps.TETRAHEDRON):
@@ -60,9 +60,9 @@ def test_split_yields_triangulations():
         for i in range(d):
             for j in range(i + 1, d):
                 out = maps.split_vertex(rot, v, i, j)
-                sizes = Counter(len(f) for f in maps.faces_of_rotation(out))
+                sizes = Counter(len(f) for f in maps.faces_of_rotation(out)[0])
                 assert sizes == Counter({3: 6})
-                assert len(maps.edge_set(out)) == 9
+                assert len(edge_set(out)) == 9
 
 
 def _split_copying_every_row(rot, v, i, j):
@@ -135,8 +135,8 @@ def test_canonical_rotation_is_reproducible():
 def test_delete_edge():
     rot = maps.TETRAHEDRON
     out = maps.delete_edge(rot, 0, 1)
-    assert len(maps.edge_set(out)) == 5
-    sizes = sorted(len(f) for f in maps.faces_of_rotation(out))
+    assert len(edge_set(out)) == 5
+    sizes = sorted(len(f) for f in maps.faces_of_rotation(out)[0])
     assert sizes == [3, 3, 4]
 
 
