@@ -10,13 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import ceil, comb
 
-from . import cusplink
+from . import cusplink, enum3
 from .nikulin import nikulin_rhs
 
 #: Dimensions covered by the recursion step.
 RECURSION_RANGE = range(8, 13)
+
+#: Least cusp count in dimension six: the dimension-6 certificate excludes
+#: one and two cusps.
+N6_BOUND = 3
 
 
 # ---------------------------------------------------------------------------
@@ -77,17 +81,23 @@ class N7Certificate:
 
 
 def n7_certificate() -> N7Certificate:
-    """Rule out every cusp count m = 1..16 for dimension seven.
+    """Rule out every cusp count m = ``N6_BOUND``..16 for dimension seven.
 
-    For each m the count of 3-faces through a fixed cusp carrying no other
-    cusp stays positive (240 - 15*(m-1) > 0), so the averaging derivation
-    applies, while the polynomial certificate is non-negative; together
-    those exclude m.  Hence at least 17 cusps.
+    Each facet is a right-angled 6-polyhedron whose cusps are cusps of the
+    whole, so m >= ``N6_BOUND``.  For each m the count of 3-faces through a
+    fixed cusp carrying no other cusp stays positive (240 - 15*(m-1) > 0,
+    from ``count_cusp_faces(7, 3)`` and ``faces_through_edge(7)``), so the
+    averaging derivation applies, while the polynomial certificate is
+    non-negative at l = 2, hence at every l <= m since 17l^2 - 17l
+    increases; together those exclude m.  Hence at least 17 cusps.
     """
+    faces = cusplink.count_cusp_faces(7, 3)
+    per_cusp = cusplink.faces_through_edge(7)
+    bound = 17
     entries = tuple(
-        N7Entry(m=m, one_cusp_floor=240 - 15 * (m - 1), polynomial=n7_polynomial(2, m))
-        for m in range(1, 17))
-    return N7Certificate(entries=entries, bound=17)
+        N7Entry(m=m, one_cusp_floor=faces - per_cusp * (m - 1), polynomial=n7_polynomial(2, m))
+        for m in range(N6_BOUND, bound))
+    return N7Certificate(entries=entries, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +155,10 @@ class N6Certificate:
 
 
 @dataclass(frozen=True)
-class RecursionStep:
-    n: int
-    m: int
-    value: int
-
-    def line(self) -> str:
-        return f"n={self.n}: 3*{self.m} - {2 * self.n} + 1 = {self.value}"
-
-
-@dataclass(frozen=True)
 class BoundsCertificate:
     table: dict[int, int]
     n6: N6Certificate
     n7: N7Certificate
-    steps: tuple[RecursionStep, ...]
 
     def lines(self, expand: bool = False) -> list[str]:
         out = [f"n={n} c>={self.table[n]}" for n in sorted(self.table)]
@@ -170,41 +169,36 @@ class BoundsCertificate:
             out.append("dimension 7:")
             out.extend("  " + s for s in self.n7.lines())
             out.append("dimensions 8..12:")
-            out.extend("  " + s.line() for s in self.steps)
+            out.extend(f"  n={n}: 3*{self.table[n - 1]} - {2 * n} + 1 = {self.table[n]}"
+                       for n in RECURSION_RANGE)
         return out
-
-
-#: Deficits of the exceptional two-cusp 3-faces per case (face-count floors
-#: 8, 9 and 10 against the strict average bound 12), and the number of
-#: certified surplus faces provided by the corresponding built-in table.
-N6_CASE_DATA = (
-    ("case41", [12 - 8], "case41"),
-    ("table1", [12 - 9] * 4, "table1"),
-    ("table2", [12 - 10] * 10, "table2"),
-)
 
 
 def main_bounds() -> BoundsCertificate:
     """Assemble the certified lower-bound table for dimensions 6..12."""
     strict = nikulin_rhs(6, 3, 2)
     cases = []
-    for name, deficits, table in N6_CASE_DATA:
-        report = cusplink.verify_builtin(table)
+    for name, (tag, _) in cusplink.BUILTIN_TABLES.items():
+        report = cusplink.verify_builtin(name)
         if not report.ok:
-            raise AssertionError(f"built-in table {table} failed verification")
-        cases.append((name, cusplink.averaging_contradiction(strict, deficits, report.rows)))
-    n6 = N6Certificate(strict_bound=strict, one_cusp_floor=12, cases=tuple(cases))
+            raise AssertionError(f"built-in table {name} failed verification")
+        # each 3-face holding both cusps, a triple inside the carrier, lies on
+        # len(carrier) - 3 two-cusp 2-faces: that is its class t
+        case = cusplink.SecondCuspCase(tag)
+        t = len(case.carrier) - 3
+        deficits = [ceil(strict - enum3.TWO_CUSP_FLOORS[t])] * len(cusplink.two_cusp_faces(case))
+        cases.append((t, name, cusplink.averaging_contradiction(strict, deficits, report.rows)))
+    cases.sort(key=lambda c: c[0])
+    n6 = N6Certificate(strict_bound=strict, one_cusp_floor=enum3.ONE_CUSP_FLOOR,
+                       cases=tuple((name, verdict) for _, name, verdict in cases))
     if not n6.complete:
-        raise AssertionError("dimension-6 certificate incomplete")
+        raise AssertionError("dimension-6 certificate incomplete: " + "; ".join(n6.lines()))
 
     n7 = n7_certificate()
     if not n7.complete:
         raise AssertionError("dimension-7 certificate incomplete")
 
-    table = {6: 3, 7: n7.bound}
-    steps = []
+    table = {6: N6_BOUND, 7: n7.bound}
     for n in RECURSION_RANGE:
-        value = lemma61(n, table[n - 1])
-        steps.append(RecursionStep(n=n, m=table[n - 1], value=value))
-        table[n] = value
-    return BoundsCertificate(table=table, n6=n6, n7=n7, steps=tuple(steps))
+        table[n] = lemma61(n, table[n - 1])
+    return BoundsCertificate(table=table, n6=n6, n7=n7)

@@ -217,7 +217,7 @@ def cmd_verify(args, out: _Out) -> int:
     workers = args.workers
     failures = 0
     if stage in ("tables", "all"):
-        for name in ("table1", "table2", "case41"):
+        for name in cusplink.BUILTIN_TABLES:
             rep = cusplink.verify_builtin(name)
             line = f"{name}: {rep.rows} rows {'OK' if rep.ok else 'FAILED'}"
             out.both(f"tables.{name}", "ok" if rep.ok else "fail", line)
@@ -231,7 +231,7 @@ def cmd_verify(args, out: _Out) -> int:
         out.kv("lemma31", "ok" if rep.ok else "fail")
         failures += 0 if rep.ok else 1
     if stage in ("minima", "all"):
-        rep = enum3.two_cusp_minima(budget=args.budget, workers=workers)
+        rep = enum3.two_cusp_minima(workers=workers)
         for line in rep.lines():
             out.text(line)
         out.kv("minima", "ok" if rep.ok else "fail")
@@ -253,9 +253,12 @@ def cmd_verify(args, out: _Out) -> int:
         out.both("nikulin.pins", "ok" if pins else "fail",
                  f"face-average bound pins (12 and 9): {'ok' if pins else 'FAILED'}")
         failures += 0 if pins else 1
-        cert = bounds.main_bounds()
         want = {6: 3, 7: 17, 8: 36, 9: 91, 10: 254, 11: 741, 12: 2200}
-        ok = cert.table == want
+        try:
+            ok = bounds.main_bounds().table == want
+        except AssertionError as exc:  # a sub-certificate refused
+            print(exc, file=sys.stderr)
+            ok = False
         out.both("bounds.table", "ok" if ok else "fail",
                  f"lower-bound table: {'ok' if ok else 'FAILED'}")
         failures += 0 if ok else 1
@@ -315,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="named verification pipelines")
     sp.set_defaults(handler=cmd_verify)
     sp.add_argument("stage", choices=("lemma31", "tables", "minima", "n7", "all"))
-    sp.add_argument("--budget", type=int, default=10,
-                    help="face budget for the two-cusp minima stage")
     sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser("bounds", help="certified cusp-count lower bounds")

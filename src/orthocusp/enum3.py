@@ -202,14 +202,13 @@ def _degree_key(deg: list[int], drop: dict[int, int], x: int, y: int) -> tuple[i
 
 def _candidates(rot: maps.Rotation, num_cusps: int, prefilter: bool):
     """Near-triangulations obtained from one triangulation by deleting
-    ``num_cusps`` pairwise non-cofacial edges, as (code, canon_rot) pairs.
+    ``num_cusps`` pairwise non-cofacial edges, as (code, canon_rot) pairs;
+    with no cusps the one pick is empty and the candidate is ``rot`` itself.
 
     No face is traced: the apexes of an edge (u, v), the third corners of
     its two triangles, are v's neighbours on either side in ``rot[u]``,
-    and two edges are cofacial when a triangle of one, taken as the vertex
-    set {u, v, apex}, is a triangle of the other.  Vertex sets tell faces
-    apart, since two faces on the same three vertices would share all
-    three edges, which leaves no room for a fourth vertex.
+    and another edge shares a triangle with (u, v) exactly when it joins u
+    or v to an apex, being then a side of the triangle on that apex.
 
     Least-diagonal rule: a pick is dropped, before any edge is deleted,
     when one of its edges (u, v) has apexes a, b that are not adjacent in
@@ -231,23 +230,16 @@ def _candidates(rot: maps.Rotation, num_cusps: int, prefilter: bool):
     under isomorphism, so the stored copy keeps the matching pick.
     """
     out = []
-    if num_cusps == 0:
-        if prefilter and not _right_angled_prefilter(rot, {}):
-            return out
-        code, canon, _ = maps.canonical_form(rot)
-        out.append((code, canon))
-        return out
     deg = [len(nbrs) for nbrs in rot]
     apexes = {(u, v): (nbrs[t - 1], nbrs[(t + 1) % len(nbrs)])
               for u, nbrs in enumerate(rot) for t, v in enumerate(nbrs) if u < v}
     # an edge whose apexes are not adjacent can be flipped
     flippable = {e for e, (a, b) in apexes.items() if b not in rot[a]}
-    if num_cusps == 1:
-        picks = ([e] for e in apexes)
-    else:
-        triangles = {e: {frozenset((*e, a)) for a in ab} for e, ab in apexes.items()}
-        picks = ([e1, e2] for e1, e2 in combinations(apexes, 2)
-                 if not triangles[e1] & triangles[e2])
+    # ordered pairs of distinct edges that are two sides of one triangle
+    cofacial = {(e, (w, x) if w < x else (x, w)) for e, ab in apexes.items()
+                for w in e for x in ab}
+    picks = (pick for pick in combinations(apexes, num_cusps)
+             if cofacial.isdisjoint(combinations(pick, 2)))
     for pick in picks:
         drop: dict[int, int] = {}
         for (u, v) in pick:
@@ -389,6 +381,14 @@ def enumerate_types(spec: EnumSpec, workers: int = 1,
 # named verifications
 # ---------------------------------------------------------------------------
 
+#: Least face count of a right-angled 3-face with one cusp.
+ONE_CUSP_FLOOR = 12
+
+#: Least face count of a right-angled 3-face with two cusps, by the number
+#: t of its faces that contain both cusps.
+TWO_CUSP_FLOORS = {0: 8, 1: 9, 2: 10}
+
+
 @dataclass
 class OneCuspMinimumReport:
     counts_by_faces: dict[int, int]
@@ -399,17 +399,18 @@ class OneCuspMinimumReport:
 
     @property
     def ok(self) -> bool:
-        return (all(c == 0 for n, c in self.counts_by_faces.items() if n < 12)
-                and self.counts_by_faces.get(12, 0) == 1
+        return (all(c == 0 for n, c in self.counts_by_faces.items() if n < ONE_CUSP_FLOOR)
+                and self.counts_by_faces.get(ONE_CUSP_FLOOR, 0) == 1
                 and self.face_sizes == [4, 4] + [5] * 10
                 and self.cusp_cycle_sizes in ((4, 5, 4, 5), (5, 4, 5, 4))
                 and not self.quads_adjacent
                 and self.matches_contracted_dodecahedron)
 
     def lines(self) -> list[str]:
-        low = sum(c for n, c in self.counts_by_faces.items() if n <= 11)
-        out = [f"0 types @ <=11; {self.counts_by_faces.get(12, 0)} type @ 12"
-               if low == 0 else f"{low} types @ <=11 (unexpected)"]
+        floor = ONE_CUSP_FLOOR
+        low = sum(c for n, c in self.counts_by_faces.items() if n < floor)
+        out = [f"0 types @ <={floor - 1}; {self.counts_by_faces.get(floor, 0)} type @ {floor}"
+               if low == 0 else f"{low} types @ <={floor - 1} (unexpected)"]
         out.append(f"face sizes: {self.face_sizes}")
         out.append(f"cusp-incident face sizes around the cusp: {self.cusp_cycle_sizes}")
         out.append(f"the two quadrilaterals are {'' if self.quads_adjacent else 'not '}adjacent")
@@ -419,17 +420,18 @@ class OneCuspMinimumReport:
 
 
 def verify_lemma31(workers: int = 1) -> OneCuspMinimumReport:
-    """Exhaustively confirm that a one-cusp type needs 12 faces, that the
-    12-face type is unique with face sizes {4,4,5^10}, that the sizes
-    alternate 4,5,4,5 around the cusp with the quadrilaterals non-adjacent
-    (the parallel pair), and that it equals the contracted dodecahedron."""
-    report = enumerate_types(EnumSpec(12, 1, FILTER_RIGHT_ANGLED), workers=workers)
+    """Exhaustively confirm that a one-cusp type needs ``ONE_CUSP_FLOOR``
+    faces, that the type at the floor is unique with face sizes {4,4,5^10},
+    that the sizes alternate 4,5,4,5 around the cusp with the
+    quadrilaterals non-adjacent (the parallel pair), and that it equals the
+    contracted dodecahedron."""
+    report = enumerate_types(EnumSpec(ONE_CUSP_FLOOR, 1, FILTER_RIGHT_ANGLED), workers=workers)
     counts = dict(report.counts_by_faces)
     face_sizes = []
     cusp_cycle = ()
     quads_adjacent = True
     matches = False
-    if counts.get(12, 0) == 1:
+    if counts.get(ONE_CUSP_FLOOR, 0) == 1:
         p = report.types[-1].polyhedron
         face_sizes = p.face_sizes()
         cusp = next(iter(p.ideal_vertices))
@@ -457,7 +459,9 @@ class TwoCuspMinimaReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        """No type below its floor, and a type at every floor."""
+        return not self.violations and all(
+            (t, floor) in self.counts for t, floor in self.floors.items())
 
     def lines(self) -> list[str]:
         out = []
@@ -471,13 +475,12 @@ class TwoCuspMinimaReport:
         return out
 
 
-TWO_CUSP_FLOORS = {0: 8, 1: 9, 2: 10}
-
-
-def two_cusp_minima(budget: int = 10, workers: int = 1) -> TwoCuspMinimaReport:
-    """Check the two-cusp face-count floors by exhaustion: classified by the
-    number t of 2-faces containing both cusps, accepted types need at least
-    8 (t=0), 9 (t=1) and 10 (t=2) faces."""
+def two_cusp_minima(workers: int = 1) -> TwoCuspMinimaReport:
+    """Check ``TWO_CUSP_FLOORS`` by exhaustion: classified by the number t
+    of 2-faces containing both cusps, accepted types need at least the
+    floor of their class.  The census runs up to the largest floor, so
+    every floor is checked from below and must be reached."""
+    budget = max(TWO_CUSP_FLOORS.values())
     report = enumerate_types(EnumSpec(budget, 2, FILTER_RIGHT_ANGLED), workers=workers)
     counts: dict[tuple[int, int], int] = {}
     violations = []

@@ -104,7 +104,7 @@ def one_cusp_report():
 
 @pytest.fixture(scope="session")
 def two_cusp_report():
-    return enum3.two_cusp_minima(budget=10)
+    return enum3.two_cusp_minima()
 
 
 @pytest.fixture(scope="session")

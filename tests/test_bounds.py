@@ -9,6 +9,7 @@ from orthocusp import (
     n7_polynomial,
     n7_preform,
 )
+from orthocusp import cusplink, enum3
 from orthocusp.bounds import chained_floor
 
 MAIN_TABLE = {6: 3, 7: 17, 8: 36, 9: 91, 10: 254, 11: 741, 12: 2200}
@@ -54,12 +55,21 @@ def test_polynomial_increasing_in_l():
 def test_n7_certificate_complete():
     cert = n7_certificate()
     assert cert.bound == 17
-    assert len(cert.entries) == 16
+    assert [e.m for e in cert.entries] == list(range(3, 17))
     assert cert.complete
     entry = next(e for e in cert.entries if e.m == 8)
     assert entry.one_cusp_floor == 135 and entry.polynomial == 5074
     entry = next(e for e in cert.entries if e.m == 16)
     assert entry.one_cusp_floor == 15 and entry.polynomial == 34
+
+
+def test_n7_entries_derived():
+    """Each dimension-7 line rests on the preform and on the cusp-link counts."""
+    faces = cusplink.count_cusp_faces(7, 3)
+    per_cusp = cusplink.faces_through_edge(7)
+    for e in n7_certificate().entries:
+        assert 2 * n7_preform(2, e.m) == e.polynomial
+        assert e.one_cusp_floor == faces - per_cusp * (e.m - 1)
 
 
 def test_lemma61_values():
@@ -120,3 +130,19 @@ def test_bounds_lines_golden():
         "n=11 c>=741",
         "n=12 c>=2200",
     ]
+
+
+def test_main_bounds_reads_census_floors(monkeypatch, two_cusp_report):
+    """The table rests on the floors the censuses check: weakening either
+    census floor makes the dimension-6 certificate refuse."""
+    assert two_cusp_report.budget == 10
+    with monkeypatch.context() as mp:
+        mp.setitem(enum3.TWO_CUSP_FLOORS, 2, 9)
+        with pytest.raises(AssertionError, match="table2: surplus 20 vs deficit 30 "):
+            main_bounds()
+    with monkeypatch.context() as mp:
+        mp.setattr(enum3, "ONE_CUSP_FLOOR", 11)
+        with pytest.raises(AssertionError, match="needs >= 11 2-faces"):
+            main_bounds()
+    assert main_bounds().table == MAIN_TABLE
+

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from orthocusp import to_poly3
+from orthocusp import enum3, to_poly3
 from orthocusp.cli import main
 
 FIXTURE_DIR = resources.files("orthocusp.data")
@@ -31,11 +31,42 @@ def test_bounds_golden_output(capsys):
     assert out == BOUNDS_GOLDEN
 
 
+CERTIFICATE_GOLDEN = BOUNDS_GOLDEN + (
+    "\n"
+    "dimension 6:\n"
+    "  one cusp: every 3-face needs >= 12 2-faces, average must stay < 12: contradiction\n"
+    "  two cusps, case41: surplus 4 vs deficit 4 against strict average bound 12: contradiction\n"
+    "  two cusps, table1: surplus 12 vs deficit 12 against strict average bound 12: contradiction\n"
+    "  two cusps, table2: surplus 20 vs deficit 20 against strict average bound 12: contradiction\n"
+    "dimension 7:\n"
+    "  m=3: one-cusp 3-faces >= 210 > 0, polynomial 2374 >= 0 -> impossible\n"
+    "  m=4: one-cusp 3-faces >= 195 > 0, polynomial 3274 >= 0 -> impossible\n"
+    "  m=5: one-cusp 3-faces >= 180 > 0, polynomial 3994 >= 0 -> impossible\n"
+    "  m=6: one-cusp 3-faces >= 165 > 0, polynomial 4534 >= 0 -> impossible\n"
+    "  m=7: one-cusp 3-faces >= 150 > 0, polynomial 4894 >= 0 -> impossible\n"
+    "  m=8: one-cusp 3-faces >= 135 > 0, polynomial 5074 >= 0 -> impossible\n"
+    "  m=9: one-cusp 3-faces >= 120 > 0, polynomial 5074 >= 0 -> impossible\n"
+    "  m=10: one-cusp 3-faces >= 105 > 0, polynomial 4894 >= 0 -> impossible\n"
+    "  m=11: one-cusp 3-faces >= 90 > 0, polynomial 4534 >= 0 -> impossible\n"
+    "  m=12: one-cusp 3-faces >= 75 > 0, polynomial 3994 >= 0 -> impossible\n"
+    "  m=13: one-cusp 3-faces >= 60 > 0, polynomial 3274 >= 0 -> impossible\n"
+    "  m=14: one-cusp 3-faces >= 45 > 0, polynomial 2374 >= 0 -> impossible\n"
+    "  m=15: one-cusp 3-faces >= 30 > 0, polynomial 1294 >= 0 -> impossible\n"
+    "  m=16: one-cusp 3-faces >= 15 > 0, polynomial 34 >= 0 -> impossible\n"
+    "  cusp count >= 17\n"
+    "dimensions 8..12:\n"
+    "  n=8: 3*17 - 16 + 1 = 36\n"
+    "  n=9: 3*36 - 18 + 1 = 91\n"
+    "  n=10: 3*91 - 20 + 1 = 254\n"
+    "  n=11: 3*254 - 22 + 1 = 741\n"
+    "  n=12: 3*741 - 24 + 1 = 2200\n"
+)
+
+
 def test_bounds_certificate_expands(capsys):
     code, out, _ = run(capsys, "bounds", "--certificate")
     assert code == 0
-    assert out.startswith(BOUNDS_GOLDEN)
-    assert "dimension 7" in out
+    assert out == CERTIFICATE_GOLDEN
 
 
 def test_bounds_machine_mode(capsys):
@@ -195,6 +226,47 @@ def test_verify_all(capsys):
     assert "0 types @ <=11; 1 type @ 12" in out
     assert "table2: 20 rows OK" in out
     assert "fixture dodecahedron: valid" in out
+
+
+VERIFY_ALL_MACHINE_GOLDEN = (
+    "tables.table1=ok\n"
+    "tables.table2=ok\n"
+    "tables.case41=ok\n"
+    "lemma31=ok\n"
+    "minima=ok\n"
+    "n7=ok\n"
+    "fixture.tetrahedron=ok\n"
+    "fixture.cube=ok\n"
+    "fixture.square_pyramid=ok\n"
+    "fixture.triangular_prism=ok\n"
+    "fixture.dodecahedron=ok\n"
+    "nikulin.pins=ok\n"
+    "bounds.table=ok\n"
+)
+
+
+def test_verify_all_machine_golden(capsys):
+    code, out, _ = run(capsys, "--machine", "verify", "all")
+    assert code == 0
+    assert out == VERIFY_ALL_MACHINE_GOLDEN
+
+
+def test_verify_all_reports_a_lowered_floor(capsys, monkeypatch):
+    """A t=2 floor of 9 is never reached by the census and leaves table2
+    short, so both stages fail and ``verify all`` still prints every line."""
+    monkeypatch.setitem(enum3.TWO_CUSP_FLOORS, 2, 9)
+    code, out, err = run(capsys, "--machine", "verify", "all")
+    assert code == 1
+    assert out == VERIFY_ALL_MACHINE_GOLDEN.replace(
+        "minima=ok", "minima=fail").replace("bounds.table=ok", "bounds.table=fail")
+    assert "table2: surplus 20 vs deficit 30" in err
+
+
+def test_verify_has_no_budget_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--budget", "7"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
 
 
 def test_verify_lemma31_output(capsys):

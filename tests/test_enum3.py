@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -370,6 +371,12 @@ def test_two_cusp_minima(two_cusp_report):
     for (cls, faces), _count in sorted(two_cusp_report.counts.items()):
         firsts.setdefault(cls, faces)
     assert firsts == {0: 8, 1: 9, 2: 10}
+
+
+def test_two_cusp_minima_needs_every_floor_reached(two_cusp_report):
+    """A floor that no accepted type reaches is not certified."""
+    counts = {k: v for k, v in two_cusp_report.counts.items() if k != (2, 10)}
+    assert not replace(two_cusp_report, counts=counts).ok
 
 
 def test_two_cusp_accepted_counts_regression(two_cusp_report):
