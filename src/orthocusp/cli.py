@@ -204,7 +204,11 @@ def _check_cache(spec, cache: Path, out: _Out) -> int:
 
 
 def cmd_bounds(args, out: _Out) -> int:
-    cert = bounds.main_bounds()
+    try:
+        cert = bounds.main_bounds()
+    except AssertionError as exc:  # a sub-certificate refused
+        print(exc, file=sys.stderr)
+        return EXIT_CHECK_FAILED
     for line in cert.lines(expand=args.certificate and not out.machine):
         out.text(line)
     for n in sorted(cert.table):

@@ -9,10 +9,14 @@ face (every quadrilateral admits a diagonal, so edge deletion reaches every
 near-triangulation).  Dualising a surviving map yields the polyhedron, with
 quadrilateral faces turning into ideal vertices of degree four.
 
-Two exact filters, both instances of McKay's canonical construction path
+Three exact filters, all instances of McKay's canonical construction path
 ("Isomorph-free exhaustive generation", J. Algorithms 26 (1998)), decide
 which maps get a canonical form at all:
 
+* both stages canonicalise a split of a triangulation, or a pick of edges
+  to delete from it, only when it is least in its orbit under the
+  triangulation's automorphisms, reflections included, which
+  ``maps.canonical_form`` reports with each stored class;
 * growth canonicalises a split only when its new edge has the least key
   (endpoint degrees, then the degrees of its two common neighbours) among
   the contractible edges of the child (``_is_canonical_augmentation``);
@@ -29,7 +33,6 @@ quadrilaterals to be tested (``_quads_keep_three_connected``).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -107,42 +110,83 @@ class EnumReport:
 
 _TRIANGULATIONS: dict[int, tuple[maps.Rotation, ...]] = {}
 
+#: ``_AUTOMORPHISMS[n][k]`` holds the automorphisms of
+#: ``_TRIANGULATIONS[n][k]`` other than the identity, reflections included,
+#: as permutations of its vertices; most classes have none.
+_AUTOMORPHISMS: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {}
+
 
 def triangulations(n: int) -> tuple[maps.Rotation, ...]:
     """All sphere triangulations with n vertices, canonical and sorted.
 
     Grown level by level from the tetrahedron by vertex splitting; every
-    stored rotation system is the canonical representative of its class.
-    Every split of every parent is made, but a child is canonicalised only
-    when its new edge passes ``_is_canonical_augmentation``.  No class is
-    lost: take any class with n >= 5 vertices and its contractible edge e
-    of least key.  Contracting e gives a triangulation with n - 1 vertices,
-    isomorphic to a stored one, and one split of that stored parent undoes
-    the contraction with e as the new edge.  The key is an isomorphism
+    stored rotation system is the canonical representative of its class,
+    and its automorphisms go to ``_AUTOMORPHISMS``.  Every split of
+    every parent is made, but a child is canonicalised only when its
+    split is least in its orbit under Aut±(parent) and its new edge
+    passes ``_is_canonical_augmentation``.  No class is lost: take any
+    class with n >= 5 vertices and its contractible edge e of least key.
+    Contracting e gives a triangulation with n - 1 vertices, isomorphic to
+    a stored one, and one split of that stored parent undoes the
+    contraction with e as the new edge.  The key is an isomorphism
     invariant, so the new edge has the least key in that child, which
-    passes the filter.
+    passes the filter; any other isomorphism-invariant key keeps this
+    argument.  A split is a vertex v with an unordered pair of hinges, and
+    σ in Aut±(parent) maps it to the split at σ(v) with the image hinges.
+    σ extends to an isomorphism of the two children that takes new edge
+    to new edge, so both have the same key, and keeping only the split
+    least in its orbit (vertex first, then sorted hinges) loses no class.
     """
     if n < 4:
         raise ValueError("triangulations start at 4 vertices")
     if n not in _TRIANGULATIONS:
         if n == 4:
-            code, canon, _ = maps.canonical_form(maps.TETRAHEDRON)
-            _TRIANGULATIONS[4] = (canon,)
+            code, canon, orders = maps.canonical_form(maps.TETRAHEDRON)
+            found = {code: (canon, _automorphisms(orders))}
         else:
-            found: dict[bytes, maps.Rotation] = {}
-            for rot in triangulations(n - 1):
+            found = {}
+            for rot, group in zip(triangulations(n - 1), _AUTOMORPHISMS[n - 1]):
                 for v in range(len(rot)):
-                    d = len(rot[v])
+                    nbrs = rot[v]
+                    d = len(nbrs)
+                    # a split at v is least in its orbit only if v is, and
+                    # then its hinge pair is compared under the stabiliser
+                    moved_down = any(g[v] < v for g in group)
+                    fixing = [g for g in group if g[v] == v]
                     for i in range(d):
                         for j in range(i + 1, d):
                             cand = maps.split_vertex(rot, v, i, j)
+                            if moved_down or (fixing and not _least_in_orbit(
+                                    [_pair(nbrs[i], nbrs[j])], fixing)):
+                                continue
                             if not _is_canonical_augmentation(cand, v):
                                 continue
-                            code, canon, _ = maps.canonical_form(cand)
+                            code, canon, orders = maps.canonical_form(cand)
                             if code not in found:
-                                found[code] = canon
-            _TRIANGULATIONS[n] = tuple(rot for _, rot in sorted(found.items()))
+                                found[code] = (canon, _automorphisms(orders))
+        classes = [found[code] for code in sorted(found)]
+        _TRIANGULATIONS[n] = tuple(canon for canon, _ in classes)
+        _AUTOMORPHISMS[n] = tuple(group for _, group in classes)
     return _TRIANGULATIONS[n]
+
+
+def _automorphisms(orders) -> tuple[tuple[int, ...], ...]:
+    """The automorphisms of a canonical form other than the identity, from
+    the traversal orders ``maps.canonical_form`` returns with it, as
+    permutations of the canonical labels."""
+    label = {x: i for i, x in enumerate(orders[0])}
+    return tuple(tuple(label[x] for x in order) for order in orders[1:])
+
+
+def _pair(x: int, y: int) -> tuple[int, int]:
+    return (x, y) if x < y else (y, x)
+
+
+def _least_in_orbit(pairs, group) -> bool:
+    """Whether the set of sorted vertex pairs ``pairs``, read as a sorted
+    list, is least among its images under the permutations ``group``."""
+    key = sorted(pairs)
+    return all(sorted(_pair(g[x], g[y]) for x, y in pairs) >= key for g in group)
 
 
 def _is_canonical_augmentation(rot: maps.Rotation, v: int) -> bool:
@@ -161,20 +205,20 @@ def _is_canonical_augmentation(rot: maps.Rotation, v: int) -> bool:
     """
     w = len(rot) - 1
     # rot[w] is the far arc from hinge u_j to hinge u_i, then v
-    key = (*sorted((len(rot[v]), len(rot[w]))),
-           *sorted((len(rot[rot[w][0]]), len(rot[rot[w][-2]]))))
+    d0, d1 = _pair(len(rot[v]), len(rot[w]))
+    apex_key = _pair(len(rot[rot[w][0]]), len(rot[rot[w][-2]]))
+    # plain int comparisons: building key tuples per edge cost more
     for a, nbrs in enumerate(rot):
         da = len(nbrs)
-        if da > key[0]:
+        if da > d0:
             continue
         for t, b in enumerate(nbrs):
             db = len(rot[b])
-            if db < da or (da, db) > key[:2]:
+            if db < da or (da == d0 and db > d1):
                 continue
-            if (da, db) == key[:2]:
-                apexes = sorted((len(rot[nbrs[t - 1]]), len(rot[nbrs[(t + 1) % da]])))
-                if (da, db, *apexes) >= key:
-                    continue
+            if (da == d0 and db == d1 and _pair(len(rot[nbrs[t - 1]]),
+                                                len(rot[nbrs[(t + 1) % da]])) >= apex_key):
+                continue
             if len(set(nbrs).intersection(rot[b])) == 2:
                 return False
     return True
@@ -196,11 +240,10 @@ def _right_angled_prefilter(rot: maps.Rotation, quad_vertices: dict[int, int]) -
 
 def _degree_key(deg: list[int], drop: dict[int, int], x: int, y: int) -> tuple[int, int]:
     """Sorted degrees of x and y once the edges counted in ``drop`` go."""
-    dx, dy = deg[x] - drop.get(x, 0), deg[y] - drop.get(y, 0)
-    return (dx, dy) if dx <= dy else (dy, dx)
+    return _pair(deg[x] - drop.get(x, 0), deg[y] - drop.get(y, 0))
 
 
-def _candidates(rot: maps.Rotation, num_cusps: int, prefilter: bool):
+def _candidates(rot: maps.Rotation, group, num_cusps: int, prefilter: bool):
     """Near-triangulations obtained from one triangulation by deleting
     ``num_cusps`` pairwise non-cofacial edges, as (code, canon_rot) pairs;
     with no cusps the one pick is empty and the candidate is ``rot`` itself.
@@ -228,6 +271,16 @@ def _candidates(rot: maps.Rotation, num_cusps: int, prefilter: bool):
     (a, b) would give another completion, since a and b are not adjacent,
     smaller in one coordinate and equal in the rest.  The rule is invariant
     under isomorphism, so the stored copy keeps the matching pick.
+
+    Orbit rule: ``group`` holds the automorphisms of ``rot`` other than
+    the identity, as permutations of its vertices, and a pick is
+    canonicalised only when its sorted edges are least in its orbit under
+    them (an empty ``group`` keeps every pick).  σ in Aut±(rot) maps a
+    pick to one whose candidate is isomorphic by σ, and every other test
+    here reads only degrees and adjacency, so it gives both the same
+    verdict: keeping the orbit-least pick loses no class.  The degree
+    keys may be replaced by any isomorphism-invariant key without
+    breaking either argument.
     """
     out = []
     deg = [len(nbrs) for nbrs in rot]
@@ -236,8 +289,7 @@ def _candidates(rot: maps.Rotation, num_cusps: int, prefilter: bool):
     # an edge whose apexes are not adjacent can be flipped
     flippable = {e for e, (a, b) in apexes.items() if b not in rot[a]}
     # ordered pairs of distinct edges that are two sides of one triangle
-    cofacial = {(e, (w, x) if w < x else (x, w)) for e, ab in apexes.items()
-                for w in e for x in ab}
+    cofacial = {(e, _pair(w, x)) for e, ab in apexes.items() for w in e for x in ab}
     picks = (pick for pick in combinations(apexes, num_cusps)
              if cofacial.isdisjoint(combinations(pick, 2)))
     for pick in picks:
@@ -250,6 +302,8 @@ def _candidates(rot: maps.Rotation, num_cusps: int, prefilter: bool):
         if any(e in flippable
                and _degree_key(deg, drop, *apexes[e]) < _degree_key(deg, drop, *e)
                for e in pick):
+            continue
+        if group and not _least_in_orbit(pick, group):
             continue
         # quad corners: the deleted edge's endpoints plus its two apexes
         quad_at = dict(drop)
@@ -293,13 +347,15 @@ def _collect_chunk(args):
     deleted edge leaves the degree plus quadrilateral count of each of its
     endpoints unchanged and adds 1 at each of its two apexes, so the
     deficit falls by at most 2 per cusp, and the prefilter needs it to be 0.
+    ``groups`` runs beside ``rot_chunk`` with the automorphisms of each
+    triangulation, as ``_candidates`` takes them.
     """
-    rot_chunk, num_cusps, prefilter = args
+    rot_chunk, groups, num_cusps, prefilter = args
     found: dict[bytes, maps.Rotation] = {}
-    for rot in rot_chunk:
+    for rot, group in zip(rot_chunk, groups):
         if prefilter and sum(max(0, 5 - len(nbrs)) for nbrs in rot) > 2 * num_cusps:
             continue
-        for code, canon in _candidates(rot, num_cusps, prefilter):
+        for code, canon in _candidates(rot, group, num_cusps, prefilter):
             if code not in found:
                 found[code] = canon
     return found
@@ -339,17 +395,20 @@ def enumerate_types(spec: EnumSpec, workers: int = 1,
     report = EnumReport(spec=spec)
     for n in range(4, spec.max_faces + 1):
         tris = triangulations(n)
+        groups = _AUTOMORPHISMS[n]
         found: dict[bytes, maps.Rotation] = {}
         if workers > 1 and len(tris) >= workers * 4:
+            # loaded here: importing it costs every run that uses no pool
+            from concurrent.futures import ProcessPoolExecutor
             size = (len(tris) + workers - 1) // workers
-            chunks = [(tris[i:i + size], spec.num_cusps, prefilter)
+            chunks = [(tris[i:i + size], groups[i:i + size], spec.num_cusps, prefilter)
                       for i in range(0, len(tris), size)]
             with ProcessPoolExecutor(max_workers=_pool_size(workers, len(chunks))) as pool:
                 for part in pool.map(_collect_chunk, chunks):
                     for code, canon in part.items():
                         found.setdefault(code, canon)
         else:
-            found = _collect_chunk((tris, spec.num_cusps, prefilter))
+            found = _collect_chunk((tris, groups, spec.num_cusps, prefilter))
         for code in sorted(found):
             rot = found[code]
             faces, face_of = maps.faces_of_rotation(rot)

@@ -166,11 +166,19 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None,
 
     The code is invariant under relabelling and reflection; two maps receive
     equal codes exactly when they are isomorphic as marked embedded
-    structures.  Returns ``(code, canon_rot, order)``: ``canon_rot`` is the
+    structures.  Returns ``(code, canon_rot, orders)``: ``canon_rot`` is the
     relabelled rotation system determined by the code alone (identical for
-    isomorphic inputs) and ``order[i]`` is the original vertex that received
-    canonical label ``i``.  Maps with no edge or with more than
-    ``MAX_CODE_VERTICES`` vertices raise MapError.
+    isomorphic inputs), and ``orders`` holds the traversal order of every
+    start that reaches the least code, in start order: ``orders[k][i]`` is
+    the original vertex that this start labels ``i``, and ``orders[0]``
+    fixes the labelling of ``canon_rot``.  Two such starts differ by an
+    automorphism of the marked map, and each automorphism, reflections
+    included, moves the first start to exactly one of them, so
+    ``len(orders)`` is |Aut±| and ``i -> orders[0].index(orders[k][i])``
+    are the automorphisms of ``canon_rot``.  No traversal is added for
+    them: a start that ties the best code runs to completion anyway.
+    Maps with no edge or with more than ``MAX_CODE_VERTICES`` vertices
+    raise MapError.
 
     A traversal starts at a dart (u, v) in an orientation s, and only the
     starts with the least head (marks and degrees of u and v) can give the
@@ -181,7 +189,7 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None,
     same head and the same row 0 (labels ``1..deg u``, then 254), so a
     start with a larger prefix has a larger code.  Every start with the
     least code survives, and as the order is kept, the first of them,
-    which sets ``canon_rot`` and ``order``, is the same as without the
+    which sets ``canon_rot`` and ``orders[0]``, is the same as without the
     ranking.  With face marks, the face tail follows a vertex code whose
     length is the same for every start, so the least full code also has
     the least prefix.  Triangulations skip the ranking, so growth, which
@@ -219,30 +227,36 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None,
     # a simple spherical map is a triangulation exactly when 2E = 6n - 12
     if sum(deg) != 6 * n - 12:
         starts = _least_prefix_starts(rot, starts)
+    best = None
+    best_rot = None
+    orders = []
     if face_marks is None:
-        best = None
-        best_rot = None
-        best_order = None
         for (u, v, s) in starts:
+            # with best given, a result is never larger than best
             res = _encode(rot, marks, u, v, s, best)
-            if res is not None and (best is None or res[0] < best):
-                best, best_rot, best_order = res
-        return best, best_rot, best_order
+            if res is None:
+                continue
+            if best is None or res[0] < best:
+                best, best_rot = res[0], res[1]
+                orders = [res[2]]
+            else:
+                orders.append(res[2])
+        return best, best_rot, tuple(orders)
 
     # marked faces: the tail depends on the traversal's labelling, and
     # traversals tied on the vertex part may disagree on it (an unmarked
     # automorphism need not respect face marks), so minimise the full code
     faces = [(face, 1 if frozenset(face) in face_marks else 0)
              for face in faces_of_rotation(rot)[0]]
-    best = None
-    best_rot = None
-    best_order = None
     for (u, v, s) in starts:
         res = _encode(rot, marks, u, v, s, None)
         code = res[0] + _face_tail(faces, res[2])
         if best is None or code < best:
-            best, best_rot, best_order = code, res[1], res[2]
-    return best, best_rot, best_order
+            best, best_rot = code, res[1]
+            orders = [res[2]]
+        elif code == best:
+            orders.append(res[2])
+    return best, best_rot, tuple(orders)
 
 
 def _least_prefix_starts(rot, starts):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -260,6 +264,29 @@ def test_verify_all_reports_a_lowered_floor(capsys, monkeypatch):
     assert out == VERIFY_ALL_MACHINE_GOLDEN.replace(
         "minima=ok", "minima=fail").replace("bounds.table=ok", "bounds.table=fail")
     assert "table2: surplus 20 vs deficit 30" in err
+
+
+@pytest.mark.parametrize("argv", [["bounds"], ["bounds", "--certificate"]])
+def test_bounds_reports_a_refused_certificate(capsys, monkeypatch, argv):
+    """With the t=2 floor lowered to 9, table2 refuses: ``bounds`` prints
+    the refusal on stderr and no table, and exits 1 without a traceback."""
+    monkeypatch.setitem(enum3.TWO_CUSP_FLOORS, 2, 9)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "table2: surplus 20 vs deficit 30" in err
+
+
+def test_cli_import_loads_no_process_pool():
+    """The process pool is imported only when ``--workers`` asks for one,
+    so a plain run does not load ``multiprocessing``."""
+    import orthocusp
+
+    env = dict(os.environ, PYTHONPATH=str(Path(orthocusp.__file__).parents[1]))
+    probe = "import sys, orthocusp.cli; print('concurrent.futures.process' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
 
 
 def test_verify_has_no_budget_option(capsys):

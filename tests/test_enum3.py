@@ -2,11 +2,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 
-from orthocusp import (EnumSpec, Polyhedron3, canonical_code, core, dual,
+from orthocusp import (EnumSpec, Polyhedron3, canonical_code, core, dual, enum3,
                        enumerate_types, maps, validate)
 from orthocusp.core import RIGHT_ANGLED_PROFILE
 from orthocusp.enum3 import (FILTER_RIGHT_ANGLED, _candidates, _collect_chunk, _dualize,
@@ -48,6 +50,82 @@ def test_triangulation_level_counts():
     known = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233, 11: 1249, 12: 7595}
     for n, want in known.items():
         assert len(triangulations(n)) == want
+
+
+def _groups(n):
+    """The recorded automorphisms other than the identity of each
+    triangulation with n vertices."""
+    triangulations(n)
+    return enum3._AUTOMORPHISMS[n]
+
+
+def _tutte_count(n):
+    """Rooted simple sphere triangulations with n vertices (Tutte, 1962)."""
+    m = n - 3
+    return 2 * factorial(4 * m + 1) // (factorial(m + 1) * factorial(3 * m + 2))
+
+
+def test_tutte_mass_formula():
+    """Each level's classes, weighted by 4E/|Aut±| with the recorded
+    groups, count the rooted triangulations exactly: a lost class lowers
+    the sum and a duplicated one raises it."""
+    masses = []
+    for n in range(4, 13):
+        mass = sum(Fraction(4 * (3 * n - 6), 1 + len(group)) for group in _groups(n))
+        assert mass == _tutte_count(n), n
+        masses.append(mass)
+    assert masses == [1, 3, 13, 68, 399, 2530, 16965, 118668, 857956]
+
+
+def _assert_groups_match_networkx(levels):
+    """The recorded automorphisms and the identity are distinct
+    edge-preserving permutations as many as the graph's automorphisms,
+    which by Whitney's theorem are Aut± for a 3-connected planar graph."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    for n in levels:
+        for rot, group in zip(triangulations(n), _groups(n)):
+            edges = set(edge_set(rot))
+            G = nx.Graph(list(edges))
+            perms = {tuple(range(n)), *group}
+            assert len(perms) == 1 + len(group), rot
+            for g in group:
+                assert {tuple(sorted((g[u], g[v]))) for u, v in edges} == edges, (rot, g)
+            assert len(perms) == sum(1 for _ in GraphMatcher(G, G).isomorphisms_iter()), rot
+
+
+def test_automorphism_groups_match_networkx():
+    _assert_groups_match_networkx(range(4, 11))
+
+
+@pytest.mark.slow
+def test_automorphism_groups_match_networkx_at_11():
+    _assert_groups_match_networkx([11])
+
+
+def test_cold_growth_form_count(monkeypatch):
+    """Growth from empty caches to 12 vertices computes 10,514 canonical
+    forms for the 9,150 classes and gives the cached levels again, tuple
+    for tuple."""
+    warm = {n: triangulations(n) for n in range(4, 13)}
+    warm_groups = {n: _groups(n) for n in range(4, 13)}
+    calls = 0
+    real = maps.canonical_form
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(maps, "canonical_form", counting)
+    monkeypatch.setattr(enum3, "_TRIANGULATIONS", {})
+    monkeypatch.setattr(enum3, "_AUTOMORPHISMS", {})
+    assert sum(len(triangulations(n)) for n in range(4, 13)) == 9150
+    assert calls == 10514
+    for n in range(4, 13):
+        assert triangulations(n) == warm[n], n
+        assert {frozenset(g) for g in _groups(n)} == {frozenset(g) for g in warm_groups[n]}
 
 
 def _splits(rot):
@@ -132,7 +210,8 @@ def unfiltered_candidates():
         for c in (1, 2):
             for n in range(4, 11):
                 calls = 0
-                found = _collect_chunk((triangulations(n), c, False))
+                tris = triangulations(n)
+                found = _collect_chunk((tris, [()] * len(tris), c, False))
                 out[(n, c)] = (found, calls)
     return out
 
@@ -165,11 +244,40 @@ def test_least_diagonal_rule_keeps_every_candidate(unfiltered_candidates):
         tris = triangulations(n)
         picks = [p for rot in tris for p in _every_pick(rot, c)]
         assert set(found) == {code for code, _ in picks}, (n, c)
-        assert set(_collect_chunk((tris, c, True))) == {
+        assert set(_collect_chunk((tris, [()] * len(tris), c, True))) == {
             code for code, passes in picks if passes}, (n, c)
         assert calls <= len(picks)
         rejected += len(picks) - calls
     assert rejected > 0
+
+
+def test_orbit_rule_keeps_every_candidate(monkeypatch, unfiltered_candidates):
+    """The candidate stage finds the same codes with the recorded Aut±
+    as with none, for 0, 1 and 2 cusps at levels 4..10, with the prefilter
+    on and off, and computes fewer canonical forms with it.  The runs with
+    no group for 1 and 2 cusps without the prefilter are the fixture's."""
+    calls = Counter()
+    real = maps.canonical_form
+
+    def counting(*args):
+        calls[filtered] += 1
+        return real(*args)
+
+    monkeypatch.setattr(maps, "canonical_form", counting)
+    for c in (0, 1, 2):
+        for n in range(4, 11):
+            tris = triangulations(n)
+            for prefilter in (False, True):
+                filtered = True
+                got = _collect_chunk((tris, _groups(n), c, prefilter))
+                if c and not prefilter:
+                    want, count = unfiltered_candidates[(n, c)]
+                    calls[False] += count
+                else:
+                    filtered = False
+                    want = _collect_chunk((tris, [()] * len(tris), c, prefilter))
+                assert set(got) == set(want), (n, c, prefilter)
+    assert calls[True] < calls[False]
 
 
 def test_quad_pairs_decide_three_connectivity(unfiltered_candidates):
@@ -188,8 +296,8 @@ def test_dualize_matches_core_dual(unfiltered_candidates):
     """On every deduplicated 0-, 1- and 2-cusp candidate up to 10 faces,
     ``_dualize`` gives ``core.dual`` of the map with its quadrilaterals
     marked, field for field, each face cycle from the same vertex."""
-    maps_by_cusps = {0: [rot for n in range(4, 11)
-                         for rot in _collect_chunk((triangulations(n), 0, False)).values()]}
+    maps_by_cusps = {0: [rot for n in range(4, 11) for rot in _collect_chunk(
+        (triangulations(n), _groups(n), 0, False)).values()]}
     for (_, c), (found, _) in unfiltered_candidates.items():
         maps_by_cusps.setdefault(c, []).extend(found.values())
     for c, rots in maps_by_cusps.items():
@@ -242,7 +350,7 @@ def test_deficit_screen_matches_prefilter():
             deficit = sum(max(0, 5 - len(nbrs)) for nbrs in rot)
             for c in (0, 1, 2):
                 if deficit > 2 * c:
-                    assert _candidates(rot, c, True) == [], (n, c, rot)
+                    assert _candidates(rot, (), c, True) == [], (n, c, rot)
                     screened += 1
     assert screened > 0
 

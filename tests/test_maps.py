@@ -18,10 +18,12 @@ def _every_traversal(rot, marks):
 
 
 def exhaustive_form(rot, marks=None, face_marks=None):
-    """The first traversal with the least code over every start dart and
-    both orientations, bypassing the invariant-key restriction, the prefix
-    ranking and the early abort used by canonical_form.  With
-    ``face_marks``, each code carries its face tail."""
+    """The least code over every start dart and both orientations, the
+    canonical rotation of the first traversal reaching it, and the orders
+    of every traversal reaching it, in start order; this bypasses the
+    invariant-key restriction, the prefix ranking and the early abort used
+    by canonical_form.  With ``face_marks``, each code carries its face
+    tail."""
     if marks is None:
         marks = [0] * len(rot)
     full = _every_traversal(rot, marks)
@@ -30,7 +32,9 @@ def exhaustive_form(rot, marks=None, face_marks=None):
                  for face in maps.faces_of_rotation(rot)[0]]
         full = [(code + maps._face_tail(faces, order), canon, order)
                 for code, canon, order in full]
-    return min(full, key=lambda res: res[0])
+    best = min(res[0] for res in full)
+    tied = [res for res in full if res[0] == best]
+    return best, tied[0][1], tuple(order for _, _, order in tied)
 
 
 def brute_force_code(rot, marks=None):
@@ -195,7 +199,8 @@ def test_encode_aborts_exactly_when_larger(enum_all_small):
 
 
 def test_canonical_form_matches_exhaustive_minimum(enum_all_small):
-    """code, canon_rot and order are those of the first least traversal."""
+    """code and canon_rot are those of the first least traversal, and the
+    orders are those of every least traversal."""
     unmarked = ((rot, None) for n in range(4, 10) for rot in triangulations(n))
     marked = _marked_maps([enum_all_small[1], enum_all_small[2]])
     for rot, marks in [*unmarked, *marked]:
@@ -211,7 +216,7 @@ def _form_args(p):
 
 
 def assert_form_is_exhaustive(polyhedra):
-    """canonical_form gives the exhaustive code, canon_rot and order."""
+    """canonical_form gives the exhaustive code, canon_rot and orders."""
     count = 0
     for p in polyhedra:
         args = _form_args(p)
@@ -225,7 +230,7 @@ def test_ranked_form_on_prisms(k_gonal_prism):
 
 
 def test_ranked_form_on_fixtures(one_cusp_12):
-    """Fixtures with many automorphisms, where ties pin ``order``."""
+    """Fixtures with many automorphisms, where ties pin ``orders``."""
     assert_form_is_exhaustive([*(load_fixture(name) for name in FIXTURES), one_cusp_12])
 
 
