@@ -154,7 +154,7 @@ def cmd_enumerate(args, out: _Out) -> int:
             print("--check-cache needs --out or ORTHOCUSP_CACHE", file=sys.stderr)
             return EXIT_USAGE
         return _check_cache(spec, cache, out)
-    report = enum3.enumerate_types(spec, workers=args.workers, hard_cap=args.cap)
+    report = enum3.enumerate_types(spec, hard_cap=args.cap)
     for line in report.lines():
         out.text(line)
     for n in sorted(report.counts_by_faces):
@@ -218,7 +218,6 @@ def cmd_bounds(args, out: _Out) -> int:
 
 def cmd_verify(args, out: _Out) -> int:
     stage = args.stage
-    workers = args.workers
     failures = 0
     if stage in ("tables", "all"):
         for name in cusplink.BUILTIN_TABLES:
@@ -229,13 +228,13 @@ def cmd_verify(args, out: _Out) -> int:
                 out.text("  " + prob)
             failures += 0 if rep.ok else 1
     if stage in ("lemma31", "all"):
-        rep = enum3.verify_lemma31(workers=workers)
+        rep = enum3.verify_lemma31()
         for line in rep.lines():
             out.text(line)
         out.kv("lemma31", "ok" if rep.ok else "fail")
         failures += 0 if rep.ok else 1
     if stage in ("minima", "all"):
-        rep = enum3.two_cusp_minima(workers=workers)
+        rep = enum3.two_cusp_minima()
         for line in rep.lines():
             out.text(line)
         out.kv("minima", "ok" if rep.ok else "fail")
@@ -315,14 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
                                   " (default: $ORTHOCUSP_CACHE if set)")
     sp.add_argument("--check-cache", action="store_true",
                     help="verify a previously written cache instead of regenerating")
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--cap", type=int, default=enum3.DEFAULT_CAP,
                     help="hard face-budget cap (default 13)")
 
     sp = sub.add_parser("verify", help="named verification pipelines")
     sp.set_defaults(handler=cmd_verify)
     sp.add_argument("stage", choices=("lemma31", "tables", "minima", "n7", "all"))
-    sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser("bounds", help="certified cusp-count lower bounds")
     sp.set_defaults(handler=cmd_bounds)
@@ -334,9 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one invocation; the rendered report goes to stdout."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "workers", 1) < 1:
-        print("error: worker count must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.handler(args, _Out(machine=args.machine))
     except _UnreadableInput as exc:

@@ -67,9 +67,6 @@ class Polyhedron3:
     def faces_at_vertex(self, v: int) -> list[int]:
         return [i for i, f in enumerate(self.faces) if v in f]
 
-    def rotation(self) -> maps.Rotation:
-        return require_valid(self).rotation
-
     @cached_property
     def _edges(self) -> tuple[Edge, ...]:
         """The edge list ``edges`` copies, built once per instance."""

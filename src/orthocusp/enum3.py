@@ -32,7 +32,6 @@ quadrilaterals to be tested (``_quads_keep_three_connected``).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -264,7 +263,7 @@ def _candidates(rot: maps.Rotation, group, num_cusps: int, prefilter: bool):
     with a pick that passes the degree checks and the prefilter, which
     depend on Q alone (two chosen diagonals share no triangle, since the
     other sides of a quadrilateral are edges of Q), and the deficit screen
-    of ``_collect_chunk``, which skips only triangulations with no
+    of ``_level_candidates``, which skips only triangulations with no
     prefiltered candidate.  The keys depend on Q alone too, so take a
     completion whose per-quadrilateral keys are least in the product
     order.  Were its pick dropped, flipping the offending diagonal to
@@ -338,8 +337,8 @@ def _quads_keep_three_connected(rot: maps.Rotation, faces: list[tuple[int, ...]]
                for face in faces if len(face) == 4 for k in (0, 1))
 
 
-def _collect_chunk(args):
-    """Candidates of a run of triangulations, deduplicated by code.
+def _level_candidates(tris, groups, num_cusps: int, prefilter: bool):
+    """Candidates of the triangulations ``tris``, deduplicated by code.
 
     With the prefilter on, a triangulation whose deficit (the sum of
     max(0, 5 - deg) over its vertices) exceeds 2 * ``num_cusps`` is skipped,
@@ -347,12 +346,11 @@ def _collect_chunk(args):
     deleted edge leaves the degree plus quadrilateral count of each of its
     endpoints unchanged and adds 1 at each of its two apexes, so the
     deficit falls by at most 2 per cusp, and the prefilter needs it to be 0.
-    ``groups`` runs beside ``rot_chunk`` with the automorphisms of each
+    ``groups`` runs beside ``tris`` with the automorphisms of each
     triangulation, as ``_candidates`` takes them.
     """
-    rot_chunk, groups, num_cusps, prefilter = args
     found: dict[bytes, maps.Rotation] = {}
-    for rot, group in zip(rot_chunk, groups):
+    for rot, group in zip(tris, groups):
         if prefilter and sum(max(0, 5 - len(nbrs)) for nbrs in rot) > 2 * num_cusps:
             continue
         for code, canon in _candidates(rot, group, num_cusps, prefilter):
@@ -374,41 +372,22 @@ def _dualize(rot: maps.Rotation, faces: list[tuple[int, ...]],
         faces=_dual_cycles(rot, face_of))
 
 
-def _pool_size(workers: int, chunks: int) -> int:
-    """Processes to start: no more than requested, chunks or CPUs."""
-    return min(workers, chunks, os.cpu_count() or 1)
-
-
-def enumerate_types(spec: EnumSpec, workers: int = 1,
-                    hard_cap: int = DEFAULT_CAP) -> EnumReport:
+def enumerate_types(spec: EnumSpec, hard_cap: int = DEFAULT_CAP) -> EnumReport:
     """Enumerate every combinatorial type with at most ``spec.max_faces``
     faces, exactly ``spec.num_cusps`` degree-4 ideal vertices, all finite
     vertices of degree 3, and a 3-connected incidence structure.
 
-    Output is deterministic (types sorted by canonical code) and
-    independent of the worker count.  Complexes passing all local checks
-    but failing 3-connectivity are tallied separately, never emitted.
+    Output is deterministic (types sorted by canonical code).  Complexes
+    passing all local checks but failing 3-connectivity are tallied
+    separately, never emitted.
     """
     if spec.max_faces > hard_cap:
         raise SpecError(f"face budget {spec.max_faces} above cap {hard_cap}")
     prefilter = spec.filter == FILTER_RIGHT_ANGLED
     report = EnumReport(spec=spec)
     for n in range(4, spec.max_faces + 1):
-        tris = triangulations(n)
-        groups = _AUTOMORPHISMS[n]
-        found: dict[bytes, maps.Rotation] = {}
-        if workers > 1 and len(tris) >= workers * 4:
-            # loaded here: importing it costs every run that uses no pool
-            from concurrent.futures import ProcessPoolExecutor
-            size = (len(tris) + workers - 1) // workers
-            chunks = [(tris[i:i + size], groups[i:i + size], spec.num_cusps, prefilter)
-                      for i in range(0, len(tris), size)]
-            with ProcessPoolExecutor(max_workers=_pool_size(workers, len(chunks))) as pool:
-                for part in pool.map(_collect_chunk, chunks):
-                    for code, canon in part.items():
-                        found.setdefault(code, canon)
-        else:
-            found = _collect_chunk((tris, groups, spec.num_cusps, prefilter))
+        found = _level_candidates(triangulations(n), _AUTOMORPHISMS[n],
+                                  spec.num_cusps, prefilter)
         for code in sorted(found):
             rot = found[code]
             faces, face_of = maps.faces_of_rotation(rot)
@@ -478,13 +457,13 @@ class OneCuspMinimumReport:
         return out
 
 
-def verify_lemma31(workers: int = 1) -> OneCuspMinimumReport:
+def verify_lemma31() -> OneCuspMinimumReport:
     """Exhaustively confirm that a one-cusp type needs ``ONE_CUSP_FLOOR``
     faces, that the type at the floor is unique with face sizes {4,4,5^10},
     that the sizes alternate 4,5,4,5 around the cusp with the
     quadrilaterals non-adjacent (the parallel pair), and that it equals the
     contracted dodecahedron."""
-    report = enumerate_types(EnumSpec(ONE_CUSP_FLOOR, 1, FILTER_RIGHT_ANGLED), workers=workers)
+    report = enumerate_types(EnumSpec(ONE_CUSP_FLOOR, 1, FILTER_RIGHT_ANGLED))
     counts = dict(report.counts_by_faces)
     face_sizes = []
     cusp_cycle = ()
@@ -534,13 +513,13 @@ class TwoCuspMinimaReport:
         return out
 
 
-def two_cusp_minima(workers: int = 1) -> TwoCuspMinimaReport:
+def two_cusp_minima() -> TwoCuspMinimaReport:
     """Check ``TWO_CUSP_FLOORS`` by exhaustion: classified by the number t
     of 2-faces containing both cusps, accepted types need at least the
     floor of their class.  The census runs up to the largest floor, so
     every floor is checked from below and must be reached."""
     budget = max(TWO_CUSP_FLOORS.values())
-    report = enumerate_types(EnumSpec(budget, 2, FILTER_RIGHT_ANGLED), workers=workers)
+    report = enumerate_types(EnumSpec(budget, 2, FILTER_RIGHT_ANGLED))
     counts: dict[tuple[int, int], int] = {}
     violations = []
     for t in report.types:

@@ -278,12 +278,12 @@ def test_bounds_reports_a_refused_certificate(capsys, monkeypatch, argv):
 
 
 def test_cli_import_loads_no_process_pool():
-    """The process pool is imported only when ``--workers`` asks for one,
-    so a plain run does not load ``multiprocessing``."""
+    """Enumeration runs in one process and no module imports
+    ``concurrent.futures``, so loading the CLI does not pull it in."""
     import orthocusp
 
     env = dict(os.environ, PYTHONPATH=str(Path(orthocusp.__file__).parents[1]))
-    probe = "import sys, orthocusp.cli; print('concurrent.futures.process' in sys.modules)"
+    probe = "import sys, orthocusp.cli; print('concurrent.futures' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
@@ -415,11 +415,13 @@ def test_byte_identical_reports(capsys):
     assert first == second
 
 
-def test_worker_count_validated(capsys):
-    code, _, err = run(capsys, "enumerate", "--faces", "6", "--cusps", "0",
-                       "--workers", "0")
-    assert code == 2
-    assert err == "error: worker count must be at least 1\n"
+def test_no_workers_option(capsys):
+    for argv in (["enumerate", "--faces", "6", "--cusps", "0", "--workers", "2"],
+                 ["verify", "all", "--workers", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "--workers" in capsys.readouterr().err, argv
     with pytest.raises(SystemExit) as exc:
         main(["nope"])
     assert exc.value.code == 2

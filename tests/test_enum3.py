@@ -11,8 +11,8 @@ import pytest
 from orthocusp import (EnumSpec, Polyhedron3, canonical_code, core, dual, enum3,
                        enumerate_types, maps, validate)
 from orthocusp.core import RIGHT_ANGLED_PROFILE
-from orthocusp.enum3 import (FILTER_RIGHT_ANGLED, _candidates, _collect_chunk, _dualize,
-                             _is_canonical_augmentation, _pool_size,
+from orthocusp.enum3 import (FILTER_RIGHT_ANGLED, _candidates, _dualize,
+                             _is_canonical_augmentation, _level_candidates,
                              _quads_keep_three_connected, triangulations)
 from oracle import edge_set, is_three_connected
 
@@ -193,7 +193,7 @@ def test_augmentation_filter_uses_contractible_edges():
 
 @pytest.fixture(scope="module")
 def unfiltered_candidates():
-    """``_collect_chunk`` without the prefilter for 1 and 2 cusps at levels
+    """``_level_candidates`` without the prefilter for 1 and 2 cusps at levels
     4..10, with the number of canonical forms each run computed."""
     triangulations(10)
     out = {}
@@ -211,7 +211,7 @@ def unfiltered_candidates():
             for n in range(4, 11):
                 calls = 0
                 tris = triangulations(n)
-                found = _collect_chunk((tris, [()] * len(tris), c, False))
+                found = _level_candidates(tris, [()] * len(tris), c, False)
                 out[(n, c)] = (found, calls)
     return out
 
@@ -244,7 +244,7 @@ def test_least_diagonal_rule_keeps_every_candidate(unfiltered_candidates):
         tris = triangulations(n)
         picks = [p for rot in tris for p in _every_pick(rot, c)]
         assert set(found) == {code for code, _ in picks}, (n, c)
-        assert set(_collect_chunk((tris, [()] * len(tris), c, True))) == {
+        assert set(_level_candidates(tris, [()] * len(tris), c, True)) == {
             code for code, passes in picks if passes}, (n, c)
         assert calls <= len(picks)
         rejected += len(picks) - calls
@@ -269,13 +269,13 @@ def test_orbit_rule_keeps_every_candidate(monkeypatch, unfiltered_candidates):
             tris = triangulations(n)
             for prefilter in (False, True):
                 filtered = True
-                got = _collect_chunk((tris, _groups(n), c, prefilter))
+                got = _level_candidates(tris, _groups(n), c, prefilter)
                 if c and not prefilter:
                     want, count = unfiltered_candidates[(n, c)]
                     calls[False] += count
                 else:
                     filtered = False
-                    want = _collect_chunk((tris, [()] * len(tris), c, prefilter))
+                    want = _level_candidates(tris, [()] * len(tris), c, prefilter)
                 assert set(got) == set(want), (n, c, prefilter)
     assert calls[True] < calls[False]
 
@@ -296,8 +296,8 @@ def test_dualize_matches_core_dual(unfiltered_candidates):
     """On every deduplicated 0-, 1- and 2-cusp candidate up to 10 faces,
     ``_dualize`` gives ``core.dual`` of the map with its quadrilaterals
     marked, field for field, each face cycle from the same vertex."""
-    maps_by_cusps = {0: [rot for n in range(4, 11) for rot in _collect_chunk(
-        (triangulations(n), _groups(n), 0, False)).values()]}
+    maps_by_cusps = {0: [rot for n in range(4, 11) for rot in _level_candidates(
+        triangulations(n), _groups(n), 0, False).values()]}
     for (_, c), (found, _) in unfiltered_candidates.items():
         maps_by_cusps.setdefault(c, []).extend(found.values())
     for c, rots in maps_by_cusps.items():
@@ -353,15 +353,6 @@ def test_deficit_screen_matches_prefilter():
                     assert _candidates(rot, (), c, True) == [], (n, c, rot)
                     screened += 1
     assert screened > 0
-
-
-def test_pool_size_clamped(monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    assert _pool_size(10_000, 10_000) == 2
-    assert _pool_size(10_000, 1) == 1
-    assert _pool_size(1, 10_000) == 1
-    monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert _pool_size(10_000, 10_000) == 1
 
 
 def test_every_type_validates(enum_all_small):
@@ -422,16 +413,6 @@ def test_deterministic_output():
     assert [t.polyhedron for t in a.types] == [t.polyhedron for t in b.types]
 
 
-def test_worker_partitioning_equivalence():
-    try:
-        parallel = enumerate_types(EnumSpec(8, 1), workers=2)
-    except (OSError, PermissionError) as exc:  # no process pool in sandbox
-        pytest.skip(f"process pool unavailable: {exc}")
-    serial = enumerate_types(EnumSpec(8, 1))
-    assert serial.codes == parallel.codes
-    assert [t.polyhedron for t in serial.types] == [t.polyhedron for t in parallel.types]
-
-
 def test_budget_cap_enforced():
     with pytest.raises(ValueError):
         enumerate_types(EnumSpec(14, 0))
@@ -449,7 +430,7 @@ def test_nonpolyhedral_counted_not_emitted(enum_all_small):
     assert sum(report.nonpolyhedral_by_faces.values()) > 0
     # emitted types are exactly the 3-connected ones; re-check a sample
     for t in report.types[:10]:
-        assert is_three_connected(t.polyhedron.rotation())
+        assert is_three_connected(core.require_valid(t.polyhedron).rotation)
 
 
 def test_right_angled_filter_is_a_subset(enum_all_small):

@@ -167,7 +167,8 @@ def _marked_maps(reports):
     for report in reports:
         for t in report.types:
             p = t.polyhedron
-            yield p.rotation(), [int(v in p.ideal_vertices) for v in range(p.vertex_count)]
+            yield (core.require_valid(p).rotation,
+                   [int(v in p.ideal_vertices) for v in range(p.vertex_count)])
 
 
 def test_encode_aborts_exactly_when_larger(enum_all_small):
@@ -212,7 +213,7 @@ def _form_args(p):
     ``core.canonical_code`` passes them to canonical_form."""
     marks = [int(v in p.ideal_vertices) for v in range(p.vertex_count)]
     face_marks = {frozenset(p.faces[i]) for i in p.ideal_faces} or None
-    return p.rotation(), marks, face_marks
+    return core.require_valid(p).rotation, marks, face_marks
 
 
 def assert_form_is_exhaustive(polyhedra):
@@ -273,10 +274,10 @@ def test_ranking_skips_tied_starts(prism, monkeypatch):
 
 def test_code_vertex_limit(k_gonal_prism):
     # labels are single bytes below the 252..254 separators
-    assert maps.canonical_form(k_gonal_prism(126).rotation())[0]
+    assert maps.canonical_form(core.require_valid(k_gonal_prism(126)).rotation)[0]
     for k in (127, 129):
         with pytest.raises(maps.MapError, match=f"at most 252 vertices, got {2 * k}"):
-            maps.canonical_form(k_gonal_prism(k).rotation())
+            maps.canonical_form(core.require_valid(k_gonal_prism(k)).rotation)
 
 
 def test_edgeless_map_rejected():
