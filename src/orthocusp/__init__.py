@@ -43,7 +43,6 @@ from .nikulin import (
 )
 from .cusplink import (
     CuspLink,
-    SecondCuspCase,
     averaging_contradiction,
     count_cusp_faces,
     faces_through_edge,

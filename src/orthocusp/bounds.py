@@ -178,15 +178,11 @@ def main_bounds() -> BoundsCertificate:
     """Assemble the certified lower-bound table for dimensions 6..12."""
     strict = nikulin_rhs(6, 3, 2)
     cases = []
-    for name, (tag, _) in cusplink.BUILTIN_TABLES.items():
+    for name, (t, _) in cusplink.BUILTIN_TABLES.items():
         report = cusplink.verify_builtin(name)
         if not report.ok:
             raise AssertionError(f"built-in table {name} failed verification")
-        # each 3-face holding both cusps, a triple inside the carrier, lies on
-        # len(carrier) - 3 two-cusp 2-faces: that is its class t
-        case = cusplink.SecondCuspCase(tag)
-        t = len(case.carrier) - 3
-        deficits = [ceil(strict - enum3.TWO_CUSP_FLOORS[t])] * len(cusplink.two_cusp_faces(case))
+        deficits = [ceil(strict - enum3.TWO_CUSP_FLOORS[t])] * len(cusplink.two_cusp_faces(t))
         cases.append((t, name, cusplink.averaging_contradiction(strict, deficits, report.rows)))
     cases.sort(key=lambda c: c[0])
     n6 = N6Certificate(strict_bound=strict, one_cusp_floor=enum3.ONE_CUSP_FLOOR,

@@ -154,7 +154,7 @@ def cmd_enumerate(args, out: _Out) -> int:
             print("--check-cache needs --out or ORTHOCUSP_CACHE", file=sys.stderr)
             return EXIT_USAGE
         return _check_cache(spec, cache, out)
-    report = enum3.enumerate_types(spec, hard_cap=args.cap)
+    report = enum3.enumerate_types(spec)
     for line in report.lines():
         out.text(line)
     for n in sorted(report.counts_by_faces):
@@ -164,15 +164,21 @@ def cmd_enumerate(args, out: _Out) -> int:
         try:
             cache.mkdir(parents=True, exist_ok=True)
             index = []
+            written = set()
             for t in report.types:
                 hexcode = t.code.hex()
                 index.append(hexcode)
                 name = hashlib.sha256(t.code).hexdigest()[:12] + ".poly3"
+                written.add(name)
                 (cache / name).write_text(
                     to_poly3(t.polyhedron, comment=f"faces={t.faces} code={hexcode}"),
                     encoding="utf-8")
             (cache / "index.txt").write_text(
                 "".join(code + "\n" for code in sorted(index)), encoding="utf-8")
+            # type files of an earlier census in DIR would fail --check-cache
+            for path in cache.glob("*.poly3"):
+                if path.name not in written:
+                    path.unlink()
         except OSError as exc:
             print(f"cannot write cache: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -310,12 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cusps", type=int, default=0)
     sp.add_argument("--realizable", action="store_true",
                     help="keep only types passing the right-angled conditions")
-    sp.add_argument("--out", help="directory for POLY3 files and index.txt"
+    sp.add_argument("--out", help="directory for POLY3 files and index.txt; other"
+                                  " *.poly3 files there are deleted"
                                   " (default: $ORTHOCUSP_CACHE if set)")
     sp.add_argument("--check-cache", action="store_true",
                     help="verify a previously written cache instead of regenerating")
-    sp.add_argument("--cap", type=int, default=enum3.DEFAULT_CAP,
-                    help="hard face-budget cap (default 13)")
 
     sp = sub.add_parser("verify", help="named verification pipelines")
     sp.set_defaults(handler=cmd_verify)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,19 @@ def faces_through_edge(n: int) -> int:
     """Number of 3-faces containing a fixed edge through the cusp.
 
     The edge is cut out by n-1 pairwise non-parallel hyperfaces and a
-    3-face containing it chooses n-3 of them: C(n-1, n-3).
+    3-face containing it chooses n-3 of them: C(n-1, n-3).  Cross-checked
+    against the link: the 3-faces through the cusp whose hyperfaces all
+    belong to the first edge of ``cusp_faces(1)``.
     """
     if n < 4:
         raise ValueError("needs dimension at least 4")
+    link = CuspLink(n)
+    edge = link.cusp_faces(1)[0]
     formula = comb(n - 1, n - 3)
-    enumerated = sum(1 for _ in combinations(range(n - 1), n - 3))
+    enumerated = sum(1 for face in link.cusp_faces(3) if face <= edge)
     if formula != enumerated:
-        raise AssertionError("binomial enumeration mismatch")
+        raise AssertionError(
+            f"count mismatch for n={n}: formula {formula}, enumeration {enumerated}")
     return formula
 
 
@@ -91,40 +96,19 @@ def is_adjacent(link: CuspLink, f: frozenset[int], g: frozenset[int]) -> bool:
     return len(f & g) == len(f) - 1 and link.pair_free(f | g)
 
 
-CaseTag = Literal["face3", "face2", "edge"]
-
-#: Hyperface carriers of the second cusp for the three two-cusp cases in
-#: dimension six: the second cusp lies on a common 3-face, a common 2-face,
-#: or an edge running between the cusps.
-CARRIERS: dict[CaseTag, frozenset[int]] = {
-    "face3": frozenset({1, 2, 3}),
-    "face2": frozenset({1, 2, 3, 4}),
-    "edge": frozenset({1, 2, 3, 4, 5}),
-}
+def carrier(t: int) -> frozenset[int]:
+    """Hyperfaces through both cusps in the two-cusp case of class t in
+    dimension six: the hyperfaces 1..t+3, so the second cusp lies on a
+    common 3-face (t = 0), a common 2-face (t = 1) or an edge running
+    between the cusps (t = 2).  A 3-face holding both cusps is a triple
+    inside the carrier and lies on t two-cusp 2-faces, one per further
+    carrier hyperface: t is the class of ``enum3.TWO_CUSP_FLOORS``."""
+    return frozenset(range(1, t + 4))
 
 
-@dataclass(frozen=True)
-class SecondCuspCase:
-    """Position of the second cusp relative to the first, given by the set
-    of first-cusp hyperfaces that also pass through it."""
-
-    tag: CaseTag
-
-    def __post_init__(self):
-        if self.tag not in CARRIERS:
-            raise ValueError(f"unknown case tag {self.tag!r}")
-        link = CuspLink(6)
-        if not link.pair_free(self.carrier):
-            raise ValueError("carrier contains a parallel pair")
-
-    @property
-    def carrier(self) -> frozenset[int]:
-        return CARRIERS[self.tag]
-
-
-def two_cusp_faces(case: SecondCuspCase) -> set[frozenset[int]]:
+def two_cusp_faces(t: int) -> set[frozenset[int]]:
     """The 3-faces containing both cusps: all triples inside the carrier."""
-    return {frozenset(t) for t in combinations(sorted(case.carrier), 3)}
+    return {frozenset(s) for s in combinations(sorted(carrier(t)), 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +120,8 @@ def _rows(spec: Sequence[Sequence[Sequence[int]]]):
 
 
 #: Rows of pairwise-adjacent one-cusp 3-faces for the case of a single
-#: shared 2-face (carrier {1,2,3,4}); each row certifies one face that must
-#: exceed the twelve-face minimum.
+#: shared 2-face (class t = 1, carrier {1,2,3,4}); each row certifies one
+#: face that must exceed the twelve-face minimum.
 TABLE1 = _rows([
     [(1, 2, 6), (1, 2, 7), (1, 2, 8)],
     [(1, 3, 6), (1, 3, 7), (1, 3, 9)],
@@ -153,7 +137,7 @@ TABLE1 = _rows([
     [(3, 6, 10), (3, 7, 10), (3, 9, 10)],
 ])
 
-#: Rows for the case of an edge joining the two cusps (carrier {1,...,5}).
+#: Rows for the case of an edge joining the two cusps (t = 2, carrier {1,...,5}).
 TABLE2 = TABLE1 + _rows([
     [(4, 6, 10), (4, 8, 10), (4, 9, 10)],
     [(5, 7, 10), (5, 8, 10), (5, 9, 10)],
@@ -165,7 +149,7 @@ TABLE2 = TABLE1 + _rows([
     [(2, 6, 8), (4, 6, 8), (6, 8, 10)],
 ])
 
-#: Rows for the case of a single shared 3-face (carrier {1,2,3}).
+#: Rows for the case of a single shared 3-face (t = 0, carrier {1,2,3}).
 CASE41_ROWS = _rows([
     [(1, 2, 4), (1, 2, 5), (1, 2, 8)],
     [(1, 4, 5), (2, 4, 5), (4, 5, 8)],
@@ -173,16 +157,17 @@ CASE41_ROWS = _rows([
     [(1, 3, 9), (1, 4, 9), (1, 5, 9)],
 ])
 
-BUILTIN_TABLES: dict[str, tuple[CaseTag, tuple]] = {
-    "table1": ("face2", TABLE1),
-    "table2": ("edge", TABLE2),
-    "case41": ("face3", CASE41_ROWS),
+#: Each table with the class t of its two-cusp case (see ``carrier``).
+BUILTIN_TABLES: dict[str, tuple[int, tuple]] = {
+    "table1": (1, TABLE1),
+    "table2": (2, TABLE2),
+    "case41": (0, CASE41_ROWS),
 }
 
 
 @dataclass
 class TableReport:
-    case: CaseTag
+    t: int
     rows: int
     distinct_faces: int
     problems: list[str]
@@ -192,8 +177,7 @@ class TableReport:
         return not self.problems
 
 
-def verify_table(case: SecondCuspCase,
-                 rows: Sequence[Sequence[frozenset[int]]]) -> TableReport:
+def verify_table(t: int, rows: Sequence[Sequence[frozenset[int]]]) -> TableReport:
     """Re-derive the validity of an adjacency table instead of trusting it.
 
     Every row member must be a genuine 3-face through the first cusp only
@@ -202,7 +186,10 @@ def verify_table(case: SecondCuspCase,
     row certifies a distinct surplus face.
     """
     link = CuspLink(6)
+    shared = carrier(t)
     problems: list[str] = []
+    if not link.pair_free(shared):
+        problems.append(f"carrier {sorted(shared)} contains a parallel pair")
     seen: set[frozenset[int]] = set()
     for ri, row in enumerate(rows):
         if len(row) != 3:
@@ -214,7 +201,7 @@ def verify_table(case: SecondCuspCase,
                 problems.append(f"row {ri}: {s} is not a triple of hyperface ids")
             elif not link.pair_free(member):
                 problems.append(f"row {ri}: {s} contains a parallel pair")
-            elif member <= case.carrier:
+            elif member <= shared:
                 problems.append(f"row {ri}: {s} lies inside the carrier (second cusp)")
             if member in seen:
                 problems.append(f"row {ri}: {s} repeats an earlier member")
@@ -222,13 +209,13 @@ def verify_table(case: SecondCuspCase,
         for a, b in combinations(row, 2):
             if not is_adjacent(link, a, b):
                 problems.append(f"row {ri}: {sorted(a)} and {sorted(b)} are not adjacent")
-    return TableReport(case=case.tag, rows=len(rows),
+    return TableReport(t=t, rows=len(rows),
                        distinct_faces=len(seen), problems=problems)
 
 
 def verify_builtin(name: str) -> TableReport:
-    tag, rows = BUILTIN_TABLES[name]
-    return verify_table(SecondCuspCase(tag), rows)
+    t, rows = BUILTIN_TABLES[name]
+    return verify_table(t, rows)
 
 
 # ---------------------------------------------------------------------------

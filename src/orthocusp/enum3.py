@@ -44,6 +44,7 @@ from .data import load_fixture
 FILTER_ALL = "all-almost-simple"
 FILTER_RIGHT_ANGLED = "right-angled-accepted"
 
+#: Largest face budget ``enumerate_types`` accepts.
 DEFAULT_CAP = 13
 
 
@@ -71,9 +72,6 @@ class EnumeratedType:
     code: bytes
     faces: int
     polyhedron: Polyhedron3
-    #: with two cusps, the number of 2-faces containing both (0, 1 or 2);
-    #: 2 signals an edge running from cusp to cusp
-    shared_cusp_faces: int | None = None
 
 
 @dataclass
@@ -372,17 +370,18 @@ def _dualize(rot: maps.Rotation, faces: list[tuple[int, ...]],
         faces=_dual_cycles(rot, face_of))
 
 
-def enumerate_types(spec: EnumSpec, hard_cap: int = DEFAULT_CAP) -> EnumReport:
+def enumerate_types(spec: EnumSpec) -> EnumReport:
     """Enumerate every combinatorial type with at most ``spec.max_faces``
     faces, exactly ``spec.num_cusps`` degree-4 ideal vertices, all finite
     vertices of degree 3, and a 3-connected incidence structure.
 
     Output is deterministic (types sorted by canonical code).  Complexes
     passing all local checks but failing 3-connectivity are tallied
-    separately, never emitted.
+    separately, never emitted.  Budgets above ``DEFAULT_CAP`` faces are
+    refused.
     """
-    if spec.max_faces > hard_cap:
-        raise SpecError(f"face budget {spec.max_faces} above cap {hard_cap}")
+    if spec.max_faces > DEFAULT_CAP:
+        raise SpecError(f"face budget {spec.max_faces} above cap {DEFAULT_CAP}")
     prefilter = spec.filter == FILTER_RIGHT_ANGLED
     report = EnumReport(spec=spec)
     for n in range(4, spec.max_faces + 1):
@@ -403,13 +402,8 @@ def enumerate_types(spec: EnumSpec, hard_cap: int = DEFAULT_CAP) -> EnumReport:
                 raise AssertionError("cusp count mismatch after dualisation")
             if prefilter and _check_right_angled(p, rep).verdict != "pass":
                 continue
-            shared = None
-            if spec.num_cusps == 2:
-                c1, c2 = sorted(p.ideal_vertices)
-                shared = sum(1 for f in p.faces if c1 in f and c2 in f)
             report.types.append(EnumeratedType(
-                code=_canonical_code(p, rep.rotation), faces=n, polyhedron=p,
-                shared_cusp_faces=shared))
+                code=_canonical_code(p, rep.rotation), faces=n, polyhedron=p))
             report.counts_by_faces[n] = report.counts_by_faces.get(n, 0) + 1
     report.types.sort(key=lambda t: (t.faces, t.code))
     return report
@@ -522,12 +516,13 @@ def two_cusp_minima() -> TwoCuspMinimaReport:
     report = enumerate_types(EnumSpec(budget, 2, FILTER_RIGHT_ANGLED))
     counts: dict[tuple[int, int], int] = {}
     violations = []
-    for t in report.types:
-        cls = t.shared_cusp_faces
+    for typ in report.types:
+        c1, c2 = typ.polyhedron.ideal_vertices
+        cls = sum(1 for f in typ.polyhedron.faces if c1 in f and c2 in f)
         if cls not in TWO_CUSP_FLOORS:
             raise AssertionError(f"unexpected shared-face count {cls}")
-        counts[(cls, t.faces)] = counts.get((cls, t.faces), 0) + 1
-        if t.faces < TWO_CUSP_FLOORS[cls]:
-            violations.append((cls, t.faces))
+        counts[(cls, typ.faces)] = counts.get((cls, typ.faces), 0) + 1
+        if typ.faces < TWO_CUSP_FLOORS[cls]:
+            violations.append((cls, typ.faces))
     return TwoCuspMinimaReport(budget=budget, floors=dict(TWO_CUSP_FLOORS),
                                violations=violations, counts=counts)

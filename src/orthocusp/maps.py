@@ -227,32 +227,22 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None,
     # a simple spherical map is a triangulation exactly when 2E = 6n - 12
     if sum(deg) != 6 * n - 12:
         starts = _least_prefix_starts(rot, starts)
-    best = None
-    best_rot = None
+    faces = None
+    if face_marks is not None:
+        faces = [(face, 1 if frozenset(face) in face_marks else 0)
+                 for face in faces_of_rotation(rot)[0]]
+    best = best_vertex = best_rot = None
     orders = []
-    if face_marks is None:
-        for (u, v, s) in starts:
-            # with best given, a result is never larger than best
-            res = _encode(rot, marks, u, v, s, best)
-            if res is None:
-                continue
-            if best is None or res[0] < best:
-                best, best_rot = res[0], res[1]
-                orders = [res[2]]
-            else:
-                orders.append(res[2])
-        return best, best_rot, tuple(orders)
-
-    # marked faces: the tail depends on the traversal's labelling, and
-    # traversals tied on the vertex part may disagree on it (an unmarked
-    # automorphism need not respect face marks), so minimise the full code
-    faces = [(face, 1 if frozenset(face) in face_marks else 0)
-             for face in faces_of_rotation(rot)[0]]
     for (u, v, s) in starts:
-        res = _encode(rot, marks, u, v, s, None)
-        code = res[0] + _face_tail(faces, res[2])
+        # vertex codes all have one length, so the abort reads the vertex
+        # code alone; starts tied on it may differ in the face tail, since
+        # an automorphism of the unmarked map need not respect face marks
+        res = _encode(rot, marks, u, v, s, best_vertex)
+        if res is None:
+            continue
+        code = res[0] if faces is None else res[0] + _face_tail(faces, res[2])
         if best is None or code < best:
-            best, best_rot = code, res[1]
+            best, best_vertex, best_rot = code, res[0], res[1]
             orders = [res[2]]
         elif code == best:
             orders.append(res[2])

@@ -25,7 +25,7 @@ from orthocusp import (
     nikulin_rhs,
 )
 from orthocusp.cli import main
-from orthocusp.cusplink import CARRIERS, verify_builtin
+from orthocusp.cusplink import verify_builtin
 from orthocusp.data import load_fixture
 from test_core import relabeled
 
@@ -128,12 +128,11 @@ def test_criterion_7_table_verification(capsys):
 
     reports, elapsed = timed(work)
     ok = elapsed < 1.0
-    want = {"table1": (12, 36, CARRIERS["face2"]),
-            "table2": (20, 60, CARRIERS["edge"]),
-            "case41": (4, 12, CARRIERS["face3"])}
-    for name, (rows, faces, _carrier) in want.items():
+    # table name: rows, distinct members, class t of the two-cusp case
+    want = {"table1": (12, 36, 1), "table2": (20, 60, 2), "case41": (4, 12, 0)}
+    for name, (rows, faces, t) in want.items():
         rep = reports[name]
-        ok = ok and rep.ok and rep.rows == rows and rep.distinct_faces == faces
+        ok = ok and rep.ok and rep.rows == rows and rep.distinct_faces == faces and rep.t == t
     with capsys.disabled():
         assert announce(7, ok, f"{elapsed * 1e3:.1f}ms")
 

@@ -11,6 +11,7 @@ from orthocusp import (
 )
 from orthocusp import cusplink, enum3
 from orthocusp.bounds import chained_floor
+from orthocusp.cli import main
 
 MAIN_TABLE = {6: 3, 7: 17, 8: 36, 9: 91, 10: 254, 11: 741, 12: 2200}
 
@@ -146,3 +147,14 @@ def test_main_bounds_reads_census_floors(monkeypatch, two_cusp_report):
             main_bounds()
     assert main_bounds().table == MAIN_TABLE
 
+
+
+def test_main_bounds_reads_table_class(monkeypatch, capsys):
+    """A table's class t picks its census floor and its two-cusp 3-faces:
+    keyed to the edge case (t = 2), the 12 rows of table1 fall short of
+    the deficit 2 on each of 10 faces, and ``bounds`` refuses."""
+    monkeypatch.setitem(cusplink.BUILTIN_TABLES, "table1", (2, cusplink.TABLE1))
+    with pytest.raises(AssertionError, match="table1: surplus 12 vs deficit 20 "):
+        main_bounds()
+    assert main(["bounds"]) == 1
+    assert "table1: surplus 12 vs deficit 20 " in capsys.readouterr().err

@@ -395,6 +395,31 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "envcache" / "index.txt").exists()
 
 
+def test_enumerate_out_removes_stale_type_files(capsys, tmp_path):
+    """A census written over a larger one in the same DIR deletes the type
+    files it did not write, so its cache check passes; writing the same
+    census again deletes nothing."""
+    out_dir = tmp_path / "types"
+    census = ["--machine", "enumerate", "--cusps", "2", "--out", str(out_dir)]
+    written = []
+    for faces in ("8", "7", "7"):
+        code, out, _ = run(capsys, *census, "--faces", faces)
+        assert code == 0
+        written.append(sorted(path.name for path in out_dir.glob("*.poly3")))
+        assert f"total={len(written[-1])}" in out.splitlines()
+    assert len(written[0]) == 74
+    assert written[1] == written[2] and set(written[1]) < set(written[0])
+    code, out, _ = run(capsys, *census, "--faces", "7", "--check-cache")
+    assert (code, out) == (0, "cache=ok\n")
+
+
+def test_no_cap_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--faces", "12", "--cap", "10"])
+    assert exc.value.code == 2
+    assert "--cap" in capsys.readouterr().err
+
+
 def test_enumerate_over_cap(capsys):
     code, _, err = run(capsys, "enumerate", "--faces", "16", "--cusps", "0")
     assert code == 2
@@ -442,7 +467,7 @@ def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):
     assert err.startswith("internal error: rotation at vertex 0")
     for argv, word in ((["--faces", "3"], "4 faces"),
                        (["--faces", "6", "--cusps", "3"], "cusp count"),
-                       (["--faces", "12", "--cap", "10"], "above cap 10")):
+                       (["--faces", "14"], "above cap 13")):
         code, _, err = run(capsys, "enumerate", *argv)
         assert code == 2, argv
         assert err.startswith("error: ") and word in err, argv

@@ -6,7 +6,6 @@ import pytest
 
 from orthocusp import (
     CuspLink,
-    SecondCuspCase,
     averaging_contradiction,
     count_cusp_faces,
     faces_through_edge,
@@ -14,7 +13,7 @@ from orthocusp import (
     two_cusp_faces,
     verify_table,
 )
-from orthocusp.cusplink import BUILTIN_TABLES, CARRIERS, verify_builtin
+from orthocusp.cusplink import BUILTIN_TABLES, carrier, verify_builtin
 
 
 def test_counts_from_the_argument():
@@ -40,6 +39,17 @@ def test_count_range_errors():
 def test_faces_through_edge():
     assert faces_through_edge(7) == 15
     assert faces_through_edge(6) == 10
+    assert [faces_through_edge(n) for n in range(4, 10)] == [3, 6, 10, 15, 21, 28]
+
+
+def test_faces_through_edge_reads_the_link(monkeypatch):
+    # the closed form is checked against the link's own 3-faces inside an
+    # edge, so a link model that loses them is caught
+    real = CuspLink.cusp_faces
+    monkeypatch.setattr(CuspLink, "cusp_faces",
+                        lambda self, k: real(self, k) if k == 1 else [])
+    with pytest.raises(AssertionError, match="formula 15, enumeration 0"):
+        faces_through_edge(7)
 
 
 def test_pairing_involution():
@@ -72,50 +82,62 @@ def test_adjacency_dimension_mismatch():
 
 
 def test_two_cusp_faces_cases():
-    assert two_cusp_faces(SecondCuspCase("face3")) == {frozenset({1, 2, 3})}
-    face2 = two_cusp_faces(SecondCuspCase("face2"))
+    assert two_cusp_faces(0) == {frozenset({1, 2, 3})}
+    face2 = two_cusp_faces(1)
     assert face2 == {frozenset(s) for s in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))}
-    edge = two_cusp_faces(SecondCuspCase("edge"))
+    edge = two_cusp_faces(2)
     assert len(edge) == 10
-    assert all(f <= CARRIERS["edge"] for f in edge)
+    assert all(f <= carrier(2) for f in edge)
+    assert carrier(2) == frozenset({1, 2, 3, 4, 5})
 
 
 def test_builtin_tables_verify():
-    expectations = {"table1": (12, 36), "table2": (20, 60), "case41": (4, 12)}
-    for name, (rows, distinct) in expectations.items():
+    # insertion order is the `verify tables` output order
+    expectations = {"table1": (1, 12, 36), "table2": (2, 20, 60), "case41": (0, 4, 12)}
+    assert list(BUILTIN_TABLES) == list(expectations)
+    for name, (t, rows, distinct) in expectations.items():
         report = verify_builtin(name)
         assert report.ok, report.problems
+        assert report.t == BUILTIN_TABLES[name][0] == t
         assert report.rows == rows
         assert report.distinct_faces == distinct
 
 
 def test_verify_catches_carrier_member():
-    tag, rows = BUILTIN_TABLES["table1"]
+    t, rows = BUILTIN_TABLES["table1"]
     bad = (tuple(list(rows[0][:2]) + [frozenset({1, 2, 3})]),) + rows[1:]
-    report = verify_table(SecondCuspCase(tag), bad)
+    report = verify_table(t, bad)
     assert not report.ok
     assert any("carrier" in p for p in report.problems)
 
 
 def test_verify_catches_non_adjacent_row():
-    tag, rows = BUILTIN_TABLES["table1"]
+    t, rows = BUILTIN_TABLES["table1"]
     # {1,2,6} and {1,2,5}: 5 and 6 are parallel partners
     bad = ((frozenset({1, 2, 6}), frozenset({1, 2, 7}), frozenset({1, 2, 5})),)
-    report = verify_table(SecondCuspCase(tag), bad)
+    report = verify_table(t, bad)
     assert not report.ok
     assert any("not adjacent" in p for p in report.problems)
 
 
 def test_verify_catches_parallel_pair_member():
-    tag, _rows = BUILTIN_TABLES["table1"]
+    t, _rows = BUILTIN_TABLES["table1"]
     bad = ((frozenset({1, 2, 6}), frozenset({1, 2, 7}), frozenset({5, 6, 7})),)
-    report = verify_table(SecondCuspCase(tag), bad)
+    report = verify_table(t, bad)
     assert any("parallel" in p for p in report.problems)
 
 
+def test_verify_catches_carrier_with_parallel_pair():
+    # class 3 would put hyperfaces 5 and 6, a parallel pair, on both cusps
+    assert carrier(3) == frozenset(range(1, 7))
+    _t, rows = BUILTIN_TABLES["case41"]
+    report = verify_table(3, rows)
+    assert "carrier [1, 2, 3, 4, 5, 6] contains a parallel pair" in report.problems
+
+
 def test_verify_catches_repeats():
-    tag, rows = BUILTIN_TABLES["table1"]
-    report = verify_table(SecondCuspCase(tag), rows + rows[:1])
+    t, rows = BUILTIN_TABLES["table1"]
+    report = verify_table(t, rows + rows[:1])
     assert any("repeats" in p for p in report.problems)
 
 
