@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
+from typing import Mapping
 
 from .core import Edge, Polyhedron3, Poly3Error, ValidationReport, require_valid, _norm_edge
 
@@ -79,29 +81,11 @@ def adjacency(p: Polyhedron3) -> dict[tuple[int, int], list[Edge]]:
     """Symmetric face-pair table: shared edges of every adjacent pair.
 
     Entries under both (i, j) and (j, i); a multiplicity above one signals
-    two faces sharing several edges.
+    two faces sharing several edges.  A fresh copy of the kept face graph's
+    table.
     """
-    return _adjacency(require_valid(p))
-
-
-def _adjacency(incidence: ValidationReport) -> dict[tuple[int, int], list[Edge]]:
-    """``adjacency`` from the validation report of a valid polyhedron.
-
-    Each edge enters at its dart in the earlier face, so the pairs come in
-    the order their first shared edge appears in the faces.  A dart whose
-    reverse lies on the same face joins no pair.
-    """
-    face_of = incidence.face_of
-    table: dict[tuple[int, int], list[Edge]] = {}
-    for (u, v), a in face_of.items():
-        b = face_of[(v, u)]
-        if a < b:
-            e = _norm_edge(u, v)
-            table.setdefault((a, b), []).append(e)
-            table.setdefault((b, a), []).append(e)
-    for key in table:
-        table[key].sort()
-    return table
+    table = _face_graph(p, require_valid(p)).adjacency
+    return {pair: list(edges) for pair, edges in table.items()}
 
 
 def prismatic_circuits(p: Polyhedron3, length: int) -> list[PrismaticCircuit]:
@@ -115,21 +99,65 @@ def prismatic_circuits(p: Polyhedron3, length: int) -> list[PrismaticCircuit]:
     """
     if length not in (3, 4):
         raise ValueError("circuit length must be 3 or 4")
-    return _prismatic_circuits(p, length, _neighbours(len(p.faces), adjacency(p)))
+    graph = _face_graph(p, require_valid(p))
+    return list(graph.circuits3 if length == 3 else graph.circuits4)
 
 
-def _neighbours(nf: int, table: dict[tuple[int, int], list[Edge]]) -> list[set[int]]:
-    """The adjacent faces of each face, read from the adjacency table."""
-    nbrs: list[set[int]] = [set() for _ in range(nf)]
-    for a, b in table:
-        nbrs[a].add(b)
-    return nbrs
+@dataclass(frozen=True)
+class FaceGraph:
+    """What both checks read off the faces of a valid polyhedron, derived
+    once from its validation report and kept on it (``_face_graph``).
+
+    ``adjacency`` maps each adjacent face pair, under both (i, j) and
+    (j, i), to the sorted edges they share; ``circuits3`` and ``circuits4``
+    are the prismatic circuits; ``flanks`` are the candidates of condition
+    (d).  Every member is immutable, so the public readers copy out of it.
+    """
+
+    adjacency: Mapping[tuple[int, int], tuple[Edge, ...]]
+    circuits3: tuple[PrismaticCircuit, ...]
+    circuits4: tuple[PrismaticCircuit, ...]
+    flanks: tuple[tuple[int, int, int, tuple[int, ...]], ...]
 
 
-def _prismatic_circuits(p: Polyhedron3, length: int,
-                        nbrs: list[set[int]]) -> list[PrismaticCircuit]:
-    """``prismatic_circuits`` given the face neighbour sets N(x) of ``p``
-    (``_neighbours``), listed by sorted members.
+def _face_graph(p: Polyhedron3, incidence: ValidationReport) -> FaceGraph:
+    """The face graph of ``p`` given its validation report, derived on the
+    first call and kept on the report."""
+    if incidence.face_graph is None:
+        incidence.face_graph = _derive_face_graph(p, incidence)
+    return incidence.face_graph
+
+
+def _derive_face_graph(p: Polyhedron3, incidence: ValidationReport) -> FaceGraph:
+    """``FaceGraph`` of a valid polyhedron from its validation report.
+
+    Each edge enters at its dart in the earlier face, so the adjacency
+    pairs come in the order their first shared edge appears in the faces.
+    A dart whose reverse lies on the same face joins no pair.  The face
+    neighbour sets N(x) and vertex sets feed the circuit and flank
+    searches.
+    """
+    face_of = incidence.face_of
+    table: dict[tuple[int, int], tuple[Edge, ...]] = {}
+    nbrs: list[set[int]] = [set() for _ in p.faces]
+    for (u, v), a in face_of.items():
+        b = face_of[(v, u)]
+        if a < b:
+            shared = table.get((a, b), ())
+            table[(a, b)] = table[(b, a)] = tuple(sorted(shared + (_norm_edge(u, v),)))
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    vsets = [frozenset(face) for face in p.faces]
+    return FaceGraph(adjacency=MappingProxyType(table),
+                     circuits3=_prismatic_circuits(3, nbrs, vsets),
+                     circuits4=_prismatic_circuits(4, nbrs, vsets),
+                     flanks=_cusp_flanks(p, nbrs, vsets))
+
+
+def _prismatic_circuits(length: int, nbrs: list[set[int]],
+                        vsets: list[frozenset[int]]) -> tuple[PrismaticCircuit, ...]:
+    """The prismatic circuits of the given length, given the face neighbour
+    sets N(x) and the vertex set of each face, listed by sorted members.
 
     Exactly once: a 3-circuit a < b < c is met only from its least member a,
     with b in N(a) and c in N(a) & N(b).  An induced 4-cycle with least
@@ -139,8 +167,7 @@ def _prismatic_circuits(p: Polyhedron3, length: int,
     and b, d non-adjacent is an induced 4-cycle.  A candidate is kept when
     its members share no vertex.
     """
-    nf = len(p.faces)
-    vsets = [set(face) for face in p.faces]
+    nf = len(nbrs)
     out = []
     if length == 3:
         for a in range(nf):
@@ -148,7 +175,7 @@ def _prismatic_circuits(p: Polyhedron3, length: int,
                 for c in sorted(x for x in nbrs[a] & nbrs[b] if x > b):
                     if not vsets[a] & vsets[b] & vsets[c]:
                         out.append(PrismaticCircuit((a, b, c)))
-        return out
+        return tuple(out)
     for a in range(nf):
         for c in range(a + 1, nf):
             if c in nbrs[a]:
@@ -159,23 +186,25 @@ def _prismatic_circuits(p: Polyhedron3, length: int,
                 if d not in nbrs[b] and not shared & vsets[b] & vsets[d]:
                     out.append(PrismaticCircuit((a, b, c, d)))
     out.sort(key=lambda circ: sorted(circ.faces))
-    return out
+    return tuple(out)
 
 
-def _cusp_flanks(p: Polyhedron3, nbrs: list[set[int]]):
+def _cusp_flanks(p: Polyhedron3, nbrs: list[set[int]], vsets: list[frozenset[int]]):
     """The candidates of condition (d): ``(i, j, k, cusps)`` where faces j < k
     are non-adjacent and share the cusps, and face i is adjacent to both
-    without containing every shared cusp, given the face neighbour sets.
-    In (j, k) then i order."""
-    cusps = [p.ideal_vertices.intersection(face) for face in p.faces]
+    without containing every shared cusp, given the face neighbour and
+    vertex sets.  In (j, k) then i order."""
+    cusps = [p.ideal_vertices & vs for vs in vsets]
     cusped = [fi for fi, found in enumerate(cusps) if found]
+    out = []
     for j, k in combinations(cusped, 2):
         shared = cusps[j] & cusps[k]
         if not shared or k in nbrs[j]:
             continue
         for i in sorted(nbrs[j] & nbrs[k]):
-            if not shared <= set(p.faces[i]):
-                yield i, j, k, sorted(shared)
+            if not shared <= vsets[i]:
+                out.append((i, j, k, tuple(sorted(shared))))
+    return tuple(out)
 
 
 def right_angles(p: Polyhedron3) -> dict[Edge, Fraction]:
@@ -185,8 +214,9 @@ def right_angles(p: Polyhedron3) -> dict[Edge, Fraction]:
 
 def parse_angles(text: str) -> dict[Edge, Fraction]:
     """Parse an angle file: lines ``angle: u v p q`` meaning edge {u,v} has
-    dihedral angle (p/q)*pi."""
+    dihedral angle (p/q)*pi.  Each edge takes one line."""
     angles: dict[Edge, Fraction] = {}
+    first_line: dict[Edge, int] = {}
     for num, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -202,7 +232,11 @@ def parse_angles(text: str) -> dict[Edge, Fraction]:
             raise AngleError("angle tokens must be integers", num) from None
         if qd == 0:
             raise AngleError("angle has a zero denominator", num)
-        angles[_norm_edge(u, v)] = Fraction(pn, qd)
+        e = _norm_edge(u, v)
+        if e in first_line:
+            raise AngleError(f"edge {e} already has an angle on line {first_line[e]}", num)
+        first_line[e] = num
+        angles[e] = Fraction(pn, qd)
     return angles
 
 
@@ -251,8 +285,8 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
         return report
 
     report.entries = {k: [] for k in ("a", "b", "c", "d", "e")}
-    table = _adjacency(incidence)
-    nbrs = _neighbours(len(p.faces), table)
+    graph = _face_graph(p, incidence)
+    table = graph.adjacency
 
     for v, at in enumerate(edges_at):
         total = sum(angles[e] for e in at)
@@ -271,7 +305,7 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
     def pair_angles(a: int, b: int):
         return [angles[e] for e in table[(a, b)]]
 
-    for circ in _prismatic_circuits(p, 3, nbrs):
+    for circ in graph.circuits3:
         a, b, c = circ.faces
         for qa in pair_angles(a, b):
             for qb in pair_angles(a, c):
@@ -280,11 +314,11 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
                         report.entries["c"].append((circ.faces, qa + qb + qc))
 
     # (d): at each flank F_i of a cusp shared by F_j, F_k, some angle is not 1/2
-    for i, j, k, cusps in _cusp_flanks(p, nbrs):
+    for i, j, k, cusps in graph.flanks:
         if all(q == HALF for q in pair_angles(i, j) + pair_angles(i, k)):
-            report.entries["d"].append((i, j, k, cusps))
+            report.entries["d"].append((i, j, k, list(cusps)))
 
-    for circ in _prismatic_circuits(p, 4, nbrs):
+    for circ in graph.circuits4:
         a, b, c, d = circ.faces
         ring = [(a, b), (b, c), (c, d), (d, a)]
         if all(q == HALF for x, y in ring for q in pair_angles(x, y)):
@@ -320,10 +354,10 @@ def _check_right_angled(p: Polyhedron3, incidence: ValidationReport) -> Conditio
         if len(face) + cusps < 5:
             report.entries["face_size"].append((fi, len(face), cusps))
 
-    table = _adjacency(incidence)
-    for (a, b), shared in table.items():
+    graph = _face_graph(p, incidence)
+    for (a, b), shared in graph.adjacency.items():
         if a < b and len(shared) > 1:
-            report.entries["single_shared_edge"].append((a, b, shared))
+            report.entries["single_shared_edge"].append((a, b, list(shared)))
 
     for v, nbrs in enumerate(incidence.rotation):
         d = len(nbrs)
@@ -333,10 +367,9 @@ def _check_right_angled(p: Polyhedron3, incidence: ValidationReport) -> Conditio
         elif d != 3:
             report.entries["vertex_degree"].append((v, d))
 
-    nbrs = _neighbours(len(p.faces), table)
-    for circ in _prismatic_circuits(p, 3, nbrs):
+    for circ in graph.circuits3:
         report.entries["c"].append((circ.faces, Fraction(3, 2)))
-    for circ in _prismatic_circuits(p, 4, nbrs):
+    for circ in graph.circuits4:
         report.entries["e"].append((circ.faces,))
-    report.entries["d"].extend(_cusp_flanks(p, nbrs))
+    report.entries["d"].extend((i, j, k, list(cusps)) for i, j, k, cusps in graph.flanks)
     return report

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from . import maps
+
+if TYPE_CHECKING:
+    from .andreev import FaceGraph
 
 Edge = tuple[int, int]
 
@@ -103,13 +106,15 @@ class ValidationReport:
     degree-profile deviations, each with a witness.  ``rotation`` is the
     rotation system validation built, and ``face_of`` maps each dart
     ``(u, v)`` to the index of its face; both are None when validation
-    stopped earlier."""
+    stopped earlier.  ``face_graph`` is the ``andreev.FaceGraph`` a check
+    derives from a valid report, kept here once derived."""
 
     violations: list[tuple[str, str]] = field(default_factory=list)
     warnings: list[tuple[str, str]] = field(default_factory=list)
     degree_violations: list[tuple[int, int, int]] = field(default_factory=list)
     rotation: maps.Rotation | None = field(default=None, repr=False, compare=False)
     face_of: dict[tuple[int, int], int] | None = field(default=None, repr=False, compare=False)
+    face_graph: FaceGraph | None = field(default=None, repr=False, compare=False)
 
     @property
     def valid(self) -> bool:

@@ -180,6 +180,14 @@ def test_angle_file_parsing():
         parse_angles("angle: 0 1 1 2\nangle: 0 1 1 0\n")
 
 
+def test_angle_file_repeated_edge():
+    """A second line for one edge, in either orientation, is refused at
+    that line rather than overriding the first."""
+    with pytest.raises(AngleError,
+                       match=r"^line 3: edge \(0, 1\) already has an angle on line 1$"):
+        parse_angles("angle: 0 1 1 2\nangle: 1 2 1 3\nangle: 1 0 1 3\n")
+
+
 # ---------------------------------------------------------------------------
 # right-angled check
 # ---------------------------------------------------------------------------
@@ -270,3 +278,68 @@ def test_checks_validate_once(one_cusp_12, monkeypatch):
         edge_reads.append(calls["edges"] - before)
     assert calls["validate"] == 1
     assert edge_reads[0] == 0 and edge_reads[1] <= 1
+
+
+def test_face_graph_derived_once(one_cusp_12, monkeypatch):
+    """Both checks, ``adjacency`` and ``prismatic_circuits`` on one instance
+    derive its face graph once, and what they return is the caller's: a
+    mutated table, circuit list or report leaves a later check unchanged."""
+    from copy import deepcopy
+    from dataclasses import replace
+
+    from orthocusp import PrismaticCircuit, andreev
+
+    p = replace(one_cusp_12)   # a fresh instance: nothing is kept on it yet
+    derived = Counter()
+    real_derive = andreev._derive_face_graph
+
+    def derive(*args):
+        derived["graph"] += 1
+        return real_derive(*args)
+
+    monkeypatch.setattr(andreev, "_derive_face_graph", derive)
+    first = check_right_angled(p)
+    expected = deepcopy(first.entries)
+    check_andreev(p, right_angles(p))
+    table = adjacency(p)
+    circuits = {length: prismatic_circuits(p, length) for length in (3, 4)}
+    assert derived["graph"] == 1
+
+    # each change would add a witness to a report that read it
+    next(iter(table.values())).append((0, 1))
+    table[(0, 1)] = table[(1, 0)] = [(0, 1), (1, 2)]
+    circuits[3].append(PrismaticCircuit((0, 1, 2)))
+    circuits[4].append(PrismaticCircuit((0, 1, 2, 3)))
+    for witnesses in first.entries.values():
+        witnesses.append("stale")
+    later = check_right_angled(p)
+    assert later.entries == expected
+    assert later.verdict == "pass"
+    assert derived["graph"] == 1
+
+
+def test_check_reports_independent_of_call_order(enum_all_small):
+    """Each check's report (entries, witness order, verdict) on a fresh
+    instance equals its report after the other check ran on the instance
+    and its report was scribbled on, over every type up to 8 faces and the
+    9-face one- and two-cusp types."""
+    from copy import deepcopy
+    from dataclasses import replace
+
+    polys = [t.polyhedron for report in enum_all_small.values() for t in report.types]
+    for cusps in (1, 2):
+        polys += [t.polyhedron for t in enum3.enumerate_types(enum3.EnumSpec(9, cusps)).types
+                  if t.faces == 9]
+    checks = (check_right_angled, lambda p: check_andreev(p, right_angles(p)))
+    for p in polys:
+        for first, second in (checks, checks[::-1]):
+            alone = second(replace(p))
+            shared = replace(p)
+            before = first(shared)
+            kept = deepcopy(before.entries)
+            for witnesses in before.entries.values():
+                witnesses.append("stale")
+            after = second(shared)
+            assert (after.entries, after.verdict) == (alone.entries, alone.verdict), p
+            again = first(shared)
+            assert again.entries == kept, p

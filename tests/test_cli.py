@@ -168,6 +168,21 @@ def test_andreev_angle_file_zero_denominator(capsys, tmp_path):
     assert err == "error: line 2: angle has a zero denominator\n"
 
 
+def test_andreev_angle_file_repeated_edge(capsys, tmp_path, cube):
+    """A second angle for one edge exits 1 naming its line; it is not
+    evaluated as an override."""
+    angle_file = tmp_path / "angles.txt"
+    lines = [f"angle: {u} {v} 1 2\n" for u, v in cube.edges]
+    u, v = cube.edges[0]
+    angle_file.write_text("".join(lines) + f"angle: {v} {u} 1 3\n")
+    code, out, err = run(capsys, "andreev", fixture_path("cube"),
+                         "--angles", str(angle_file))
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: line {len(lines) + 1}: edge {(u, v)} "
+                   "already has an angle on line 1\n")
+
+
 def test_missing_file_io_error(capsys):
     """An unreadable input file returns the I/O code, as every other
     outcome returns its code, with one line on stderr."""
