@@ -1,8 +1,9 @@
 """Acute-angled and right-angled realizability checks for 3-polyhedra.
 
 Angles are exact rationals q with 0 < q <= 1/2, read as a dihedral angle of
-q*pi.  Every condition is an equality or strict inequality between sums of
-rationals, so no floating point appears anywhere.
+q*pi; any other angle is refused.  Every condition is an equality or strict
+inequality between sums of angles, which ``check_andreev`` takes as integer
+numerators over one common denominator, so no floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from numbers import Rational
 from types import MappingProxyType
 from typing import Mapping
 
@@ -261,15 +264,26 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
 
     Requires finite vertices of degree 3 and cusps of degree 3 or 4.  The
     tetrahedron and triangular prism types receive the outside-scope
-    verdict.  Angle q means q*pi; every edge needs one entry in (0, 1/2].
+    verdict.  Angle q means q*pi; every edge needs one rational entry in
+    (0, 1/2], and no other vertex pair may have one.
     """
     incidence = require_valid(p)
-    for e in p.edges:
+    edges = p.edges
+    terms = []
+    for e in edges:
         if e not in angles:
             raise AngleError(f"missing angle for edge {e}")
         q = angles[e]
-        if not (0 < q <= HALF):
+        if not isinstance(q, Rational):
+            raise AngleError(f"angle {q} for edge {e} is not rational")
+        n, d = q.numerator, q.denominator
+        if not (0 < n and 2 * n <= d):
             raise AngleError(f"angle {q} for edge {e} outside (0, 1/2]")
+        terms.append((n, d))
+    if len(angles) > len(edges):
+        known = set(edges)
+        stray = next(pair for pair in angles if pair not in known)
+        raise AngleError(f"angle given for {stray}, which is not an edge")
     edges_at = _edges_at_vertices(incidence)
     for v, at in enumerate(edges_at):
         d = len(at)
@@ -287,41 +301,43 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
     report.entries = {k: [] for k in ("a", "b", "c", "d", "e")}
     graph = _face_graph(p, incidence)
     table = graph.adjacency
+    # each angle as x/L over the common denominator L: pi is L, pi/2 is 2x == L
+    L = lcm(*(d for _, d in terms))
+    x = {e: n * (L // d) for e, (n, d) in zip(edges, terms)}
 
     for v, at in enumerate(edges_at):
-        total = sum(angles[e] for e in at)
+        total = sum(map(x.__getitem__, at))
         if v in p.ideal_vertices:
             if len(at) == 3:
-                if total != 1:
-                    report.entries["a"].append((v, total))
+                if total != L:
+                    report.entries["a"].append((v, Fraction(total, L)))
             else:
-                bad = [e for e in at if angles[e] != HALF]
+                bad = [e for e in at if 2 * x[e] != L]
                 if bad:
                     report.entries["b"].append((v, bad))
-        else:
-            if total < 1:
-                report.entries["a"].append((v, total))
+        elif total < L:
+            report.entries["a"].append((v, Fraction(total, L)))
 
     def pair_angles(a: int, b: int):
-        return [angles[e] for e in table[(a, b)]]
+        return [x[e] for e in table[(a, b)]]
 
     for circ in graph.circuits3:
         a, b, c = circ.faces
-        for qa in pair_angles(a, b):
-            for qb in pair_angles(a, c):
-                for qc in pair_angles(b, c):
-                    if qa + qb + qc >= 1:
-                        report.entries["c"].append((circ.faces, qa + qb + qc))
+        for xa in pair_angles(a, b):
+            for xb in pair_angles(a, c):
+                for xc in pair_angles(b, c):
+                    if xa + xb + xc >= L:
+                        report.entries["c"].append((circ.faces, Fraction(xa + xb + xc, L)))
 
     # (d): at each flank F_i of a cusp shared by F_j, F_k, some angle is not 1/2
     for i, j, k, cusps in graph.flanks:
-        if all(q == HALF for q in pair_angles(i, j) + pair_angles(i, k)):
+        if all(2 * y == L for y in pair_angles(i, j) + pair_angles(i, k)):
             report.entries["d"].append((i, j, k, list(cusps)))
 
     for circ in graph.circuits4:
         a, b, c, d = circ.faces
         ring = [(a, b), (b, c), (c, d), (d, a)]
-        if all(q == HALF for x, y in ring for q in pair_angles(x, y)):
+        if all(2 * y == L for u, w in ring for y in pair_angles(u, w)):
             report.entries["e"].append((circ.faces,))
     return report
 

@@ -295,9 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("andreev", help="acute-angled realizability conditions")
     sp.set_defaults(handler=cmd_andreev)
     sp.add_argument("file")
-    sp.add_argument("--angles", help="angle file: lines 'angle: u v p q'")
-    sp.add_argument("--right-angled", action="store_true",
-                    help="use the all-right assignment (every angle pi/2)")
+    given = sp.add_mutually_exclusive_group()
+    given.add_argument("--angles", help="angle file: lines 'angle: u v p q'")
+    given.add_argument("--right-angled", action="store_true",
+                       help="use the all-right assignment (every angle pi/2)")
 
     sp = sub.add_parser("right-angled", help="right-angled realizability conditions")
     sp.set_defaults(handler=cmd_right_angled)

@@ -55,6 +55,23 @@ def k_gonal_prism():
 
 
 @pytest.fixture(scope="session")
+def loebell():
+    """Factory for the Loebell polyhedron L(n), n >= 5: two n-gons, each
+    ringed by n pentagons, with 4n vertices and 2n + 2 faces.  L(5) is the
+    dodecahedron."""
+    def build(n: int) -> Polyhedron3:
+        top = tuple(range(n))
+        bottom = tuple(3 * n + i for i in range(n - 1, -1, -1))
+        upper, lower = [], []
+        for i in range(n):
+            j = (i + 1) % n
+            upper.append((j, i, n + i, 2 * n + i, n + j))
+            lower.append((n + j, 2 * n + i, 3 * n + i, 3 * n + j, 2 * n + j))
+        return Polyhedron3(4 * n, frozenset(), (top, bottom) + tuple(upper) + tuple(lower))
+    return build
+
+
+@pytest.fixture(scope="session")
 def subdivided_cube(cube):
     """The cube with a new vertex 8 on its edge 0-3 and vertex 2 marked
     ideal: faces 0 and 5 through vertex 8 share two edges, and vertex 8

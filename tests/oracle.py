@@ -10,17 +10,23 @@ It also keeps the references that only tests use: the edge list of a
 rotation system, vertex 3-connectivity of a rotation system by removing
 every vertex pair, the every-tuple scan for prismatic circuits,
 structural validation as it was before the one-pass kernel, with the
-rotation builder it called, and the face adjacency table and edge
-contraction as they were before they read the validation report.
+rotation builder it called, the face adjacency table and edge
+contraction as they were before they read the validation report, and
+the acute-angled check as it was when it summed ``Fraction`` angles.
+The last one reads the package's face graph and report type, so only its
+arithmetic is independent.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
 
-from orthocusp.core import Poly3Error, Polyhedron3, ValidationReport
+from orthocusp.andreev import (HALF, AngleError, ConditionReport, _edges_at_vertices,
+                               _face_graph, _is_tetrahedron, _is_triangular_prism)
+from orthocusp.core import Edge, Poly3Error, Polyhedron3, ValidationReport, require_valid
 from orthocusp.maps import MapError
 
 
@@ -437,3 +443,69 @@ def contract_edge_reference(p, e):
         new_faces.append(mapped)
     ideal = frozenset(remap[x] for x in p.ideal_vertices) | {w}
     return Polyhedron3(vertex_count=w + 1, ideal_vertices=ideal, faces=tuple(new_faces))
+
+
+def check_andreev_reference(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionReport:
+    """``andreev.check_andreev`` as it was when it summed and compared the
+    ``Fraction`` angles themselves."""
+    incidence = require_valid(p)
+    for e in p.edges:
+        if e not in angles:
+            raise AngleError(f"missing angle for edge {e}")
+        q = angles[e]
+        if not (0 < q <= HALF):
+            raise AngleError(f"angle {q} for edge {e} outside (0, 1/2]")
+    edges_at = _edges_at_vertices(incidence)
+    for v, at in enumerate(edges_at):
+        d = len(at)
+        if v in p.ideal_vertices:
+            if d not in (3, 4):
+                raise Poly3Error(f"cusp {v} has degree {d}, need 3 or 4")
+        elif d != 3:
+            raise Poly3Error(f"finite vertex {v} has degree {d}, need 3 (almost simple)")
+
+    report = ConditionReport()
+    if _is_tetrahedron(p) or _is_triangular_prism(p):
+        report.excluded_family = True
+        return report
+
+    report.entries = {k: [] for k in ("a", "b", "c", "d", "e")}
+    graph = _face_graph(p, incidence)
+    table = graph.adjacency
+
+    for v, at in enumerate(edges_at):
+        total = sum(angles[e] for e in at)
+        if v in p.ideal_vertices:
+            if len(at) == 3:
+                if total != 1:
+                    report.entries["a"].append((v, total))
+            else:
+                bad = [e for e in at if angles[e] != HALF]
+                if bad:
+                    report.entries["b"].append((v, bad))
+        else:
+            if total < 1:
+                report.entries["a"].append((v, total))
+
+    def pair_angles(a: int, b: int):
+        return [angles[e] for e in table[(a, b)]]
+
+    for circ in graph.circuits3:
+        a, b, c = circ.faces
+        for qa in pair_angles(a, b):
+            for qb in pair_angles(a, c):
+                for qc in pair_angles(b, c):
+                    if qa + qb + qc >= 1:
+                        report.entries["c"].append((circ.faces, qa + qb + qc))
+
+    # (d): at each flank F_i of a cusp shared by F_j, F_k, some angle is not 1/2
+    for i, j, k, cusps in graph.flanks:
+        if all(q == HALF for q in pair_angles(i, j) + pair_angles(i, k)):
+            report.entries["d"].append((i, j, k, list(cusps)))
+
+    for circ in graph.circuits4:
+        a, b, c, d = circ.faces
+        ring = [(a, b), (b, c), (c, d), (d, a)]
+        if all(q == HALF for x, y in ring for q in pair_angles(x, y)):
+            report.entries["e"].append((circ.faces,))
+    return report

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -11,13 +12,14 @@ from orthocusp import (
     adjacency,
     check_andreev,
     check_right_angled,
+    contract_edge,
     enum3,
     parse_angles,
     prismatic_circuits,
     right_angles,
 )
 from orthocusp.andreev import HALF
-from oracle import prismatic_circuits_by_scan
+from oracle import check_andreev_reference, prismatic_circuits_by_scan
 
 
 def test_adjacency_cube(cube):
@@ -343,3 +345,180 @@ def test_check_reports_independent_of_call_order(enum_all_small):
             assert (after.entries, after.verdict) == (alone.entries, alone.verdict), p
             again = first(shared)
             assert again.entries == kept, p
+
+
+# ---------------------------------------------------------------------------
+# acute-angled check against the Fraction reference
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def angle_corpus(incidence_corpus, loebell):
+    """The incidence corpus (fixtures, every type to 9 faces with 0-2 cusps,
+    k-gonal prisms, the subdivided cube), the Loebell polyhedra L(5)..L(8)
+    and every one-cusp contraction of each."""
+    polys = list(incidence_corpus)
+    for n in range(5, 9):
+        p = loebell(n)
+        polys.append(p)
+        polys += [contract_edge(p, e) for e in p.edges]
+    return polys
+
+
+def outcome(check, p, angles):
+    """What a check makes of one input: its report's entries, family flag
+    and verdict, or the type and message of what it raised."""
+    try:
+        report = check(p, angles)
+    except Poly3Error as exc:
+        return type(exc), str(exc)
+    return report.entries, report.excluded_family, report.verdict
+
+
+def assert_matches_reference(p, angles):
+    got = outcome(check_andreev, p, angles)
+    assert got == outcome(check_andreev_reference, p, angles), (p, angles)
+    return got
+
+
+def random_angles(p, rng):
+    """Seeded angles with denominators 2..12: in the low mode any angle in
+    (0, 1/2], so vertex sums mostly fall short; in the high mode one of the
+    two largest numerators, so most sums reach 1."""
+    high = rng.random() < 0.5
+    angles = {}
+    for e in p.edges:
+        d = rng.randint(2, 12)
+        n = rng.randint(max(1, d // 2 - 1) if high else 1, d // 2)
+        angles[e] = Fraction(n, d)
+    return angles
+
+
+#: Three angles summing to exactly 1 (pi), over several denominators.
+EXACT_TRIPLES = [(Fraction(1, 3),) * 3,
+                 (HALF, Fraction(1, 4), Fraction(1, 4)),
+                 (HALF, Fraction(1, 3), Fraction(1, 6)),
+                 (Fraction(5, 12), Fraction(1, 3), Fraction(1, 4)),
+                 (HALF, Fraction(2, 5), Fraction(1, 10))]
+
+
+def test_andreev_matches_reference_right_angles(angle_corpus):
+    """Under the all-right assignment every report, refusal included,
+    equals the Fraction reference's."""
+    verdicts = Counter()
+    for p in angle_corpus:
+        got = assert_matches_reference(p, right_angles(p))
+        verdicts[got[-1] if len(got) == 3 else "raised"] += 1
+    assert set(verdicts) == {"pass", "fail", "outside-scope", "raised"}
+
+
+def test_andreev_matches_reference_random_angles(angle_corpus):
+    """Seeded rational angles with mixed denominators: equal reports, and
+    each acute condition fails on some input."""
+    rng = random.Random(1970)
+    failed = Counter()
+    for p in angle_corpus:
+        for _ in range(3):
+            got = assert_matches_reference(p, random_angles(p, rng))
+            if len(got) == 3 and not got[1]:
+                failed.update(k for k, wits in got[0].items() if wits)
+    assert set(failed) == {"a", "b", "c", "d", "e"}
+
+
+def test_andreev_matches_reference_at_boundaries(angle_corpus):
+    """Exact boundaries, the rest of the angles at 1/2: a finite vertex
+    summing to exactly 1 passes (a); a prismatic 3-circuit summing to
+    exactly 1 fails (c) with witness 1; a 4-valent cusp with one angle
+    below 1/2 fails (b) naming that edge alone."""
+    rng = random.Random(1971)
+    seen = Counter()
+    for p in angle_corpus:
+        checked = outcome(check_andreev_reference, p, right_angles(p))
+        if len(checked) != 3 or checked[1]:
+            continue   # refused, or outside the criterion's scope
+        triple = rng.choice(EXACT_TRIPLES)
+        finite = [v for v in range(p.vertex_count)
+                  if v not in p.ideal_vertices and p.vertex_degree(v) == 3]
+        if finite:
+            v = rng.choice(finite)
+            angles = right_angles(p)
+            for e, q in zip([e for e in p.edges if v in e], triple):
+                angles[e] = q
+            entries = assert_matches_reference(p, angles)[0]
+            assert v not in [w for w, _ in entries["a"]]
+            seen["vertex"] += 1
+        table = adjacency(p)
+        for circ in prismatic_circuits(p, 3):
+            a, b, c = circ.faces
+            pairs = [table[(a, b)], table[(a, c)], table[(b, c)]]
+            if any(len(shared) != 1 for shared in pairs):
+                continue
+            angles = right_angles(p)
+            for shared, q in zip(pairs, triple):
+                angles[shared[0]] = q
+            entries = assert_matches_reference(p, angles)[0]
+            assert (circ.faces, Fraction(1)) in entries["c"]
+            seen["circuit"] += 1
+            break
+        for cusp in sorted(p.ideal_vertices):
+            at = [e for e in p.edges if cusp in e]
+            if len(at) != 4:
+                continue
+            angles = right_angles(p)
+            edge = rng.choice(at)
+            angles[edge] = rng.choice([Fraction(1, 3), Fraction(5, 12)])
+            entries = assert_matches_reference(p, angles)[0]
+            assert (cusp, [edge]) in entries["b"]
+            seen["cusp"] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 3
+
+
+def test_andreev_degree3_cusp_matches_reference(dodecahedron):
+    """A trivalent cusp needs its angles to sum to exactly 1."""
+    from orthocusp import Polyhedron3
+
+    marked = Polyhedron3(dodecahedron.vertex_count, frozenset({0}), dodecahedron.faces)
+    angles = {e: Fraction(1, 3) for e in marked.edges}
+    assert assert_matches_reference(marked, angles)[0]["a"] == []
+    angles = right_angles(marked)
+    assert assert_matches_reference(marked, angles)[0]["a"] == [(0, Fraction(3, 2))]
+
+
+@pytest.mark.parametrize("bad", [None, Fraction(0), Fraction(-1, 3), Fraction(2, 3),
+                                 HALF + Fraction(1, 10**9)])
+def test_andreev_angle_errors_match_reference(cube, bad):
+    """A missing, zero, negative or too large angle is refused with the
+    reference's message."""
+    angles = right_angles(cube)
+    edge = cube.edges[3]
+    if bad is None:
+        del angles[edge]
+    else:
+        angles[edge] = bad
+    messages = []
+    for check in (check_andreev, check_andreev_reference):
+        with pytest.raises(AngleError) as exc:
+            check(cube, angles)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert str(edge) in messages[0]
+
+
+def test_andreev_rejects_stray_angle(dodecahedron):
+    """An angle on a vertex pair that is no edge is refused, naming the
+    first such pair, after any missing edge."""
+    angles = right_angles(dodecahedron)
+    angles[(0, 999)] = HALF
+    angles[(0, 1)] = HALF   # no edge either, but given later
+    with pytest.raises(AngleError, match=r"^angle given for \(0, 999\), which is not an edge$"):
+        check_andreev(dodecahedron, angles)
+    del angles[dodecahedron.edges[-1]]
+    with pytest.raises(AngleError, match="^missing angle"):
+        check_andreev(dodecahedron, angles)
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.25, "1/2"])
+def test_andreev_rejects_non_rational_angle(cube, bad):
+    angles = right_angles(cube)
+    angles[cube.edges[0]] = bad
+    with pytest.raises(AngleError, match=r"for edge \(0, 1\) is not rational$"):
+        check_andreev(cube, angles)

@@ -183,6 +183,104 @@ def test_andreev_angle_file_repeated_edge(capsys, tmp_path, cube):
                    "already has an angle on line 1\n")
 
 
+def test_andreev_flags_are_exclusive(capsys, tmp_path, cube):
+    """An angle file and ``--right-angled`` together are a usage error, not
+    a run that drops the file."""
+    angle_file = tmp_path / "angles.txt"
+    angle_file.write_text("".join(f"angle: {u} {v} 1 3\n" for u, v in cube.edges))
+    with pytest.raises(SystemExit) as exc:
+        main(["andreev", fixture_path("cube"), "--angles", str(angle_file), "--right-angled"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_andreev_angle_file_stray_edge(capsys, tmp_path, cube):
+    """An angle on a vertex pair that is no edge exits 1 naming the first
+    such pair, here a diagonal of the bottom face."""
+    angle_file = tmp_path / "angles.txt"
+    angle_file.write_text("".join(f"angle: {u} {v} 1 2\n" for u, v in cube.edges)
+                          + "angle: 2 0 1 2\nangle: 0 999 1 2\n")
+    code, out, err = run(capsys, "andreev", fixture_path("cube"),
+                         "--angles", str(angle_file))
+    assert code == 1
+    assert out == ""
+    assert err == "error: angle given for (0, 2), which is not an edge\n"
+
+
+#: A triangular prism with vertex 0 truncated (new triangle 6 0 7): the
+#: side faces 2, 3, 4 and the faces 0, 2, 3 around the cut are prismatic
+#: 3-circuits.
+TRUNCATED_PRISM = """poly3 v1
+vertices: 8
+ideal:
+face: 0 6 2 1
+face: 3 4 5
+face: 7 0 1 4 3
+face: 2 6 7 3 5
+face: 1 2 5 4
+face: 6 0 7
+"""
+
+#: Circuit 2, 3, 4 sums to exactly 1 and circuit 0, 2, 3 to 59/60; vertices
+#: 0, 3, 4 and 5 fall short of 1.
+TRUNCATED_PRISM_ANGLES = {(0, 1): "1 4", (0, 6): "1 3", (0, 7): "1 3", (1, 2): "3 7",
+                          (1, 4): "1 3", (2, 5): "1 3", (2, 6): "2 5", (3, 4): "1 4",
+                          (3, 5): "1 4", (3, 7): "1 3", (4, 5): "1 4", (6, 7): "1 2"}
+
+ANDREEV_WITNESS_GOLDENS = {
+    "truncated-prism": (1, "verdict: fail\n"
+                           "condition a: 4 witness(es)\n"
+                           "  (0, Fraction(11, 12))\n"
+                           "  (3, Fraction(5, 6))\n"
+                           "  (4, Fraction(5, 6))\n"
+                           "  (5, Fraction(5, 6))\n"
+                           "condition b: ok\n"
+                           "condition c: 1 witness(es)\n"
+                           "  ((2, 3, 4), Fraction(1, 1))\n"
+                           "condition d: ok\n"
+                           "condition e: ok\n"),
+    "dodecahedron-short": (1, "verdict: fail\n"
+                              "condition a: 4 witness(es)\n"
+                              "  (0, Fraction(11, 12))\n"
+                              "  (1, Fraction(5, 6))\n"
+                              "  (8, Fraction(11, 12))\n"
+                              "  (9, Fraction(5, 6))\n"
+                              "condition b: ok\n"
+                              "condition c: ok\n"
+                              "condition d: ok\n"
+                              "condition e: ok\n"),
+    "dodecahedron-third": (0, "verdict: pass\n"
+                              "condition a: ok\n"
+                              "condition b: ok\n"
+                              "condition c: ok\n"
+                              "condition d: ok\n"
+                              "condition e: ok\n"),
+}
+
+
+@pytest.mark.parametrize("machine", [False, True])
+@pytest.mark.parametrize("case", sorted(ANDREEV_WITNESS_GOLDENS))
+def test_andreev_angle_file_goldens(capsys, tmp_path, dodecahedron, case, machine):
+    """Non-right angle files with (a) and (c) witnesses, and one passing
+    with every vertex sum exactly 1: pinned stdout and exit code, in plain
+    and ``--machine`` mode."""
+    if case == "truncated-prism":
+        poly = tmp_path / "truncated_prism.poly3"
+        poly.write_text(TRUNCATED_PRISM)
+        angles = TRUNCATED_PRISM_ANGLES
+    else:
+        poly = fixture_path("dodecahedron")
+        short = {(0, 8): "1 4", (1, 9): "1 6"} if case == "dodecahedron-short" else {}
+        angles = {e: short.get(e, "1 3") for e in dodecahedron.edges}
+    angle_file = tmp_path / "angles.txt"
+    angle_file.write_text("".join(f"angle: {u} {v} {pq}\n" for (u, v), pq in angles.items()))
+    argv = ["andreev", str(poly), "--angles", str(angle_file)]
+    code, out, err = run(capsys, *(["--machine"] + argv if machine else argv))
+    want_code, want_out = ANDREEV_WITNESS_GOLDENS[case]
+    verdict = want_out.split("\n", 1)[0].split(": ")[1]
+    assert (code, out, err) == (want_code, f"verdict={verdict}\n" if machine else want_out, "")
+
+
 def test_missing_file_io_error(capsys):
     """An unreadable input file returns the I/O code, as every other
     outcome returns its code, with one line on stderr."""
