@@ -251,13 +251,6 @@ def _is_triangular_prism(p: Polyhedron3) -> bool:
     return p.face_count == 5 and p.face_sizes() == [3, 3, 4, 4, 4]
 
 
-def _edges_at_vertices(incidence: ValidationReport) -> list[list[Edge]]:
-    """The edges at each vertex of a valid polyhedron, by the other
-    endpoint, which is their order in the sorted edge list."""
-    return [[_norm_edge(v, u) for u in sorted(nbrs)]
-            for v, nbrs in enumerate(incidence.rotation)]
-
-
 def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionReport:
     """Evaluate the realizability conditions for an acute-angled almost
     simple polyhedron of finite volume with the given dihedral angles.
@@ -265,12 +258,18 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
     Requires finite vertices of degree 3 and cusps of degree 3 or 4.  The
     tetrahedron and triangular prism types receive the outside-scope
     verdict.  Angle q means q*pi; every edge needs one rational entry in
-    (0, 1/2], and no other vertex pair may have one.
+    (0, 1/2], and no other vertex pair may have one.  Condition (a) asks
+    the angles at a finite vertex to sum to more than pi, and at a cusp of
+    degree 3 to exactly pi.
     """
     incidence = require_valid(p)
     edges = p.edges
     terms = []
+    # edges at each vertex, by the other endpoint, as the edge list is sorted
+    edges_at: list[list[Edge]] = [[] for _ in range(p.vertex_count)]
     for e in edges:
+        edges_at[e[0]].append(e)
+        edges_at[e[1]].append(e)
         if e not in angles:
             raise AngleError(f"missing angle for edge {e}")
         q = angles[e]
@@ -284,7 +283,6 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
         known = set(edges)
         stray = next(pair for pair in angles if pair not in known)
         raise AngleError(f"angle given for {stray}, which is not an edge")
-    edges_at = _edges_at_vertices(incidence)
     for v, at in enumerate(edges_at):
         d = len(at)
         if v in p.ideal_vertices:
@@ -315,7 +313,7 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
                 bad = [e for e in at if 2 * x[e] != L]
                 if bad:
                     report.entries["b"].append((v, bad))
-        elif total < L:
+        elif total <= L:
             report.entries["a"].append((v, Fraction(total, L)))
 
     def pair_angles(a: int, b: int):

@@ -67,9 +67,6 @@ class Polyhedron3:
     def vertex_degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
-    def faces_at_vertex(self, v: int) -> list[int]:
-        return [i for i, f in enumerate(self.faces) if v in f]
-
     @cached_property
     def _edges(self) -> tuple[Edge, ...]:
         """The edge list ``edges`` copies, built once per instance."""
@@ -509,10 +506,6 @@ class FaceLattice:
         return sum(1 for x in self.lower_set(fid)
                    if self.faces[x].dim == dim
                    and (include_cusps or not self.faces[x].is_cusp))
-
-    def well_graded(self) -> bool:
-        """True when every grade 0..dimension-1 holds at least one face."""
-        return all(self.a(k) >= 1 for k in range(self.dimension))
 
 
 def to_face_lattice(p: Polyhedron3) -> FaceLattice:

@@ -7,7 +7,9 @@ canonical-code deduplication is exhaustive), and a polyhedron with c cusps
 corresponds to a triangulation with c edges removed, one per quadrilateral
 face (every quadrilateral admits a diagonal, so edge deletion reaches every
 near-triangulation).  Dualising a surviving map yields the polyhedron, with
-quadrilateral faces turning into ideal vertices of degree four.
+quadrilateral faces turning into ideal vertices of degree four.  One
+store, ``_LEVELS``, keeps each level as (canonical rotation,
+automorphisms) pairs; one step, ``_grow``, maps level n - 1 to level n.
 
 Three exact filters, all instances of McKay's canonical construction path
 ("Isomorph-free exhaustive generation", J. Algorithms 26 (1998)), decide
@@ -102,26 +104,36 @@ class EnumReport:
 
 
 # ---------------------------------------------------------------------------
-# triangulation cache
+# triangulation growth
 # ---------------------------------------------------------------------------
 
-_TRIANGULATIONS: dict[int, tuple[maps.Rotation, ...]] = {}
-
-#: ``_AUTOMORPHISMS[n][k]`` holds the automorphisms of
-#: ``_TRIANGULATIONS[n][k]`` other than the identity, reflections included,
-#: as permutations of its vertices; most classes have none.
-_AUTOMORPHISMS: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {}
+#: ``_LEVELS[n]`` holds each triangulation class with n vertices, sorted by
+#: code, as its canonical rotation and its automorphisms other than the
+#: identity, reflections included, as vertex permutations (most have none).
+_LEVELS: dict[int, tuple[tuple[maps.Rotation, tuple[tuple[int, ...], ...]], ...]] = {}
 
 
 def triangulations(n: int) -> tuple[maps.Rotation, ...]:
-    """All sphere triangulations with n vertices, canonical and sorted.
+    """All sphere triangulations with n vertices, canonical and sorted,
+    grown level by level from the tetrahedron by ``_grow``."""
+    if n < 4:
+        raise ValueError("triangulations start at 4 vertices")
+    if n not in _LEVELS:
+        if n == 4:
+            _, canon, orders = maps.canonical_form(maps.TETRAHEDRON)
+            _LEVELS[n] = ((canon, _automorphisms(orders)),)
+        else:
+            triangulations(n - 1)
+            _LEVELS[n] = _grow(_LEVELS[n - 1])
+    return tuple(rot for rot, _ in _LEVELS[n])
 
-    Grown level by level from the tetrahedron by vertex splitting; every
-    stored rotation system is the canonical representative of its class,
-    and its automorphisms go to ``_AUTOMORPHISMS``.  Every split of
-    every parent is made, but a child is canonicalised only when its
-    split is least in its orbit under Aut±(parent) and its new edge
-    passes ``_is_canonical_augmentation``.  No class is lost: take any
+
+def _grow(level):
+    """The pairs of the level after ``level``, as ``_LEVELS`` holds them.
+
+    Every split of every parent is made, but a child is canonicalised only
+    when its split is least in its orbit under Aut±(parent) and its new
+    edge passes ``_is_canonical_augmentation``.  No class is lost: take any
     class with n >= 5 vertices and its contractible edge e of least key.
     Contracting e gives a triangulation with n - 1 vertices, isomorphic to
     a stored one, and one split of that stored parent undoes the
@@ -134,37 +146,27 @@ def triangulations(n: int) -> tuple[maps.Rotation, ...]:
     to new edge, so both have the same key, and keeping only the split
     least in its orbit (vertex first, then sorted hinges) loses no class.
     """
-    if n < 4:
-        raise ValueError("triangulations start at 4 vertices")
-    if n not in _TRIANGULATIONS:
-        if n == 4:
-            code, canon, orders = maps.canonical_form(maps.TETRAHEDRON)
-            found = {code: (canon, _automorphisms(orders))}
-        else:
-            found = {}
-            for rot, group in zip(triangulations(n - 1), _AUTOMORPHISMS[n - 1]):
-                for v in range(len(rot)):
-                    nbrs = rot[v]
-                    d = len(nbrs)
-                    # a split at v is least in its orbit only if v is, and
-                    # then its hinge pair is compared under the stabiliser
-                    moved_down = any(g[v] < v for g in group)
-                    fixing = [g for g in group if g[v] == v]
-                    for i in range(d):
-                        for j in range(i + 1, d):
-                            cand = maps.split_vertex(rot, v, i, j)
-                            if moved_down or (fixing and not _least_in_orbit(
-                                    [_pair(nbrs[i], nbrs[j])], fixing)):
-                                continue
-                            if not _is_canonical_augmentation(cand, v):
-                                continue
-                            code, canon, orders = maps.canonical_form(cand)
-                            if code not in found:
-                                found[code] = (canon, _automorphisms(orders))
-        classes = [found[code] for code in sorted(found)]
-        _TRIANGULATIONS[n] = tuple(canon for canon, _ in classes)
-        _AUTOMORPHISMS[n] = tuple(group for _, group in classes)
-    return _TRIANGULATIONS[n]
+    found = {}
+    for rot, group in level:
+        for v in range(len(rot)):
+            nbrs = rot[v]
+            d = len(nbrs)
+            # a split at v is least in its orbit only if v is, and then its
+            # hinge pair is compared under the stabiliser
+            moved_down = any(g[v] < v for g in group)
+            fixing = [g for g in group if g[v] == v]
+            for i in range(d):
+                for j in range(i + 1, d):
+                    cand = maps.split_vertex(rot, v, i, j)
+                    if moved_down or (fixing and not _least_in_orbit(
+                            [_pair(nbrs[i], nbrs[j])], fixing)):
+                        continue
+                    if not _is_canonical_augmentation(cand, v):
+                        continue
+                    code, canon, orders = maps.canonical_form(cand)
+                    if code not in found:
+                        found[code] = (canon, _automorphisms(orders))
+    return tuple(found[code] for code in sorted(found))
 
 
 def _automorphisms(orders) -> tuple[tuple[int, ...], ...]:
@@ -193,7 +195,7 @@ def _is_canonical_augmentation(rot: maps.Rotation, v: int) -> bool:
     The key of an edge is its sorted pair of endpoint degrees followed by
     the sorted pair of degrees of its two apexes, the third corners of the
     two triangles on it.  Both are isomorphism invariants, which is all the
-    completeness argument in ``triangulations`` needs.  An edge of a
+    completeness argument in ``_grow`` needs.  An edge of a
     triangulation is contractible when its endpoints have exactly two
     common neighbours, so that it lies in no separating triangle and its
     contraction is again a triangulation; those two neighbours are then
@@ -335,8 +337,8 @@ def _quads_keep_three_connected(rot: maps.Rotation, faces: list[tuple[int, ...]]
                for face in faces if len(face) == 4 for k in (0, 1))
 
 
-def _level_candidates(tris, groups, num_cusps: int, prefilter: bool):
-    """Candidates of the triangulations ``tris``, deduplicated by code.
+def _level_candidates(level, num_cusps: int, prefilter: bool):
+    """Candidates of the (rotation, automorphisms) pairs ``level``, one per code.
 
     With the prefilter on, a triangulation whose deficit (the sum of
     max(0, 5 - deg) over its vertices) exceeds 2 * ``num_cusps`` is skipped,
@@ -344,11 +346,9 @@ def _level_candidates(tris, groups, num_cusps: int, prefilter: bool):
     deleted edge leaves the degree plus quadrilateral count of each of its
     endpoints unchanged and adds 1 at each of its two apexes, so the
     deficit falls by at most 2 per cusp, and the prefilter needs it to be 0.
-    ``groups`` runs beside ``tris`` with the automorphisms of each
-    triangulation, as ``_candidates`` takes them.
     """
     found: dict[bytes, maps.Rotation] = {}
-    for rot, group in zip(tris, groups):
+    for rot, group in level:
         if prefilter and sum(max(0, 5 - len(nbrs)) for nbrs in rot) > 2 * num_cusps:
             continue
         for code, canon in _candidates(rot, group, num_cusps, prefilter):
@@ -385,8 +385,8 @@ def enumerate_types(spec: EnumSpec) -> EnumReport:
     prefilter = spec.filter == FILTER_RIGHT_ANGLED
     report = EnumReport(spec=spec)
     for n in range(4, spec.max_faces + 1):
-        found = _level_candidates(triangulations(n), _AUTOMORPHISMS[n],
-                                  spec.num_cusps, prefilter)
+        triangulations(n)
+        found = _level_candidates(_LEVELS[n], spec.num_cusps, prefilter)
         for code in sorted(found):
             rot = found[code]
             faces, face_of = maps.faces_of_rotation(rot)

@@ -77,7 +77,7 @@ def audit(lattice: FaceLattice) -> NikulinAudit:
 
     A violated record proves the lattice is not the face lattice of any
     acute-angled finite-volume polyhedron.  Pairs whose k-grade is empty are
-    skipped (a well-graded lattice has none).
+    skipped (a lattice with a face in every grade has none).
     """
     n = lattice.dimension
     records = []

@@ -24,8 +24,8 @@ from itertools import combinations
 
 import networkx as nx
 
-from orthocusp.andreev import (HALF, AngleError, ConditionReport, _edges_at_vertices,
-                               _face_graph, _is_tetrahedron, _is_triangular_prism)
+from orthocusp.andreev import (HALF, AngleError, ConditionReport, _face_graph,
+                               _is_tetrahedron, _is_triangular_prism)
 from orthocusp.core import Edge, Poly3Error, Polyhedron3, ValidationReport, require_valid
 from orthocusp.maps import MapError
 
@@ -445,9 +445,17 @@ def contract_edge_reference(p, e):
     return Polyhedron3(vertex_count=w + 1, ideal_vertices=ideal, faces=tuple(new_faces))
 
 
+def _edges_at_vertices(incidence: ValidationReport) -> list[list[Edge]]:
+    """The edges at each vertex of a valid polyhedron, by the other
+    endpoint, which is their order in the sorted edge list."""
+    return [[_norm_edge(v, u) for u in sorted(nbrs)]
+            for v, nbrs in enumerate(incidence.rotation)]
+
+
 def check_andreev_reference(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionReport:
     """``andreev.check_andreev`` as it was when it summed and compared the
-    ``Fraction`` angles themselves."""
+    ``Fraction`` angles themselves, with the edges at each vertex read from
+    the rotation system."""
     incidence = require_valid(p)
     for e in p.edges:
         if e not in angles:
@@ -483,9 +491,8 @@ def check_andreev_reference(p: Polyhedron3, angles: dict[Edge, Fraction]) -> Con
                 bad = [e for e in at if angles[e] != HALF]
                 if bad:
                     report.entries["b"].append((v, bad))
-        else:
-            if total < 1:
-                report.entries["a"].append((v, total))
+        elif total <= 1:
+            report.entries["a"].append((v, total))
 
     def pair_angles(a: int, b: int):
         return [angles[e] for e in table[(a, b)]]

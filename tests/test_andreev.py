@@ -161,6 +161,19 @@ def test_andreev_rejects_bad_degrees(pyramid):
         check_andreev(pyramid, right_angles(pyramid))
 
 
+def test_andreev_finite_vertex_needs_sum_above_one(dodecahedron):
+    """Angles 1/2, 1/4, 1/4 at a finite vertex sum to exactly 1, which
+    belongs to an ideal vertex: (a) fails at that vertex alone."""
+    angles = right_angles(dodecahedron)
+    at = [e for e in dodecahedron.edges if 0 in e]
+    for e, q in zip(at, (HALF, Fraction(1, 4), Fraction(1, 4))):
+        angles[e] = q
+    report = check_andreev(dodecahedron, angles)
+    assert report.verdict == "fail"
+    assert report.entries["a"] == [(0, Fraction(1))]
+    assert_matches_reference(dodecahedron, angles)
+
+
 def test_andreev_cusp_sum_exact(one_cusp_12):
     # perturbing one cusp-incident angle away from 1/2 breaks the degree-4
     # cusp condition exactly
@@ -426,8 +439,8 @@ def test_andreev_matches_reference_random_angles(angle_corpus):
 
 def test_andreev_matches_reference_at_boundaries(angle_corpus):
     """Exact boundaries, the rest of the angles at 1/2: a finite vertex
-    summing to exactly 1 passes (a); a prismatic 3-circuit summing to
-    exactly 1 fails (c) with witness 1; a 4-valent cusp with one angle
+    summing to exactly 1 fails (a) with witness 1, as does a prismatic
+    3-circuit summing to exactly 1 for (c); a 4-valent cusp with one angle
     below 1/2 fails (b) naming that edge alone."""
     rng = random.Random(1971)
     seen = Counter()
@@ -444,7 +457,7 @@ def test_andreev_matches_reference_at_boundaries(angle_corpus):
             for e, q in zip([e for e in p.edges if v in e], triple):
                 angles[e] = q
             entries = assert_matches_reference(p, angles)[0]
-            assert v not in [w for w, _ in entries["a"]]
+            assert (v, Fraction(1)) in entries["a"]
             seen["vertex"] += 1
         table = adjacency(p)
         for circ in prismatic_circuits(p, 3):
@@ -473,12 +486,14 @@ def test_andreev_matches_reference_at_boundaries(angle_corpus):
 
 
 def test_andreev_degree3_cusp_matches_reference(dodecahedron):
-    """A trivalent cusp needs its angles to sum to exactly 1."""
+    """A trivalent cusp needs its angles to sum to exactly 1, where a
+    finite vertex needs more."""
     from orthocusp import Polyhedron3
 
     marked = Polyhedron3(dodecahedron.vertex_count, frozenset({0}), dodecahedron.faces)
     angles = {e: Fraction(1, 3) for e in marked.edges}
-    assert assert_matches_reference(marked, angles)[0]["a"] == []
+    assert assert_matches_reference(marked, angles)[0]["a"] == [
+        (v, Fraction(1)) for v in range(1, 20)]
     angles = right_angles(marked)
     assert assert_matches_reference(marked, angles)[0]["a"] == [(0, Fraction(3, 2))]
 

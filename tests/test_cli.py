@@ -240,17 +240,53 @@ ANDREEV_WITNESS_GOLDENS = {
                            "condition d: ok\n"
                            "condition e: ok\n"),
     "dodecahedron-short": (1, "verdict: fail\n"
-                              "condition a: 4 witness(es)\n"
+                              "condition a: 20 witness(es)\n"
                               "  (0, Fraction(11, 12))\n"
                               "  (1, Fraction(5, 6))\n"
+                              "  (2, Fraction(1, 1))\n"
+                              "  (3, Fraction(1, 1))\n"
+                              "  (4, Fraction(1, 1))\n"
+                              "  (5, Fraction(1, 1))\n"
+                              "  (6, Fraction(1, 1))\n"
+                              "  (7, Fraction(1, 1))\n"
                               "  (8, Fraction(11, 12))\n"
                               "  (9, Fraction(5, 6))\n"
+                              "  (10, Fraction(1, 1))\n"
+                              "  (11, Fraction(1, 1))\n"
+                              "  (12, Fraction(1, 1))\n"
+                              "  (13, Fraction(1, 1))\n"
+                              "  (14, Fraction(1, 1))\n"
+                              "  (15, Fraction(1, 1))\n"
+                              "  (16, Fraction(1, 1))\n"
+                              "  (17, Fraction(1, 1))\n"
+                              "  (18, Fraction(1, 1))\n"
+                              "  (19, Fraction(1, 1))\n"
                               "condition b: ok\n"
                               "condition c: ok\n"
                               "condition d: ok\n"
                               "condition e: ok\n"),
-    "dodecahedron-third": (0, "verdict: pass\n"
-                              "condition a: ok\n"
+    "dodecahedron-third": (1, "verdict: fail\n"
+                              "condition a: 20 witness(es)\n"
+                              "  (0, Fraction(1, 1))\n"
+                              "  (1, Fraction(1, 1))\n"
+                              "  (2, Fraction(1, 1))\n"
+                              "  (3, Fraction(1, 1))\n"
+                              "  (4, Fraction(1, 1))\n"
+                              "  (5, Fraction(1, 1))\n"
+                              "  (6, Fraction(1, 1))\n"
+                              "  (7, Fraction(1, 1))\n"
+                              "  (8, Fraction(1, 1))\n"
+                              "  (9, Fraction(1, 1))\n"
+                              "  (10, Fraction(1, 1))\n"
+                              "  (11, Fraction(1, 1))\n"
+                              "  (12, Fraction(1, 1))\n"
+                              "  (13, Fraction(1, 1))\n"
+                              "  (14, Fraction(1, 1))\n"
+                              "  (15, Fraction(1, 1))\n"
+                              "  (16, Fraction(1, 1))\n"
+                              "  (17, Fraction(1, 1))\n"
+                              "  (18, Fraction(1, 1))\n"
+                              "  (19, Fraction(1, 1))\n"
                               "condition b: ok\n"
                               "condition c: ok\n"
                               "condition d: ok\n"
@@ -261,9 +297,10 @@ ANDREEV_WITNESS_GOLDENS = {
 @pytest.mark.parametrize("machine", [False, True])
 @pytest.mark.parametrize("case", sorted(ANDREEV_WITNESS_GOLDENS))
 def test_andreev_angle_file_goldens(capsys, tmp_path, dodecahedron, case, machine):
-    """Non-right angle files with (a) and (c) witnesses, and one passing
-    with every vertex sum exactly 1: pinned stdout and exit code, in plain
-    and ``--machine`` mode."""
+    """Non-right angle files with (a) and (c) witnesses, the dodecahedron
+    ones with finite vertices summing to exactly 1, which (a) flags since
+    a finite vertex needs a sum above 1: pinned stdout and exit code, in
+    plain and ``--machine`` mode."""
     if case == "truncated-prism":
         poly = tmp_path / "truncated_prism.poly3"
         poly.write_text(TRUNCATED_PRISM)

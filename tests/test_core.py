@@ -137,7 +137,7 @@ def test_contracted_dodecahedron_profile(one_cusp_12):
 
 def test_cusp_lies_on_four_faces_and_edges(one_cusp_12):
     cusp = next(iter(one_cusp_12.ideal_vertices))
-    assert len(one_cusp_12.faces_at_vertex(cusp)) == 4
+    assert sum(cusp in f for f in one_cusp_12.faces) == 4
     assert one_cusp_12.vertex_degree(cusp) == 4
 
 
@@ -416,7 +416,6 @@ def test_lattice_cube(cube):
     L = to_face_lattice(cube)
     assert [L.a(k) for k in range(3)] == [8, 12, 6]
     assert L.cusp_count() == 0
-    assert L.well_graded()
 
 
 def test_lattice_dodecahedron(dodecahedron):

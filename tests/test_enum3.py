@@ -56,7 +56,7 @@ def _groups(n):
     """The recorded automorphisms other than the identity of each
     triangulation with n vertices."""
     triangulations(n)
-    return enum3._AUTOMORPHISMS[n]
+    return [group for _, group in enum3._LEVELS[n]]
 
 
 def _tutte_count(n):
@@ -65,16 +65,29 @@ def _tutte_count(n):
     return 2 * factorial(4 * m + 1) // (factorial(m + 1) * factorial(3 * m + 2))
 
 
+def _mass(n):
+    """The classes with n vertices weighted by 4E/|Aut±|, with the
+    recorded groups: the rooted triangulations they stand for."""
+    return sum(Fraction(4 * (3 * n - 6), 1 + len(group)) for group in _groups(n))
+
+
 def test_tutte_mass_formula():
-    """Each level's classes, weighted by 4E/|Aut±| with the recorded
-    groups, count the rooted triangulations exactly: a lost class lowers
-    the sum and a duplicated one raises it."""
+    """Each level's mass counts the rooted triangulations exactly: a lost
+    class lowers the sum and a duplicated one raises it."""
     masses = []
     for n in range(4, 13):
-        mass = sum(Fraction(4 * (3 * n - 6), 1 + len(group)) for group in _groups(n))
-        assert mass == _tutte_count(n), n
-        masses.append(mass)
+        assert _mass(n) == _tutte_count(n), n
+        masses.append(_mass(n))
     assert masses == [1, 3, 13, 68, 399, 2530, 16965, 118668, 857956]
+
+
+@pytest.mark.slow
+def test_level_13_counts_and_tutte_mass():
+    """Growth from the stored level 12 to 13 vertices, which no other test
+    reaches: the 49,566 classes of OEIS A000109, and a mass equal to
+    Tutte's count."""
+    assert len(triangulations(13)) == 49566
+    assert _mass(13) == _tutte_count(13) == 6369883
 
 
 def _assert_groups_match_networkx(levels):
@@ -105,11 +118,11 @@ def test_automorphism_groups_match_networkx_at_11():
 
 
 def test_cold_growth_form_count(monkeypatch):
-    """Growth from empty caches to 12 vertices computes 10,514 canonical
-    forms for the 9,150 classes and gives the cached levels again, tuple
-    for tuple."""
-    warm = {n: triangulations(n) for n in range(4, 13)}
-    warm_groups = {n: _groups(n) for n in range(4, 13)}
+    """Growth from an empty store to 12 vertices computes 10,514 canonical
+    forms for the 9,150 classes and gives the stored levels again, pair
+    for pair."""
+    triangulations(12)
+    warm = dict(enum3._LEVELS)
     calls = 0
     real = maps.canonical_form
 
@@ -119,13 +132,11 @@ def test_cold_growth_form_count(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(maps, "canonical_form", counting)
-    monkeypatch.setattr(enum3, "_TRIANGULATIONS", {})
-    monkeypatch.setattr(enum3, "_AUTOMORPHISMS", {})
+    monkeypatch.setattr(enum3, "_LEVELS", {})
     assert sum(len(triangulations(n)) for n in range(4, 13)) == 9150
     assert calls == 10514
     for n in range(4, 13):
-        assert triangulations(n) == warm[n], n
-        assert {frozenset(g) for g in _groups(n)} == {frozenset(g) for g in warm_groups[n]}
+        assert enum3._LEVELS[n] == warm[n], n
 
 
 def _splits(rot):
@@ -210,8 +221,7 @@ def unfiltered_candidates():
         for c in (1, 2):
             for n in range(4, 11):
                 calls = 0
-                tris = triangulations(n)
-                found = _level_candidates(tris, [()] * len(tris), c, False)
+                found = _level_candidates([(rot, ()) for rot in triangulations(n)], c, False)
                 out[(n, c)] = (found, calls)
     return out
 
@@ -244,7 +254,7 @@ def test_least_diagonal_rule_keeps_every_candidate(unfiltered_candidates):
         tris = triangulations(n)
         picks = [p for rot in tris for p in _every_pick(rot, c)]
         assert set(found) == {code for code, _ in picks}, (n, c)
-        assert set(_level_candidates(tris, [()] * len(tris), c, True)) == {
+        assert set(_level_candidates([(rot, ()) for rot in tris], c, True)) == {
             code for code, passes in picks if passes}, (n, c)
         assert calls <= len(picks)
         rejected += len(picks) - calls
@@ -269,13 +279,13 @@ def test_orbit_rule_keeps_every_candidate(monkeypatch, unfiltered_candidates):
             tris = triangulations(n)
             for prefilter in (False, True):
                 filtered = True
-                got = _level_candidates(tris, _groups(n), c, prefilter)
+                got = _level_candidates(enum3._LEVELS[n], c, prefilter)
                 if c and not prefilter:
                     want, count = unfiltered_candidates[(n, c)]
                     calls[False] += count
                 else:
                     filtered = False
-                    want = _level_candidates(tris, [()] * len(tris), c, prefilter)
+                    want = _level_candidates([(rot, ()) for rot in tris], c, prefilter)
                 assert set(got) == set(want), (n, c, prefilter)
     assert calls[True] < calls[False]
 
@@ -296,8 +306,9 @@ def test_dualize_matches_core_dual(unfiltered_candidates):
     """On every deduplicated 0-, 1- and 2-cusp candidate up to 10 faces,
     ``_dualize`` gives ``core.dual`` of the map with its quadrilaterals
     marked, field for field, each face cycle from the same vertex."""
+    triangulations(10)
     maps_by_cusps = {0: [rot for n in range(4, 11) for rot in _level_candidates(
-        triangulations(n), _groups(n), 0, False).values()]}
+        enum3._LEVELS[n], 0, False).values()]}
     for (_, c), (found, _) in unfiltered_candidates.items():
         maps_by_cusps.setdefault(c, []).extend(found.values())
     for c, rots in maps_by_cusps.items():
