@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb
+from math import comb
 
 from . import cusplink, enum3
 from .nikulin import nikulin_rhs
@@ -178,12 +178,12 @@ def main_bounds() -> BoundsCertificate:
     """Assemble the certified lower-bound table for dimensions 6..12."""
     strict = nikulin_rhs(6, 3, 2)
     cases = []
-    for name, (t, _) in cusplink.BUILTIN_TABLES.items():
+    for name, t in cusplink.CASES.items():
         report = cusplink.verify_builtin(name)
         if not report.ok:
-            raise AssertionError(f"built-in table {name} failed verification")
-        deficits = [ceil(strict - enum3.TWO_CUSP_FLOORS[t])] * len(cusplink.two_cusp_faces(t))
-        cases.append((t, name, cusplink.averaging_contradiction(strict, deficits, report.rows)))
+            raise AssertionError(f"derived rows of {name} failed verification")
+        verdict = cusplink.averaging_contradiction(strict, [cusplink.case_deficit(t)], report.rows)
+        cases.append((t, name, verdict))
     cases.sort(key=lambda c: c[0])
     n6 = N6Certificate(strict_bound=strict, one_cusp_floor=enum3.ONE_CUSP_FLOOR,
                        cases=tuple((name, verdict) for _, name, verdict in cases))

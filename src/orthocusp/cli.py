@@ -40,11 +40,11 @@ class _Out:
         if self.machine:
             print(f"{key}={value}")
 
-    def both(self, key: str, value, line: str | None = None):
+    def both(self, key: str, value, line: str):
         if self.machine:
             print(f"{key}={value}")
         else:
-            print(line if line is not None else f"{key}: {value}")
+            print(line)
 
 
 class _UnreadableInput(Exception):
@@ -97,11 +97,8 @@ def cmd_andreev(args, out: _Out) -> int:
     p = _read_poly(args.file)
     if args.right_angled:
         angles = andreev.right_angles(p)
-    elif args.angles:
-        angles = andreev.parse_angles(_read_text(args.angles))
     else:
-        print("need an angle file or --right-angled", file=sys.stderr)
-        return EXIT_USAGE
+        angles = andreev.parse_angles(_read_text(args.angles))
     report = andreev.check_andreev(p, angles)
     for line in report.lines():
         out.text(line)
@@ -226,7 +223,7 @@ def cmd_verify(args, out: _Out) -> int:
     stage = args.stage
     failures = 0
     if stage in ("tables", "all"):
-        for name in cusplink.BUILTIN_TABLES:
+        for name in cusplink.CASES:
             rep = cusplink.verify_builtin(name)
             line = f"{name}: {rep.rows} rows {'OK' if rep.ok else 'FAILED'}"
             out.both(f"tables.{name}", "ok" if rep.ok else "fail", line)
@@ -295,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("andreev", help="acute-angled realizability conditions")
     sp.set_defaults(handler=cmd_andreev)
     sp.add_argument("file")
-    given = sp.add_mutually_exclusive_group()
+    given = sp.add_mutually_exclusive_group(required=True)
     given.add_argument("--angles", help="angle file: lines 'angle: u v p q'")
     given.add_argument("--right-angled", action="store_true",
                        help="use the all-right assignment (every angle pi/2)")

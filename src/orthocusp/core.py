@@ -487,9 +487,8 @@ class FaceLattice:
     def cusp_count(self) -> int:
         return sum(1 for f in self.faces.values() if f.is_cusp)
 
-    def faces_of_dim(self, k: int, include_cusps: bool = False):
-        return [f for f in self.faces.values()
-                if f.dim == k and (include_cusps or not f.is_cusp)]
+    def faces_of_dim(self, k: int):
+        return [f for f in self.faces.values() if f.dim == k and not f.is_cusp]
 
     def lower_set(self, fid: object) -> set[object]:
         """Ids of all faces strictly below ``fid``."""
@@ -502,10 +501,9 @@ class FaceLattice:
                 stack.extend(self._children[x])
         return out
 
-    def count_below(self, fid: object, dim: int, include_cusps: bool = False) -> int:
+    def count_below(self, fid: object, dim: int) -> int:
         return sum(1 for x in self.lower_set(fid)
-                   if self.faces[x].dim == dim
-                   and (include_cusps or not self.faces[x].is_cusp))
+                   if self.faces[x].dim == dim and not self.faces[x].is_cusp)
 
 
 def to_face_lattice(p: Polyhedron3) -> FaceLattice:

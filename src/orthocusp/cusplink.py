@@ -4,9 +4,10 @@ n-polyhedron.
 The 2(n-1) hyperfaces through a cusp come in parallel pairs; hyperface i is
 paired with 2(n-1)+1-i (ids run 1..2(n-1)).  A k-face through the cusp is
 the intersection of n-k of these hyperfaces, no two of them parallel, so it
-is modelled as a pair-free subset.  This file also carries the built-in
-adjacency tables used by the two-cusp exclusion argument in dimension six
-and the surplus/deficit averaging arithmetic.
+is modelled as a pair-free subset.  This file also derives the rows of
+surplus 3-faces used by the two-cusp exclusion argument in dimension six,
+from the lemma stated in ``derive_rows``, and carries the surplus/deficit
+averaging arithmetic.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import ceil, comb
 from typing import Iterable, Sequence
+
+from . import enum3
+from .nikulin import nikulin_rhs
 
 
 @dataclass(frozen=True)
@@ -112,57 +116,63 @@ def two_cusp_faces(t: int) -> set[frozenset[int]]:
 
 
 # ---------------------------------------------------------------------------
-# built-in tables
+# surplus rows of the two-cusp cases
 # ---------------------------------------------------------------------------
 
-def _rows(spec: Sequence[Sequence[Sequence[int]]]):
-    return tuple(tuple(frozenset(m) for m in row) for row in spec)
+#: The two-cusp cases in dimension six by name, each with its class t (see
+#: ``carrier``), in ``verify tables`` order.
+CASES = {"table1": 1, "table2": 2, "case41": 0}
 
 
-#: Rows of pairwise-adjacent one-cusp 3-faces for the case of a single
-#: shared 2-face (class t = 1, carrier {1,2,3,4}); each row certifies one
-#: face that must exceed the twelve-face minimum.
-TABLE1 = _rows([
-    [(1, 2, 6), (1, 2, 7), (1, 2, 8)],
-    [(1, 3, 6), (1, 3, 7), (1, 3, 9)],
-    [(1, 4, 6), (1, 4, 8), (1, 4, 9)],
-    [(1, 5, 7), (1, 5, 8), (1, 5, 9)],
-    [(2, 3, 6), (2, 3, 7), (2, 3, 10)],
-    [(2, 4, 6), (2, 4, 8), (2, 4, 10)],
-    [(2, 5, 7), (2, 5, 8), (2, 5, 10)],
-    [(3, 4, 6), (3, 4, 9), (3, 4, 10)],
-    [(3, 5, 7), (3, 5, 9), (3, 5, 10)],
-    [(4, 5, 8), (4, 5, 9), (4, 5, 10)],
-    [(2, 6, 10), (2, 7, 10), (2, 8, 10)],
-    [(3, 6, 10), (3, 7, 10), (3, 9, 10)],
-])
+def case_deficit(t: int) -> int:
+    """Total deficit of the two-cusp case of class t: each 3-face through
+    both cusps may have as few 2-faces as the census floor of class t, so
+    it falls short of the strict average bound ``nikulin_rhs(6, 3, 2)`` by
+    at most the ceiling of the difference."""
+    strict = nikulin_rhs(6, 3, 2)
+    return len(two_cusp_faces(t)) * ceil(strict - enum3.TWO_CUSP_FLOORS[t])
 
-#: Rows for the case of an edge joining the two cusps (t = 2, carrier {1,...,5}).
-TABLE2 = TABLE1 + _rows([
-    [(4, 6, 10), (4, 8, 10), (4, 9, 10)],
-    [(5, 7, 10), (5, 8, 10), (5, 9, 10)],
-    [(1, 6, 9), (1, 7, 9), (1, 8, 9)],
-    [(6, 9, 10), (7, 9, 10), (8, 9, 10)],
-    [(1, 7, 8), (2, 7, 8), (5, 7, 8)],
-    [(6, 7, 8), (7, 8, 9), (7, 8, 10)],
-    [(1, 6, 7), (2, 6, 7), (3, 6, 7)],
-    [(2, 6, 8), (4, 6, 8), (6, 8, 10)],
-])
 
-#: Rows for the case of a single shared 3-face (t = 0, carrier {1,2,3}).
-CASE41_ROWS = _rows([
-    [(1, 2, 4), (1, 2, 5), (1, 2, 8)],
-    [(1, 4, 5), (2, 4, 5), (4, 5, 8)],
-    [(1, 4, 6), (2, 4, 6), (4, 6, 8)],
-    [(1, 3, 9), (1, 4, 9), (1, 5, 9)],
-])
+def derive_rows(t: int, count: int) -> list[tuple[frozenset[int], ...]]:
+    """Up to ``count`` rows of the two-cusp case of class t with pairwise
+    distinct members, each certifying one surplus 3-face by the lemma:
 
-#: Each table with the class t of its two-cusp case (see ``carrier``).
-BUILTIN_TABLES: dict[str, tuple[int, tuple]] = {
-    "table1": (1, TABLE1),
-    "table2": (2, TABLE2),
-    "case41": (0, CASE41_ROWS),
-}
+    Lemma.  Let {a, b, x, y, z} be pair-free and let none of the one-cusp
+    3-faces {a, b, x}, {a, b, y}, {a, b, z} through the first cusp lie
+    inside the carrier.  Then at least one of them has 13 or more 2-faces.
+
+    Proof.  A one-cusp 3-face has at least ``enum3.ONE_CUSP_FLOOR`` = 12
+    2-faces, and one with exactly 12 is the contracted dodecahedron
+    (``enum3.verify_lemma31``), whose 2-faces around the cusp alternate
+    4, 5, 4, 5.  In {a, b, x} the 2-faces {a, b, x, y} and {a, b, x, z} are
+    neighbours around the cusp, since y and z are not parallel, so their
+    sizes differ; likewise in the other two members.  Three sizes from
+    {4, 5} cannot differ pairwise.
+
+    The rows are found by first fit: cores a < b, then petals x < y < z
+    from the ids other than a, b and their partners, both in lexicographic
+    order; a row is skipped when a member lies inside the carrier or is
+    already used.  ``verify_table`` checks the rows it returns.
+    """
+    link = CuspLink(6)
+    shared = carrier(t)
+    ids = range(1, link.size + 1)
+    rows: list[tuple[frozenset[int], ...]] = []
+    used: set[frozenset[int]] = set()
+    for a, b in combinations(ids, 2):
+        if b == link.partner(a):
+            continue
+        petals = [i for i in ids if i not in {a, b, link.partner(a), link.partner(b)}]
+        for x, y, z in combinations(petals, 3):
+            if len(rows) == count:
+                return rows
+            if not link.pair_free((x, y, z)):
+                continue
+            row = tuple(frozenset({a, b, p}) for p in (x, y, z))
+            if used.isdisjoint(row) and not any(m <= shared for m in row):
+                rows.append(row)
+                used.update(row)
+    return rows
 
 
 @dataclass
@@ -178,12 +188,14 @@ class TableReport:
 
 
 def verify_table(t: int, rows: Sequence[Sequence[frozenset[int]]]) -> TableReport:
-    """Re-derive the validity of an adjacency table instead of trusting it.
+    """Check every row against the lemma of ``derive_rows``.
 
     Every row member must be a genuine 3-face through the first cusp only
     (pair-free triple not inside the carrier); row members must be pairwise
-    adjacent; across the whole table all members must be distinct, so each
-    row certifies a distinct surplus face.
+    adjacent and share exactly two hyperfaces, which together make the
+    lemma's shape {a, b, x}, {a, b, y}, {a, b, z}; across the whole table
+    all members must be distinct, so each row certifies a distinct surplus
+    face.
     """
     link = CuspLink(6)
     shared = carrier(t)
@@ -209,13 +221,18 @@ def verify_table(t: int, rows: Sequence[Sequence[frozenset[int]]]) -> TableRepor
         for a, b in combinations(row, 2):
             if not is_adjacent(link, a, b):
                 problems.append(f"row {ri}: {sorted(a)} and {sorted(b)} are not adjacent")
+        core = frozenset(row[0]).intersection(*row[1:])
+        if len(core) != 2:
+            problems.append(f"row {ri}: members share {sorted(core)}, not two hyperfaces")
     return TableReport(t=t, rows=len(rows),
                        distinct_faces=len(seen), problems=problems)
 
 
 def verify_builtin(name: str) -> TableReport:
-    t, rows = BUILTIN_TABLES[name]
-    return verify_table(t, rows)
+    """Derive the rows of the named two-cusp case, as many as its total
+    deficit, and check them."""
+    t = CASES[name]
+    return verify_table(t, derive_rows(t, case_deficit(t)))
 
 
 # ---------------------------------------------------------------------------

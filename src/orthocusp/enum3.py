@@ -78,7 +78,6 @@ class EnumeratedType:
 
 @dataclass
 class EnumReport:
-    spec: EnumSpec
     counts_by_faces: dict[int, int] = field(default_factory=dict)
     nonpolyhedral_by_faces: dict[int, int] = field(default_factory=dict)
     types: list[EnumeratedType] = field(default_factory=list)
@@ -86,11 +85,6 @@ class EnumReport:
     @property
     def codes(self) -> list[bytes]:
         return [t.code for t in self.types]
-
-    def count(self, faces: int | None = None) -> int:
-        if faces is None:
-            return len(self.types)
-        return self.counts_by_faces.get(faces, 0)
 
     def lines(self) -> list[str]:
         out = []
@@ -383,7 +377,7 @@ def enumerate_types(spec: EnumSpec) -> EnumReport:
     if spec.max_faces > DEFAULT_CAP:
         raise SpecError(f"face budget {spec.max_faces} above cap {DEFAULT_CAP}")
     prefilter = spec.filter == FILTER_RIGHT_ANGLED
-    report = EnumReport(spec=spec)
+    report = EnumReport()
     for n in range(4, spec.max_faces + 1):
         triangulations(n)
         found = _level_candidates(_LEVELS[n], spec.num_cusps, prefilter)

@@ -36,13 +36,6 @@ class NikulinAudit:
     dimension: int
     records: tuple[AuditRecord, ...]
 
-    def lines(self) -> list[str]:
-        out = []
-        for r in self.records:
-            flag = "ok" if r.strict_ok else "not strictly below"
-            out.append(f"k={r.k} l={r.l} average={r.average} bound={r.bound}: {flag}")
-        return out
-
 
 def face_average(lattice: FaceLattice, k: int, l: int) -> Rational:
     """Average number of l-faces over all k-faces, as an exact rational.
@@ -140,11 +133,6 @@ class CompactExclusion:
     @property
     def excluded(self) -> bool:
         return self.bound <= self.floor
-
-    def line(self) -> str:
-        verdict = "excluded" if self.excluded else "not decided by this bound"
-        return (f"n={self.dimension}: edge average of 2-faces < {self.bound}"
-                f" vs compact floor {self.floor}: {verdict}")
 
 
 def compact_exclusion(n: int) -> CompactExclusion:

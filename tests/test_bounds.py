@@ -150,11 +150,17 @@ def test_main_bounds_reads_census_floors(monkeypatch, two_cusp_report):
 
 
 def test_main_bounds_reads_table_class(monkeypatch, capsys):
-    """A table's class t picks its census floor and its two-cusp 3-faces:
-    keyed to the edge case (t = 2), the 12 rows of table1 fall short of
-    the deficit 2 on each of 10 faces, and ``bounds`` refuses."""
-    monkeypatch.setitem(cusplink.BUILTIN_TABLES, "table1", (2, cusplink.TABLE1))
-    with pytest.raises(AssertionError, match="table1: surplus 12 vs deficit 20 "):
+    """Each case's surplus is the number of rows derived for it: a
+    derivation one row short of table1's deficit 3 on each of 4 faces
+    leaves the certificate short, and ``bounds`` refuses."""
+    derive_rows = cusplink.derive_rows
+
+    def one_short(t, count):
+        rows = derive_rows(t, count)
+        return rows[:-1] if t == 1 else rows
+
+    monkeypatch.setattr(cusplink, "derive_rows", one_short)
+    with pytest.raises(AssertionError, match="table1: surplus 11 vs deficit 12 "):
         main_bounds()
     assert main(["bounds"]) == 1
-    assert "table1: surplus 12 vs deficit 20 " in capsys.readouterr().err
+    assert "table1: surplus 11 vs deficit 12 " in capsys.readouterr().err

@@ -194,6 +194,15 @@ def test_andreev_flags_are_exclusive(capsys, tmp_path, cube):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+def test_andreev_needs_angles_or_right_angled(capsys):
+    """With neither an angle file nor ``--right-angled`` there is nothing to
+    check: a usage error from the parser, before the file is read."""
+    with pytest.raises(SystemExit) as exc:
+        main(["andreev", fixture_path("cube")])
+    assert exc.value.code == 2
+    assert "one of the arguments --angles --right-angled is required" in capsys.readouterr().err
+
+
 def test_andreev_angle_file_stray_edge(capsys, tmp_path, cube):
     """An angle on a vertex pair that is no edge exits 1 naming the first
     such pair, here a diagonal of the bottom face."""

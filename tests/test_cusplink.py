@@ -13,7 +13,13 @@ from orthocusp import (
     two_cusp_faces,
     verify_table,
 )
-from orthocusp.cusplink import BUILTIN_TABLES, carrier, verify_builtin
+from orthocusp.cusplink import CASES, carrier, case_deficit, derive_rows, verify_builtin
+
+
+def derived(name: str):
+    """The class t of a named two-cusp case and the rows derived for it."""
+    t = CASES[name]
+    return t, tuple(derive_rows(t, case_deficit(t)))
 
 
 def test_counts_from_the_argument():
@@ -94,17 +100,47 @@ def test_two_cusp_faces_cases():
 def test_builtin_tables_verify():
     # insertion order is the `verify tables` output order
     expectations = {"table1": (1, 12, 36), "table2": (2, 20, 60), "case41": (0, 4, 12)}
-    assert list(BUILTIN_TABLES) == list(expectations)
+    assert list(CASES) == list(expectations)
     for name, (t, rows, distinct) in expectations.items():
         report = verify_builtin(name)
         assert report.ok, report.problems
-        assert report.t == BUILTIN_TABLES[name][0] == t
-        assert report.rows == rows
+        assert report.t == CASES[name] == t
+        assert report.rows == rows == case_deficit(t)
         assert report.distinct_faces == distinct
 
 
+def test_derived_rows_have_the_lemma_shape():
+    """Each derived row is {a,b,x}, {a,b,y}, {a,b,z} with {a,b,x,y,z}
+    pair-free and no member inside the carrier; first fit finds at most
+    23, 20 and 23 disjoint rows, so a t=2 deficit above 20 stays short."""
+    link = CuspLink(6)
+    for name, ceiling in (("table1", 23), ("table2", 20), ("case41", 23)):
+        t = CASES[name]
+        rows = derive_rows(t, 100)
+        assert len(rows) == ceiling, name
+        assert derive_rows(t, case_deficit(t)) == rows[:case_deficit(t)]
+        assert verify_table(t, rows).ok
+        for row in rows:
+            core = frozenset.intersection(*row)
+            assert len(core) == 2 and link.pair_free(frozenset.union(*row))
+            assert not any(m <= carrier(t) for m in row)
+    assert derive_rows(1, 0) == []
+
+
+def test_verify_rejects_row_outside_the_lemma():
+    """{1,6,8}, {1,6,9}, {1,8,9} are one-cusp 3-faces and pairwise
+    adjacent, but share only hyperface 1: the lemma says nothing about
+    them, so the row is refused, alone or padding the derived table1."""
+    row = (frozenset({1, 6, 8}), frozenset({1, 6, 9}), frozenset({1, 8, 9}))
+    assert verify_table(1, (row,)).problems == ["row 0: members share [1], not two hyperfaces"]
+    t, rows = derived("table1")
+    padded = rows + ((frozenset({1, 7, 8}), frozenset({1, 7, 9}), frozenset({1, 8, 9})),)
+    report = verify_table(t, padded)
+    assert report.problems == ["row 12: members share [1], not two hyperfaces"]
+
+
 def test_verify_catches_carrier_member():
-    t, rows = BUILTIN_TABLES["table1"]
+    t, rows = derived("table1")
     bad = (tuple(list(rows[0][:2]) + [frozenset({1, 2, 3})]),) + rows[1:]
     report = verify_table(t, bad)
     assert not report.ok
@@ -112,31 +148,29 @@ def test_verify_catches_carrier_member():
 
 
 def test_verify_catches_non_adjacent_row():
-    t, rows = BUILTIN_TABLES["table1"]
     # {1,2,6} and {1,2,5}: 5 and 6 are parallel partners
     bad = ((frozenset({1, 2, 6}), frozenset({1, 2, 7}), frozenset({1, 2, 5})),)
-    report = verify_table(t, bad)
+    report = verify_table(CASES["table1"], bad)
     assert not report.ok
     assert any("not adjacent" in p for p in report.problems)
 
 
 def test_verify_catches_parallel_pair_member():
-    t, _rows = BUILTIN_TABLES["table1"]
     bad = ((frozenset({1, 2, 6}), frozenset({1, 2, 7}), frozenset({5, 6, 7})),)
-    report = verify_table(t, bad)
+    report = verify_table(CASES["table1"], bad)
     assert any("parallel" in p for p in report.problems)
 
 
 def test_verify_catches_carrier_with_parallel_pair():
     # class 3 would put hyperfaces 5 and 6, a parallel pair, on both cusps
     assert carrier(3) == frozenset(range(1, 7))
-    _t, rows = BUILTIN_TABLES["case41"]
+    _t, rows = derived("case41")
     report = verify_table(3, rows)
     assert "carrier [1, 2, 3, 4, 5, 6] contains a parallel pair" in report.problems
 
 
 def test_verify_catches_repeats():
-    t, rows = BUILTIN_TABLES["table1"]
+    t, rows = derived("table1")
     report = verify_table(t, rows + rows[:1])
     assert any("repeats" in p for p in report.problems)
 
