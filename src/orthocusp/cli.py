@@ -127,6 +127,9 @@ def cmd_nikulin(args, out: _Out) -> int:
             return EXIT_USAGE
         print(value)
         return EXIT_OK
+    if (args.n, args.k, args.l) != (None, None, None):
+        print("give either --n/--k/--l or a POLY3 file, not both", file=sys.stderr)
+        return EXIT_USAGE
     p = _read_poly(args.file)
     lattice = to_face_lattice(p)
     audit = nikulin.audit(lattice)

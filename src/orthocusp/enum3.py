@@ -40,7 +40,7 @@ from itertools import combinations
 from . import maps
 from .andreev import _check_right_angled, adjacency
 from .core import (Polyhedron3, canonical_code, contract_edge, require_valid, validate,
-                   RIGHT_ANGLED_PROFILE, _canonical_code, _dual_cycles)
+                   RIGHT_ANGLED_PROFILE, _canonical_code, _dual_cycles, _norm_edge)
 from .data import load_fixture
 
 FILTER_ALL = "all-almost-simple"
@@ -153,7 +153,7 @@ def _grow(level):
                 for j in range(i + 1, d):
                     cand = maps.split_vertex(rot, v, i, j)
                     if moved_down or (fixing and not _least_in_orbit(
-                            [_pair(nbrs[i], nbrs[j])], fixing)):
+                            [_norm_edge(nbrs[i], nbrs[j])], fixing)):
                         continue
                     if not _is_canonical_augmentation(cand, v):
                         continue
@@ -171,15 +171,11 @@ def _automorphisms(orders) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(label[x] for x in order) for order in orders[1:])
 
 
-def _pair(x: int, y: int) -> tuple[int, int]:
-    return (x, y) if x < y else (y, x)
-
-
 def _least_in_orbit(pairs, group) -> bool:
     """Whether the set of sorted vertex pairs ``pairs``, read as a sorted
     list, is least among its images under the permutations ``group``."""
     key = sorted(pairs)
-    return all(sorted(_pair(g[x], g[y]) for x, y in pairs) >= key for g in group)
+    return all(sorted(_norm_edge(g[x], g[y]) for x, y in pairs) >= key for g in group)
 
 
 def _is_canonical_augmentation(rot: maps.Rotation, v: int) -> bool:
@@ -198,8 +194,8 @@ def _is_canonical_augmentation(rot: maps.Rotation, v: int) -> bool:
     """
     w = len(rot) - 1
     # rot[w] is the far arc from hinge u_j to hinge u_i, then v
-    d0, d1 = _pair(len(rot[v]), len(rot[w]))
-    apex_key = _pair(len(rot[rot[w][0]]), len(rot[rot[w][-2]]))
+    d0, d1 = _norm_edge(len(rot[v]), len(rot[w]))
+    apex_key = _norm_edge(len(rot[rot[w][0]]), len(rot[rot[w][-2]]))
     # plain int comparisons: building key tuples per edge cost more
     for a, nbrs in enumerate(rot):
         da = len(nbrs)
@@ -209,8 +205,8 @@ def _is_canonical_augmentation(rot: maps.Rotation, v: int) -> bool:
             db = len(rot[b])
             if db < da or (da == d0 and db > d1):
                 continue
-            if (da == d0 and db == d1 and _pair(len(rot[nbrs[t - 1]]),
-                                                len(rot[nbrs[(t + 1) % da]])) >= apex_key):
+            if (da == d0 and db == d1 and _norm_edge(len(rot[nbrs[t - 1]]),
+                                                     len(rot[nbrs[(t + 1) % da]])) >= apex_key):
                 continue
             if len(set(nbrs).intersection(rot[b])) == 2:
                 return False
@@ -233,7 +229,7 @@ def _right_angled_prefilter(rot: maps.Rotation, quad_vertices: dict[int, int]) -
 
 def _degree_key(deg: list[int], drop: dict[int, int], x: int, y: int) -> tuple[int, int]:
     """Sorted degrees of x and y once the edges counted in ``drop`` go."""
-    return _pair(deg[x] - drop.get(x, 0), deg[y] - drop.get(y, 0))
+    return _norm_edge(deg[x] - drop.get(x, 0), deg[y] - drop.get(y, 0))
 
 
 def _candidates(rot: maps.Rotation, group, num_cusps: int, prefilter: bool):
@@ -282,7 +278,7 @@ def _candidates(rot: maps.Rotation, group, num_cusps: int, prefilter: bool):
     # an edge whose apexes are not adjacent can be flipped
     flippable = {e for e, (a, b) in apexes.items() if b not in rot[a]}
     # ordered pairs of distinct edges that are two sides of one triangle
-    cofacial = {(e, _pair(w, x)) for e, ab in apexes.items() for w in e for x in ab}
+    cofacial = {(e, _norm_edge(w, x)) for e, ab in apexes.items() for w in e for x in ab}
     picks = (pick for pick in combinations(apexes, num_cusps)
              if cofacial.isdisjoint(combinations(pick, 2)))
     for pick in picks:

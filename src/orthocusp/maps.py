@@ -99,67 +99,6 @@ def _connected_without(rows: Sequence[Sequence[int]], *gone: int) -> bool:
 MAX_CODE_VERTICES = 252
 
 
-def _encode(rot, marks, u0, v0, s, best):
-    """Encode one rooted traversal as ``(code, canon_rot, order)``.
-
-    With ``best`` given, each label and separator is compared with the byte
-    of ``best`` at the same position as it is written: the traversal is
-    abandoned (None) at the first larger byte, and comparing stops at the
-    first smaller one.  So the result is None exactly when the code would
-    exceed ``best``.
-    """
-    n = len(rot)
-    lab = [-1] * n
-    verts = [u0]
-    ent = [v0]
-    lab[u0] = 0
-    nxt = 1
-    head = bytes((marks[u0], len(rot[u0]), marks[v0], len(rot[v0])))
-    # while pos >= 0 the code so far equals best[:pos]; a byte past the end
-    # of best compares as larger, since best is then a proper prefix
-    pos = -1
-    if best is not None:
-        if head > best[:4]:
-            return None
-        if head == best[:4]:
-            pos = 4
-            last = len(best)
-    seqs = []
-    # verts grows while it is iterated: each vertex is visited once labelled
-    for i, x in enumerate(verts):
-        r = rot[x]
-        k = r.index(ent[i])
-        # the neighbours of x from its entry vertex on, in orientation s
-        ring = r[k:] + r[:k] if s == 1 else r[k::-1] + r[:k:-1]
-        seq = []
-        for w in ring:
-            label = lab[w]
-            if label < 0:
-                label = lab[w] = nxt
-                nxt += 1
-                verts.append(w)
-                ent.append(x)
-            seq.append(label)
-            if pos >= 0:
-                b = best[pos] if pos < last else -1
-                if label > b:
-                    return None
-                pos = pos + 1 if label == b else -1
-        if pos >= 0:
-            b = best[pos] if pos < last else -1
-            if 254 > b:
-                return None
-            pos = pos + 1 if b == 254 else -1
-        seqs.append(tuple(seq))
-    if len(verts) != n:
-        raise MapError("map is not connected")
-    tail = bytes(marks[v] for v in verts)
-    if pos >= 0 and tail > best[pos:]:
-        return None
-    code = head + b"".join(bytes(seq) + b"\xfe" for seq in seqs) + tail
-    return code, tuple(seqs), verts
-
-
 def canonical_form(rot: Rotation, marks: Sequence[int] | None = None,
                    face_marks: set[frozenset[int]] | None = None):
     """Canonical byte code of an embedded map with optional vertex/face marks.
@@ -175,29 +114,26 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None,
     automorphism of the marked map, and each automorphism, reflections
     included, moves the first start to exactly one of them, so
     ``len(orders)`` is |Aut±| and ``i -> orders[0].index(orders[k][i])``
-    are the automorphisms of ``canon_rot``.  No traversal is added for
-    them: a start that ties the best code runs to completion anyway.
-    Maps with no edge or with more than ``MAX_CODE_VERTICES`` vertices
-    raise MapError.
+    are the automorphisms of ``canon_rot``.  Maps with no edge or with more
+    than ``MAX_CODE_VERTICES`` vertices raise MapError.
 
-    A traversal starts at a dart (u, v) in an orientation s, and only the
-    starts with the least head (marks and degrees of u and v) can give the
-    least code.  Before any traversal runs, ``_least_prefix_starts`` ranks
-    those starts by rows 1 and 2 of their codes, and ``_encode``, with its
-    ``best`` abort, runs only on the starts with the least prefix, in
-    their original order.  This is exact.  Every tied start writes the
-    same head and the same row 0 (labels ``1..deg u``, then 254), so a
-    start with a larger prefix has a larger code.  Every start with the
-    least code survives, and as the order is kept, the first of them,
-    which sets ``canon_rot`` and ``orders[0]``, is the same as without the
-    ranking.  With face marks, the face tail follows a vertex code whose
-    length is the same for every start, so the least full code also has
-    the least prefix.  Triangulations skip the ranking, so growth, which
-    codes only triangulations, pays nothing for it.  There row 1 (v's ring
-    from u) reads 0, ``deg u``, the new labels, then 2, whenever (u, v)
-    lies on no separating triangle, so it is fixed by the head; row 2
-    alone halves the traversals of level-11 growth children, but the
-    ranking costs more than the aborted traversals it saves.
+    A traversal starts at a dart (u, v) in an orientation s.  It labels u
+    0 and visits the vertices in label order; the row of a vertex is its
+    ring from the vertex it was reached from, in orientation s, with each
+    unlabelled neighbour taking the next label, and ends with 254.  The
+    code is the head (marks and degrees of u and v), the rows, the vertex
+    marks in label order and, with face marks, the face tail.  Only the
+    starts with the least head can give the least code.  They all write
+    row 0 as ``1..deg u``; row 1, of length ``deg v`` for each, is read
+    off u's ring without a traversal, and only the starts with the least
+    row 1 are traversed.  These run together one row at a time, and after
+    each row only the starts with the least row stay.  This is exact: 254
+    is above every label, so no row is a proper prefix of another and
+    comparing row by row is the byte order of the code.  A start dropped
+    at some row has a larger code than a start that stays, and the vertex
+    code has one length for every start, so the marks and then the face
+    tail decide among the starts left.  Those are exactly the starts with
+    the least code, in start order.
     """
     n = len(rot)
     if n == 0:
@@ -223,100 +159,80 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None,
                 starts.append((u, v))
     if not starts:
         raise MapError("map has no edges")
-    starts = [(u, v, s) for (u, v) in starts for s in (1, -1)]
-    # a simple spherical map is a triangulation exactly when 2E = 6n - 12
-    if sum(deg) != 6 * n - 12:
-        starts = _least_prefix_starts(rot, starts)
-    faces = None
-    if face_marks is not None:
-        faces = [(face, 1 if frozenset(face) in face_marks else 0)
-                 for face in faces_of_rotation(rot)[0]]
-    best = best_vertex = best_rot = None
-    orders = []
-    for (u, v, s) in starts:
-        # vertex codes all have one length, so the abort reads the vertex
-        # code alone; starts tied on it may differ in the face tail, since
-        # an automorphism of the unmarked map need not respect face marks
-        res = _encode(rot, marks, u, v, s, best_vertex)
-        if res is None:
-            continue
-        code = res[0] if faces is None else res[0] + _face_tail(faces, res[2])
-        if best is None or code < best:
-            best, best_vertex, best_rot = code, res[0], res[1]
-            orders = [res[2]]
-        elif code == best:
-            orders.append(res[2])
-    return best, best_rot, tuple(orders)
-
-
-def _least_prefix_starts(rot, starts):
-    """The starts ``(u, v, s)``, tied on the head, whose codes open with
-    the least rows 1 and 2, in their original order.
-
-    Row 1 is v's ring from u; row 2 is the ring of u's second neighbour
-    (label 2), also entered from u.  A vertex of u's ring is labelled by
-    its place in u's ring from v in orientation s; the others are labelled
-    in order of first appearance from ``deg u + 1`` on.  Row 1 has the
-    length ``deg v`` of every tied start; row 2 may not, so its key ends
-    with the separator 254, above every label, as in the code.
-    """
-    pos = [{w: i for i, w in enumerate(nbrs)} for nbrs in rot]
+    # row 1, v's ring after u: a vertex at place i of u's ring has label
+    # 1 + (i - k) * s mod deg u, with k the place of v; the others take
+    # labels from deg u + 1 on, in order of appearance
     least = None
     kept = []
-    for (u, v, s) in starts:
-        pu = pos[u]
+    pu_of = None
+    for u, v in starts:
+        if pu_of != u:
+            pu_of = u
+            pu = {w: i for i, w in enumerate(rot[u])}
         du = len(pu)
         k = pu[v]
         r = rot[v]
-        j = pos[v][u]
-        ring = r[j + 1:] + r[:j]
-        if s == -1:
-            ring = ring[::-1]
-        new = {}
-        key = []
-        for w in ring:
-            i = pu.get(w)
-            if i is None:
-                label = new[w] = du + 1 + len(new)
-            else:
-                label = 1 + (i - k) * s % du
-            key.append(label)
-        if least is None or key < least:
-            least = key
-            kept = [(u, v, s, k, new)]
-        elif key == least:
-            kept.append((u, v, s, k, new))
-    # with deg u = 1, label 2 goes to a vertex of row 1, not of u's ring
-    if len(kept) == 1 or len(rot[kept[0][0]]) < 2:
-        return [start[:3] for start in kept]
-    least = None
-    survivors = []
-    for (u, v, s, k, new) in kept:
-        pu = pos[u]
-        du = len(pu)
-        x = rot[u][(k + s) % du]
-        r = rot[x]
-        j = pos[x][u]
-        ring = r[j + 1:] + r[:j]
-        if s == -1:
-            ring = ring[::-1]
-        key = []
-        for w in ring:
-            i = pu.get(w)
-            if i is not None:
-                label = 1 + (i - k) * s % du
-            elif w in new:
-                label = new[w]
-            else:
-                label = new[w] = du + 1 + len(new)
-            key.append(label)
-        key.append(254)
-        if least is None or key < least:
-            least = key
-            survivors = [(u, v, s)]
-        elif key == least:
-            survivors.append((u, v, s))
-    return survivors
+        j = r.index(u)
+        after = r[j + 1:] + r[:j]
+        for s, ring in ((1, after), (-1, after[::-1])):
+            new = du + 1
+            row = []
+            for w in ring:
+                i = pu.get(w)
+                if i is None:
+                    row.append(new)
+                    new += 1
+                else:
+                    row.append(1 + (i - k) * s % du)
+            if least is None or row < least:
+                least = row
+                kept = [(u, v, s)]
+            elif row == least:
+                kept.append((u, v, s))
+    live = []
+    for u, v, s in kept:
+        lab = [-1] * n
+        lab[u] = 0
+        live.append((s, lab, [u], [v]))
+    rows = []
+    for i in range(n):
+        least = None
+        tied = []
+        for state in live:
+            s, lab, verts, ent = state
+            if i == len(verts):
+                raise MapError("map is not connected")
+            x = verts[i]
+            r = rot[x]
+            k = r.index(ent[i])
+            row = []
+            for w in r[k:] + r[:k] if s == 1 else r[k::-1] + r[:k:-1]:
+                label = lab[w]
+                if label < 0:
+                    label = lab[w] = len(verts)
+                    verts.append(w)
+                    ent.append(x)
+                row.append(label)
+            row.append(254)
+            if least is None or row < least:
+                least = row
+                tied = [state]
+            elif row == least:
+                tied.append(state)
+        live = tied
+        rows.append(least)
+    # the starts left share every row, but an automorphism of the unmarked
+    # map need not respect the vertex or face marks
+    tails = [bytes(marks[v] for v in state[2]) for state in live]
+    if face_marks is not None:
+        faces = [(face, 1 if frozenset(face) in face_marks else 0)
+                 for face in faces_of_rotation(rot)[0]]
+        tails = [tail + _face_tail(faces, state[2])
+                 for tail, state in zip(tails, live)]
+    least = min(tails)
+    code = bytes(best_key) + b"".join(map(bytes, rows)) + least
+    return (code, tuple(tuple(row[:-1]) for row in rows),
+            tuple(state[2] for state, tail in zip(live, tails) if tail == least))
 
 
 def _face_tail(faces, order) -> bytes:

@@ -11,8 +11,9 @@ rotation system, vertex 3-connectivity of a rotation system by removing
 every vertex pair, the every-tuple scan for prismatic circuits,
 structural validation as it was before the one-pass kernel, with the
 rotation builder it called, the face adjacency table and edge
-contraction as they were before they read the validation report, and
-the acute-angled check as it was when it summed ``Fraction`` angles.
+contraction as they were before they read the validation report, the
+acute-angled check as it was when it summed ``Fraction`` angles, and
+the full vertex code of one rooted traversal of a rotation system.
 The last one reads the package's face graph and report type, so only its
 arithmetic is independent.
 """
@@ -195,6 +196,36 @@ def is_three_connected(rot) -> bool:
     n = len(rot)
     return n >= 4 and _connected_without(rot, set()) and all(
         _connected_without(rot, {a, b}) for a in range(n) for b in range(a, n))
+
+
+def encode_reference(rot, marks, u, v, s):
+    """``(code, canon_rot, order)`` of the traversal that starts at the
+    dart u->v in orientation s, run to the end: u is labelled 0, each
+    vertex in label order writes its ring from the vertex it was reached
+    from, unlabelled neighbours taking the next label, and the code is
+    the marks and degrees of u and v, the rows each ended by 254, then
+    the marks in label order.  ``order[i]`` is the vertex labelled i."""
+    lab = {u: 0}
+    order = [u]
+    entry = [v]
+    rows = []
+    for x, e in zip(order, entry):
+        ring = list(rot[x])
+        k = ring.index(e)
+        ring = ring[k:] + ring[:k]
+        if s == -1:
+            ring = ring[:1] + ring[:0:-1]
+        for w in ring:
+            if w not in lab:
+                lab[w] = len(order)
+                order.append(w)
+                entry.append(x)
+        rows.append(tuple(lab[w] for w in ring))
+    if len(order) != len(rot):
+        raise MapError("map is not connected")
+    code = bytes((marks[u], len(rot[u]), marks[v], len(rot[v])))
+    code += b"".join(bytes(row) + b"\xfe" for row in rows)
+    return code + bytes(marks[x] for x in order), tuple(rows), order
 
 
 def prismatic_circuits_by_scan(faces, length: int):

@@ -94,6 +94,14 @@ def test_nikulin_usage_error(capsys):
     assert "need" in err
 
 
+def test_nikulin_refuses_file_with_numbers(capsys):
+    for flag in ("--n", "--k", "--l"):
+        code, out, err = run(capsys, "nikulin", fixture_path("cube"), flag, "6")
+        assert code == 2
+        assert out == ""
+        assert "not both" in err
+
+
 def test_nikulin_file_audit(capsys):
     code, out, _ = run(capsys, "nikulin", fixture_path("dodecahedron"))
     assert code == 0

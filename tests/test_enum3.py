@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -137,6 +138,15 @@ def test_cold_growth_form_count(monkeypatch):
     assert calls == 10514
     for n in range(4, 13):
         assert enum3._LEVELS[n] == warm[n], n
+
+
+def test_growth_store_digest():
+    """The stored levels to 12 vertices, canonical rotations and
+    automorphisms, are pinned byte for byte."""
+    triangulations(12)
+    store = repr([enum3._LEVELS[n] for n in range(4, 13)]).encode()
+    assert hashlib.sha256(store).hexdigest() == (
+        "9170499b175e176b3c4dc1b62af859fd7a6944148116f56a348bc8580af22ee8")
 
 
 def _splits(rot):

@@ -1,19 +1,21 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from orthocusp import core, enum3, maps
 from orthocusp.data import FIXTURES, load_fixture
 from orthocusp.enum3 import triangulations
-from oracle import edge_set, is_three_connected, rotation_from_faces_reference
+from oracle import (edge_set, encode_reference, is_three_connected,
+                    rotation_from_faces_reference)
 
 
 def _every_traversal(rot, marks):
-    """Full ``_encode`` result of every start dart and both orientations,
-    in the order canonical_form visits them."""
-    return [maps._encode(rot, marks, u, v, s, None)
+    """Full ``encode_reference`` result of every start dart and both
+    orientations, in the order canonical_form visits them."""
+    return [encode_reference(rot, marks, u, v, s)
             for u in range(len(rot)) for v in rot[u] for s in (1, -1)]
 
 
@@ -21,8 +23,8 @@ def exhaustive_form(rot, marks=None, face_marks=None):
     """The least code over every start dart and both orientations, the
     canonical rotation of the first traversal reaching it, and the orders
     of every traversal reaching it, in start order; this bypasses the
-    invariant-key restriction, the prefix ranking and the early abort used
-    by canonical_form.  With ``face_marks``, each code carries its face
+    invariant-key restriction and the row-by-row elimination of
+    canonical_form.  With ``face_marks``, each code carries its face
     tail."""
     if marks is None:
         marks = [0] * len(rot)
@@ -171,40 +173,29 @@ def _marked_maps(reports):
                    [int(v in p.ideal_vertices) for v in range(p.vertex_count)])
 
 
-def test_encode_aborts_exactly_when_larger(enum_all_small):
-    """Given ``best``, ``_encode`` returns None exactly when the full code
-    is larger, and the full result otherwise, for every traversal of the
-    triangulations up to 9 vertices and of the 1- and 2-cusp census
-    polyhedra up to 8 faces; ``best`` runs over the least, the largest,
-    the traversal's own and the next traversal's code, and two proper
-    prefixes of the own code."""
-    unmarked = ((rot, [0] * len(rot)) for n in range(4, 10) for rot in triangulations(n))
-    marked = _marked_maps([enum_all_small[1], enum_all_small[2]])
-    outcomes = Counter()
-    for rot, marks in [*unmarked, *marked]:
-        full = _every_traversal(rot, marks)
-        codes = [res[0] for res in full]
-        k = 0
-        for u in range(len(rot)):
-            for v in rot[u]:
-                for s in (1, -1):
-                    own = full[k]
-                    for best in (min(codes), max(codes), own[0], codes[(k + 1) % len(codes)],
-                                 own[0][:-1], own[0][:len(own[0]) // 2]):
-                        got = maps._encode(rot, marks, u, v, s, best)
-                        want = None if own[0] > best else own
-                        assert got == want, (rot, marks, u, v, s, best)
-                        outcomes[got is None] += 1
-                    k += 1
-    assert outcomes[True] > 0 and outcomes[False] > 0
+def _split_children(n):
+    """Every vertex split of every triangulation with n vertices, as growth
+    makes them, before any is canonicalised."""
+    for rot in triangulations(n):
+        for v, nbrs in enumerate(rot):
+            for i in range(len(nbrs)):
+                for j in range(i + 1, len(nbrs)):
+                    yield maps.split_vertex(rot, v, i, j)
 
 
 def test_canonical_form_matches_exhaustive_minimum(enum_all_small):
     """code and canon_rot are those of the first least traversal, and the
-    orders are those of every least traversal."""
+    orders are those of every least traversal.  Canonical triangulations,
+    the split children growth codes, and cusp-marked polyhedra; and the
+    8-vertex triangulations with every vertex but two marked, whose
+    starts then run through vertices of high degree, where row 1 can meet
+    u's ring in its middle (separating triangles through the start)."""
     unmarked = ((rot, None) for n in range(4, 10) for rot in triangulations(n))
+    children = ((rot, None) for n in (7, 8) for rot in _split_children(n))
     marked = _marked_maps([enum_all_small[1], enum_all_small[2]])
-    for rot, marks in [*unmarked, *marked]:
+    all_but_two = ((rot, [int(x not in pair) for x in range(8)])
+                   for rot in triangulations(8) for pair in combinations(range(8), 2))
+    for rot, marks in [*unmarked, *children, *marked, *all_but_two]:
         assert maps.canonical_form(rot, marks) == exhaustive_form(rot, marks)
 
 
@@ -252,24 +243,6 @@ def test_ranked_form_on_two_cusp_census():
     report = enum3.enumerate_types(enum3.EnumSpec(10, 2))
     assert len(report.types) == 4498
     assert_form_is_exhaustive(t.polyhedron for t in report.types)
-
-
-def test_ranking_skips_tied_starts(prism, monkeypatch):
-    """The triangular prism's 18 darts all tie on the head, but a start on
-    a triangle edge has a smaller row 1, so fewer traversals run."""
-    rot, marks, _ = _form_args(prism)
-    want = exhaustive_form(rot, marks)
-    calls = []
-    real = maps._encode
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(maps, "_encode", counting)
-    assert maps.canonical_form(rot, marks) == want
-    tied_starts = 2 * sum(len(nbrs) for nbrs in rot)
-    assert 0 < len(calls) < tied_starts
 
 
 def test_code_vertex_limit(k_gonal_prism):
