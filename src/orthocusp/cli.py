@@ -222,6 +222,15 @@ def cmd_bounds(args, out: _Out) -> int:
     return EXIT_OK
 
 
+def _stage(out: _Out, key: str, ok: bool, lines) -> int:
+    """Print a verification stage: its lines as text, or ``key=ok|fail``
+    in machine mode.  Returns 1 if the stage failed, else 0."""
+    for line in lines:
+        out.text(line)
+    out.kv(key, "ok" if ok else "fail")
+    return 0 if ok else 1
+
+
 def cmd_verify(args, out: _Out) -> int:
     stage = args.stage
     failures = 0
@@ -229,48 +238,33 @@ def cmd_verify(args, out: _Out) -> int:
         for name in cusplink.CASES:
             rep = cusplink.verify_builtin(name)
             line = f"{name}: {rep.rows} rows {'OK' if rep.ok else 'FAILED'}"
-            out.both(f"tables.{name}", "ok" if rep.ok else "fail", line)
-            for prob in rep.problems:
-                out.text("  " + prob)
-            failures += 0 if rep.ok else 1
+            failures += _stage(out, f"tables.{name}", rep.ok,
+                               [line, *("  " + prob for prob in rep.problems)])
     if stage in ("lemma31", "all"):
         rep = enum3.verify_lemma31()
-        for line in rep.lines():
-            out.text(line)
-        out.kv("lemma31", "ok" if rep.ok else "fail")
-        failures += 0 if rep.ok else 1
+        failures += _stage(out, "lemma31", rep.ok, rep.lines())
     if stage in ("minima", "all"):
         rep = enum3.two_cusp_minima()
-        for line in rep.lines():
-            out.text(line)
-        out.kv("minima", "ok" if rep.ok else "fail")
-        failures += 0 if rep.ok else 1
+        failures += _stage(out, "minima", rep.ok, rep.lines())
     if stage in ("n7", "all"):
         cert = bounds.n7_certificate()
-        for line in cert.lines():
-            out.text(line)
-        out.kv("n7", "ok" if cert.complete else "fail")
-        failures += 0 if cert.complete else 1
+        failures += _stage(out, "n7", cert.complete, cert.lines())
     if stage == "all":
         for name in FIXTURES:
-            p = load_fixture(name)
-            ok = validate(p).valid
-            out.both(f"fixture.{name}", "ok" if ok else "fail",
-                     f"fixture {name}: {'valid' if ok else 'INVALID'}")
-            failures += 0 if ok else 1
-        pins = (nikulin.nikulin_rhs(6, 3, 2) == 12 and nikulin.nikulin_rhs(7, 3, 2) == 9)
-        out.both("nikulin.pins", "ok" if pins else "fail",
-                 f"face-average bound pins (12 and 9): {'ok' if pins else 'FAILED'}")
-        failures += 0 if pins else 1
+            ok = validate(load_fixture(name)).valid
+            failures += _stage(out, f"fixture.{name}", ok,
+                               [f"fixture {name}: {'valid' if ok else 'INVALID'}"])
+        ok = nikulin.nikulin_rhs(6, 3, 2) == 12 and nikulin.nikulin_rhs(7, 3, 2) == 9
+        failures += _stage(out, "nikulin.pins", ok,
+                           [f"face-average bound pins (12 and 9): {'ok' if ok else 'FAILED'}"])
         want = {6: 3, 7: 17, 8: 36, 9: 91, 10: 254, 11: 741, 12: 2200}
         try:
             ok = bounds.main_bounds().table == want
         except AssertionError as exc:  # a sub-certificate refused
             print(exc, file=sys.stderr)
             ok = False
-        out.both("bounds.table", "ok" if ok else "fail",
-                 f"lower-bound table: {'ok' if ok else 'FAILED'}")
-        failures += 0 if ok else 1
+        failures += _stage(out, "bounds.table", ok,
+                           [f"lower-bound table: {'ok' if ok else 'FAILED'}"])
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 

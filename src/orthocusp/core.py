@@ -37,15 +37,11 @@ class Polyhedron3:
 
     ``faces`` holds each 2-face as a cyclic vertex sequence; orientation must
     be globally consistent (each edge traversed once in each direction).
-    ``ideal_faces`` marks faces that correspond to cusps of the dual; it is
-    empty for every polyhedron read from a file and is only populated by
-    ``dual`` so that dualising twice restores the original marks.
     """
 
     vertex_count: int
     ideal_vertices: frozenset[int]
     faces: tuple[tuple[int, ...], ...]
-    ideal_faces: frozenset[int] = field(default=frozenset())
 
     @property
     def edges(self) -> list[Edge]:
@@ -210,8 +206,6 @@ def parse_poly3(text: str) -> Polyhedron3:
 
 
 def to_poly3(p: Polyhedron3, comment: str | None = None) -> str:
-    if p.ideal_faces:
-        raise Poly3Error("ideal face marks cannot be serialised to POLY3")
     out = []
     if comment:
         out.append(f"# {comment}")
@@ -263,9 +257,6 @@ def validate(p: Polyhedron3, profile: DegreeProfile | None = None) -> Validation
     for v in p.ideal_vertices:
         if not 0 <= v < n:
             violations.append(("ideal-range", f"ideal id {v} out of range"))
-    for fi in p.ideal_faces:
-        if not 0 <= fi < len(p.faces):
-            violations.append(("ideal-face-range", f"ideal face index {fi} out of range"))
 
     out_darts: list[list[int]] = [[] for _ in range(n)]  # heads per tail, in dart order
     edges = 0
@@ -336,19 +327,17 @@ def require_valid(p: Polyhedron3) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def dual(p: Polyhedron3) -> Polyhedron3:
-    """Exchange faces and vertices of a valid polyhedron.
+    """Exchange faces and vertices of a valid polyhedron without cusps.
 
-    Ideal vertices become marked faces of the dual and vice versa, so the
-    double dual is isomorphic to the input including cusp marks.  An ideal
-    vertex of degree d becomes a d-gonal marked face.
+    The double dual is isomorphic to the input.  A cusp would become a
+    face of the dual, and faces carry no marks, so a polyhedron with cusps
+    raises ``Poly3Error``.
     """
+    if p.ideal_vertices:
+        raise Poly3Error("cannot dualise a polyhedron with cusps: faces carry no cusp marks")
     report = require_valid(p)
-    return Polyhedron3(
-        vertex_count=len(p.faces),
-        ideal_vertices=frozenset(p.ideal_faces),
-        faces=_dual_cycles(report.rotation, report.face_of),
-        ideal_faces=frozenset(p.ideal_vertices),
-    )
+    return Polyhedron3(vertex_count=len(p.faces), ideal_vertices=frozenset(),
+                       faces=_dual_cycles(report.rotation, report.face_of))
 
 
 def _dual_cycles(rot: maps.Rotation,
@@ -432,11 +421,7 @@ def _canonical_code(p: Polyhedron3, rot: maps.Rotation) -> bytes:
     """``canonical_code`` of a polyhedron already validated, whose
     rotation system is ``rot``."""
     marks = [1 if v in p.ideal_vertices else 0 for v in range(p.vertex_count)]
-    fmarks = None
-    if p.ideal_faces:
-        fmarks = {frozenset(p.faces[i]) for i in p.ideal_faces}
-    code, _, _ = maps.canonical_form(rot, marks, fmarks)
-    return code
+    return maps.canonical_form(rot, marks)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +498,6 @@ def to_face_lattice(p: Polyhedron3) -> FaceLattice:
     follows incidence.
     """
     require_valid(p)
-    if p.ideal_faces:
-        raise Poly3Error("ideal face marks have no lattice representation")
     faces = []
     order = []
     for v in range(p.vertex_count):

@@ -351,9 +351,9 @@ def _dualize(rot: maps.Rotation, faces: list[tuple[int, ...]],
              face_of: dict[tuple[int, int], int]) -> Polyhedron3:
     """Polyhedron whose dual map is ``rot``, traced by
     ``maps.faces_of_rotation`` into ``(faces, face_of)``; quadrilateral
-    faces of the map become ideal vertices.  Equal to ``core.dual`` of the
-    map with those faces marked, without validating the map or rebuilding
-    its rotation."""
+    faces of the map become ideal vertices.  Its face cycles are those of
+    ``core.dual`` of the map as a polyhedron without cusps, made without
+    validating the map or rebuilding its rotation."""
     return Polyhedron3(
         vertex_count=len(faces),
         ideal_vertices=frozenset(i for i, f in enumerate(faces) if len(f) == 4),

@@ -94,14 +94,15 @@ def _connected_without(rows: Sequence[Sequence[int]], *gone: int) -> bool:
 # canonical form
 # ---------------------------------------------------------------------------
 
-#: Labels and degrees are written as single bytes below the separators
-#: 252, 253 and 254, so codes are injective only up to this many vertices.
+#: Labels and degrees are written as single bytes below 254, the row end,
+#: so codes are injective only up to this many vertices.  252 and 253 were
+#: the separators of the face tail, which is gone; the limit stays at 252
+#: so that the accepted sizes do not change.
 MAX_CODE_VERTICES = 252
 
 
-def canonical_form(rot: Rotation, marks: Sequence[int] | None = None,
-                   face_marks: set[frozenset[int]] | None = None):
-    """Canonical byte code of an embedded map with optional vertex/face marks.
+def canonical_form(rot: Rotation, marks: Sequence[int] | None = None):
+    """Canonical byte code of an embedded map with optional vertex marks.
 
     The code is invariant under relabelling and reflection; two maps receive
     equal codes exactly when they are isomorphic as marked embedded
@@ -121,19 +122,18 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None,
     0 and visits the vertices in label order; the row of a vertex is its
     ring from the vertex it was reached from, in orientation s, with each
     unlabelled neighbour taking the next label, and ends with 254.  The
-    code is the head (marks and degrees of u and v), the rows, the vertex
-    marks in label order and, with face marks, the face tail.  Only the
-    starts with the least head can give the least code.  They all write
-    row 0 as ``1..deg u``; row 1, of length ``deg v`` for each, is read
-    off u's ring without a traversal, and only the starts with the least
-    row 1 are traversed.  These run together one row at a time, and after
-    each row only the starts with the least row stay.  This is exact: 254
-    is above every label, so no row is a proper prefix of another and
-    comparing row by row is the byte order of the code.  A start dropped
-    at some row has a larger code than a start that stays, and the vertex
-    code has one length for every start, so the marks and then the face
-    tail decide among the starts left.  Those are exactly the starts with
-    the least code, in start order.
+    code is the head (marks and degrees of u and v), the rows and the
+    vertex marks in label order.  Only the starts with the least head can
+    give the least code.  They all write row 0 as ``1..deg u``; row 1, of
+    length ``deg v`` for each, is read off u's ring without a traversal,
+    and only the starts with the least row 1 are traversed.  These run
+    together one row at a time, and after each row only the starts with
+    the least row stay.  This is exact: 254 is above every label, so no
+    row is a proper prefix of another and comparing row by row is the
+    byte order of the code.  A start dropped at some row has a larger code
+    than a start that stays, and the marks take one byte per vertex for
+    every start, so they decide among the starts left.  Those are exactly
+    the starts with the least code, in start order.
     """
     n = len(rot)
     if n == 0:
@@ -222,35 +222,12 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None,
         live = tied
         rows.append(least)
     # the starts left share every row, but an automorphism of the unmarked
-    # map need not respect the vertex or face marks
+    # map need not respect the vertex marks
     tails = [bytes(marks[v] for v in state[2]) for state in live]
-    if face_marks is not None:
-        faces = [(face, 1 if frozenset(face) in face_marks else 0)
-                 for face in faces_of_rotation(rot)[0]]
-        tails = [tail + _face_tail(faces, state[2])
-                 for tail, state in zip(tails, live)]
     least = min(tails)
     code = bytes(best_key) + b"".join(map(bytes, rows)) + least
     return (code, tuple(tuple(row[:-1]) for row in rows),
             tuple(state[2] for state, tail in zip(live, tails) if tail == least))
-
-
-def _face_tail(faces, order) -> bytes:
-    lab = {v: i for i, v in enumerate(order)}
-    keyed = []
-    for face, mark in faces:
-        cyc = [lab[v] for v in face]
-        variants = []
-        for seq in (cyc, cyc[::-1]):
-            variants.extend(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))
-        keyed.append((min(variants), mark))
-    keyed.sort()
-    tail = bytearray([253])
-    for cyc, m in keyed:
-        tail.extend(cyc)
-        tail.append(252)
-        tail.append(m)
-    return bytes(tail)
 
 
 # ---------------------------------------------------------------------------

@@ -329,9 +329,6 @@ def validate_reference(p, profile=None) -> ValidationReport:
     for v in p.ideal_vertices:
         if not 0 <= v < p.vertex_count:
             report.violations.append(("ideal-range", f"ideal id {v} out of range"))
-    for fi in p.ideal_faces:
-        if not 0 <= fi < len(p.faces):
-            report.violations.append(("ideal-face-range", f"ideal face index {fi} out of range"))
 
     edge_faces: dict[tuple[int, int], list[int]] = {}
     for (u, v), owners in directed.items():

@@ -389,14 +389,49 @@ def test_verify_n7(capsys):
     assert "cusp count >= 17" in out
 
 
+VERIFY_ALL_GOLDEN = (
+    "table1: 12 rows OK\n"
+    "table2: 20 rows OK\n"
+    "case41: 4 rows OK\n"
+    "0 types @ <=11; 1 type @ 12\n"
+    "face sizes: [4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5]\n"
+    "cusp-incident face sizes around the cusp: (5, 4, 5, 4)\n"
+    "the two quadrilaterals are not adjacent\n"
+    "canonical code matches the contracted dodecahedron: yes\n"
+    "class t=0: floor 8, first accepted type at 8\n"
+    "class t=1: floor 9, first accepted type at 9\n"
+    "class t=2: floor 10, first accepted type at 10\n"
+    "m=3: one-cusp 3-faces >= 210 > 0, polynomial 2374 >= 0 -> impossible\n"
+    "m=4: one-cusp 3-faces >= 195 > 0, polynomial 3274 >= 0 -> impossible\n"
+    "m=5: one-cusp 3-faces >= 180 > 0, polynomial 3994 >= 0 -> impossible\n"
+    "m=6: one-cusp 3-faces >= 165 > 0, polynomial 4534 >= 0 -> impossible\n"
+    "m=7: one-cusp 3-faces >= 150 > 0, polynomial 4894 >= 0 -> impossible\n"
+    "m=8: one-cusp 3-faces >= 135 > 0, polynomial 5074 >= 0 -> impossible\n"
+    "m=9: one-cusp 3-faces >= 120 > 0, polynomial 5074 >= 0 -> impossible\n"
+    "m=10: one-cusp 3-faces >= 105 > 0, polynomial 4894 >= 0 -> impossible\n"
+    "m=11: one-cusp 3-faces >= 90 > 0, polynomial 4534 >= 0 -> impossible\n"
+    "m=12: one-cusp 3-faces >= 75 > 0, polynomial 3994 >= 0 -> impossible\n"
+    "m=13: one-cusp 3-faces >= 60 > 0, polynomial 3274 >= 0 -> impossible\n"
+    "m=14: one-cusp 3-faces >= 45 > 0, polynomial 2374 >= 0 -> impossible\n"
+    "m=15: one-cusp 3-faces >= 30 > 0, polynomial 1294 >= 0 -> impossible\n"
+    "m=16: one-cusp 3-faces >= 15 > 0, polynomial 34 >= 0 -> impossible\n"
+    "cusp count >= 17\n"
+    "fixture tetrahedron: valid\n"
+    "fixture cube: valid\n"
+    "fixture square_pyramid: valid\n"
+    "fixture triangular_prism: valid\n"
+    "fixture dodecahedron: valid\n"
+    "face-average bound pins (12 and 9): ok\n"
+    "lower-bound table: ok\n"
+)
+
+
 def test_verify_all(capsys):
     # full pipeline; reuses the process-wide triangulation cache, so this is
     # cheap when the enumeration fixtures have already run
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0
-    assert "0 types @ <=11; 1 type @ 12" in out
-    assert "table2: 20 rows OK" in out
-    assert "fixture dodecahedron: valid" in out
+    assert out == VERIFY_ALL_GOLDEN
 
 
 VERIFY_ALL_MACHINE_GOLDEN = (

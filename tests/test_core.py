@@ -185,7 +185,6 @@ def _malformed(cube) -> dict[str, Polyhedron3]:
         "face-cycle": Polyhedron3(4, frozenset(), ((0, 1, 2, 1),) + TETRA_FACES[1:]),
         "vertex-range": Polyhedron3(4, frozenset(), TETRA_FACES[:3] + ((1, 3, 4),)),
         "ideal-range": Polyhedron3(4, frozenset({0, 7}), TETRA_FACES),
-        "ideal-face-range": Polyhedron3(4, frozenset(), TETRA_FACES, frozenset({1, 9})),
         "edge-pairing": Polyhedron3(4, frozenset(), flipped),
         "isolated-vertex": Polyhedron3(6, frozenset(), TETRA_FACES),
         "euler": Polyhedron3(9, frozenset(), _torus(0)),
@@ -231,24 +230,23 @@ def test_validate_matches_reference_on_multi_adjacency(subdivided_cube):
 
 
 def test_validate_matches_reference_on_valid(one_cusp_12, k_gonal_prism):
-    """Fixtures, prisms, the contracted dodecahedron and their duals, whose
-    marked faces are ideal face marks."""
-    polys = [load_fixture(name) for name in FIXTURES] + [one_cusp_12]
+    """Fixtures, prisms, their duals and the contracted dodecahedron."""
+    polys = [load_fixture(name) for name in FIXTURES]
     polys += [k_gonal_prism(k) for k in range(3, 13)]
-    polys += [dual(p) for p in polys]
-    assert any(p.ideal_faces for p in polys)
+    polys += [dual(p) for p in polys] + [one_cusp_12]
     for p in polys:
         _assert_matches_reference(p)
 
 
 @pytest.mark.parametrize("cusps", [0, 1, 2])
 def test_validate_matches_reference_on_census(cusps):
-    """Every type with at most 9 faces, and the duals of the cusped ones."""
+    """Every type with at most 9 faces, and the duals of those without
+    cusps."""
     from orthocusp import enum3
 
     for t in enum3.enumerate_types(enum3.EnumSpec(9, cusps)).types:
         _assert_matches_reference(t.polyhedron)
-        if cusps:
+        if not cusps:
             _assert_matches_reference(dual(t.polyhedron))
 
 
@@ -275,24 +273,19 @@ def test_dual_dodecahedron_is_icosahedron(dodecahedron):
     assert d.face_sizes() == [3] * 20
 
 
-def test_dual_involution_codes():
-    for name in FIXTURES:
-        p = load_fixture(name)
-        assert canonical_code(dual(dual(p))) == canonical_code(p)
+def test_dual_involution_codes(k_gonal_prism):
+    """The dual of every fixture and prism validates, and the double dual
+    has the input's code."""
+    for p in [*(load_fixture(name) for name in FIXTURES),
+              *(k_gonal_prism(k) for k in range(3, 13))]:
+        d = dual(p)
+        assert validate(d).valid
+        assert canonical_code(dual(d)) == canonical_code(p)
 
 
-def test_dual_involution_with_cusp(one_cusp_12):
-    d = dual(one_cusp_12)
-    sizes = sorted(len(f) for f in d.faces)
-    assert sizes == [3] * 18 + [4]
-    assert len(d.ideal_faces) == 1
-    assert len(d.faces[next(iter(d.ideal_faces))]) == 4
-    assert canonical_code(dual(d)) == canonical_code(one_cusp_12)
-
-
-def test_dual_marked_face_has_no_lattice(one_cusp_12):
-    with pytest.raises(Poly3Error, match="lattice"):
-        to_face_lattice(dual(one_cusp_12))
+def test_dual_refuses_cusps(one_cusp_12):
+    with pytest.raises(Poly3Error, match="cusps"):
+        dual(one_cusp_12)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +368,7 @@ def test_code_separates_types(cube, dodecahedron, prism, pyramid, tetrahedron):
 
 
 def test_code_size_guard(k_gonal_prism):
-    # labels are single bytes below the 252..254 separators
+    # labels are single bytes below 254, the row end; the limit stays 252
     assert canonical_code(k_gonal_prism(126))
     big = k_gonal_prism(129)
     assert validate(big).clean
@@ -398,14 +391,14 @@ def test_code_mark_position_matters(one_cusp_12, rng):
     assert canonical_code(moved) != canonical_code(p)
 
 
-def test_code_invariance_with_marked_faces(cube, rng):
-    """Duals of marked polyhedra carry face marks; their codes must not
-    depend on the labelling even when the unmarked structure is highly
-    symmetric (the marked octahedron exposed exactly this)."""
+def test_code_invariance_with_marked_vertex(cube, rng):
+    """A mark must not make the code depend on the labelling even when the
+    unmarked structure is highly symmetric: the cube with one marked
+    vertex, relabelled with and without reflection."""
     marked = Polyhedron3(cube.vertex_count, frozenset({0}), cube.faces)
-    base = canonical_code(dual(marked))
-    for _ in range(40):
-        assert canonical_code(dual(relabeled(marked, rng))) == base
+    base = canonical_code(marked)
+    for i in range(40):
+        assert canonical_code(relabeled(marked, rng, reflect=i % 2 == 1)) == base
 
 
 # ---------------------------------------------------------------------------

@@ -19,21 +19,15 @@ def _every_traversal(rot, marks):
             for u in range(len(rot)) for v in rot[u] for s in (1, -1)]
 
 
-def exhaustive_form(rot, marks=None, face_marks=None):
+def exhaustive_form(rot, marks=None):
     """The least code over every start dart and both orientations, the
     canonical rotation of the first traversal reaching it, and the orders
     of every traversal reaching it, in start order; this bypasses the
     invariant-key restriction and the row-by-row elimination of
-    canonical_form.  With ``face_marks``, each code carries its face
-    tail."""
+    canonical_form."""
     if marks is None:
         marks = [0] * len(rot)
     full = _every_traversal(rot, marks)
-    if face_marks is not None:
-        faces = [(face, int(frozenset(face) in face_marks))
-                 for face in maps.faces_of_rotation(rot)[0]]
-        full = [(code + maps._face_tail(faces, order), canon, order)
-                for code, canon, order in full]
     best = min(res[0] for res in full)
     tied = [res for res in full if res[0] == best]
     return best, tied[0][1], tuple(order for _, _, order in tied)
@@ -200,11 +194,10 @@ def test_canonical_form_matches_exhaustive_minimum(enum_all_small):
 
 
 def _form_args(p):
-    """Rotation, cusp marks and marked faces of a polyhedron, as
+    """Rotation and cusp marks of a polyhedron, as
     ``core.canonical_code`` passes them to canonical_form."""
     marks = [int(v in p.ideal_vertices) for v in range(p.vertex_count)]
-    face_marks = {frozenset(p.faces[i]) for i in p.ideal_faces} or None
-    return core.require_valid(p).rotation, marks, face_marks
+    return core.require_valid(p).rotation, marks
 
 
 def assert_form_is_exhaustive(polyhedra):
@@ -226,12 +219,6 @@ def test_ranked_form_on_fixtures(one_cusp_12):
     assert_form_is_exhaustive([*(load_fixture(name) for name in FIXTURES), one_cusp_12])
 
 
-def test_ranked_form_on_face_marked_duals(enum_all_small):
-    duals = [core.dual(t.polyhedron) for c in (1, 2) for t in enum_all_small[c].types]
-    assert all(p.ideal_faces for p in duals)
-    assert_form_is_exhaustive(duals)
-
-
 @pytest.mark.parametrize("cusps", [1, 2])
 def test_ranked_form_with_nine_faces(cusps):
     report = enum3.enumerate_types(enum3.EnumSpec(9, cusps))
@@ -246,7 +233,7 @@ def test_ranked_form_on_two_cusp_census():
 
 
 def test_code_vertex_limit(k_gonal_prism):
-    # labels are single bytes below the 252..254 separators
+    # labels are single bytes below 254, the row end; the limit stays 252
     assert maps.canonical_form(core.require_valid(k_gonal_prism(126)).rotation)[0]
     for k in (127, 129):
         with pytest.raises(maps.MapError, match=f"at most 252 vertices, got {2 * k}"):
