@@ -73,6 +73,26 @@ def _cache_dir(explicit: str | None) -> Path | None:
     return Path(env) if env else None
 
 
+def _poly3_names(cache: Path) -> list[str]:
+    """The sorted names ``cache.glob("*.poly3")`` gives, dot-files,
+    directories and dangling symlinks included, from one listing; like
+    the glob, none when ``cache`` may not be listed."""
+    try:
+        with os.scandir(cache) as entries:
+            return sorted(e.name for e in entries if e.name.endswith(".poly3"))
+    except PermissionError:
+        return []
+
+
+def _write_in_place(path: Path, text: str) -> None:
+    """``path.write_text(text, encoding="utf-8")`` without ``O_TRUNC``: a
+    rewrite overwrites the file's blocks, not freeing and allocating them
+    again, and then cuts the file at the end of ``text``."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(text.encode("utf-8"))
+        f.truncate()
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -170,15 +190,14 @@ def cmd_enumerate(args, out: _Out) -> int:
                 index.append(hexcode)
                 name = hashlib.sha256(t.code).hexdigest()[:12] + ".poly3"
                 written.add(name)
-                (cache / name).write_text(
-                    to_poly3(t.polyhedron, comment=f"faces={t.faces} code={hexcode}"),
-                    encoding="utf-8")
-            (cache / "index.txt").write_text(
-                "".join(code + "\n" for code in sorted(index)), encoding="utf-8")
+                _write_in_place(cache / name, to_poly3(
+                    t.polyhedron, comment=f"faces={t.faces} code={hexcode}"))
+            _write_in_place(cache / "index.txt",
+                            "".join(code + "\n" for code in sorted(index)))
             # type files of an earlier census in DIR would fail --check-cache
-            for path in cache.glob("*.poly3"):
-                if path.name not in written:
-                    path.unlink()
+            for name in _poly3_names(cache):
+                if name not in written:
+                    (cache / name).unlink()
         except OSError as exc:
             print(f"cannot write cache: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -195,8 +214,8 @@ def _check_cache(spec, cache: Path, out: _Out) -> int:
               if line.strip()]
     recomputed = []
     in_spec = True
-    for path in sorted(cache.glob("*.poly3")):
-        p = _read_poly(path)
+    for name in _poly3_names(cache):
+        p = _read_poly(cache / name)
         recomputed.append(canonical_code(p).hex())
         in_spec = (in_spec and p.face_count <= spec.max_faces
                    and len(p.ideal_vertices) == spec.num_cusps

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
+import stat
 import subprocess
 import sys
 from importlib import resources
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from orthocusp import enum3, to_poly3
+from orthocusp import cli, enum3, to_poly3
 from orthocusp.cli import main
 
 FIXTURE_DIR = resources.files("orthocusp.data")
@@ -359,7 +361,8 @@ def test_undecodable_input_is_an_input_error(capsys, tmp_path, flag):
 
 def test_cache_check_input_errors(capsys, tmp_path):
     """A cached file that is not UTF-8 exits 1 with ``error:``; one that
-    cannot be read, here a directory, exits 3 with ``cannot read``."""
+    cannot be read, here a directory, exits 3 with ``cannot read``, and
+    ``enumerate --out`` cannot delete it and exits 3 too."""
     out_dir = tmp_path / "types"
     run(capsys, "enumerate", "--faces", "6", "--cusps", "0", "--out", str(out_dir))
     check = ["enumerate", "--faces", "6", "--cusps", "0", "--out", str(out_dir), "--check-cache"]
@@ -370,9 +373,11 @@ def test_cache_check_input_errors(capsys, tmp_path):
     assert err.startswith(f"error: {bad} is not UTF-8 text: ")
     bad.unlink()
     bad.mkdir()
-    code, _, err = run(capsys, *check)
-    assert code == 3
-    assert err.startswith(f"cannot read {bad}: ")
+    eisdir = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{bad}'"
+    code, out, err = run(capsys, *check)
+    assert (code, out, err) == (3, "", f"cannot read {bad}: {eisdir}\n")
+    code, _, err = run(capsys, *check[:-1])
+    assert (code, err) == (3, f"cannot write cache: {eisdir}\n")
 
 
 def test_verify_tables(capsys):
@@ -520,21 +525,76 @@ def test_enumerate_and_cache_roundtrip(capsys, tmp_path):
     assert "verified" in out
 
 
-def test_census_files_pinned(capsys, tmp_path):
-    """The files of the 8-face two-cusp census are pinned byte for byte:
-    SHA-256 over the sorted file names, each followed by a newline and the
-    file's bytes.  The face cycles written come from the dual cycles, so
-    this pins their starting faces too."""
-    out_dir = tmp_path / "types"
-    code, _, _ = run(capsys, "enumerate", "--faces", "8", "--cusps", "2", "--out", str(out_dir))
-    assert code == 0
+CENSUS_8_2 = ["enumerate", "--faces", "8", "--cusps", "2", "--out"]
+CENSUS_8_2_SHA256 = "313d348ff8f4e4c16571dd7fce6bc3dbeb41ea450ad24f8bd66df3934cbbd6ab"
+
+
+def census_digest(out_dir: Path) -> str:
+    """SHA-256 over the sorted file names in ``out_dir``, each followed by
+    a newline and the file's bytes."""
     names = sorted(path.name for path in out_dir.iterdir())
+    assert len(names) == 75
     digest = hashlib.sha256()
     for name in names:
         digest.update(name.encode() + b"\n" + (out_dir / name).read_bytes())
-    assert len(names) == 75
-    assert digest.hexdigest() == (
-        "313d348ff8f4e4c16571dd7fce6bc3dbeb41ea450ad24f8bd66df3934cbbd6ab")
+    return digest.hexdigest()
+
+
+def test_census_files_pinned(capsys, tmp_path):
+    """The files of the 8-face two-cusp census are pinned byte for byte.
+    The face cycles written come from the dual cycles, so this pins their
+    starting faces too."""
+    out_dir = tmp_path / "types"
+    code, _, _ = run(capsys, *CENSUS_8_2, str(out_dir))
+    assert code == 0
+    assert census_digest(out_dir) == CENSUS_8_2_SHA256
+
+
+def test_census_rewrite_overwrites_in_place(capsys, tmp_path):
+    """Writing a census over its own damaged files restores their exact
+    bytes: a padded file is cut back, a cut one and a junk ``index.txt``
+    are filled in again.  A rewritten file keeps its permission bits and a
+    missing one gets the mode ``Path.write_text`` gives."""
+    out_dir = tmp_path / "types"
+    assert run(capsys, *CENSUS_8_2, str(out_dir))[0] == 0
+    padded, cut, kept, gone = sorted(out_dir.glob("*.poly3"))[:4]
+    padded.write_bytes(padded.read_bytes() + b"# trailing junk\n" * 50)
+    cut.write_bytes(cut.read_bytes()[:20])
+    (out_dir / "index.txt").write_text("not a code\n")
+    kept.chmod(0o604)
+    gone.unlink()
+    umask = os.umask(0o027)
+    try:
+        (tmp_path / "reference").write_text("x")
+        code, out, err = run(capsys, *CENSUS_8_2, str(out_dir))
+    finally:
+        os.umask(umask)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"wrote 74 types to {out_dir}\n")
+    assert census_digest(out_dir) == CENSUS_8_2_SHA256
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+    assert gone.stat().st_mode == (tmp_path / "reference").stat().st_mode
+    assert run(capsys, "--machine", *CENSUS_8_2, str(out_dir), "--check-cache")[:2] == (
+        0, "cache=ok\n")
+
+
+def test_poly3_names_match_the_glob(tmp_path, monkeypatch):
+    """The listing of cached type files gives the names and order of
+    ``DIR.glob("*.poly3")``, dot-files, directories and dangling symlinks
+    included; a directory that may not be listed has none."""
+    for name in (".h.poly3", "B.POLY3", "c.poly3.bak", "c.poly3", "Z.poly3"):
+        (tmp_path / name).write_text("")
+    (tmp_path / "d.poly3").mkdir()
+    (tmp_path / "m.poly3").symlink_to(tmp_path / "nowhere")
+    names = cli._poly3_names(tmp_path)
+    assert names == sorted(path.name for path in tmp_path.glob("*.poly3"))
+    assert names == [".h.poly3", "Z.poly3", "c.poly3", "d.poly3", "m.poly3"]
+
+    def refuse(path):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+    monkeypatch.setattr(os, "scandir", refuse)
+    assert cli._poly3_names(tmp_path) == []
 
 
 def test_cache_check_detects_tampering(capsys, tmp_path):
