@@ -135,18 +135,22 @@ def test_bounds_lines_golden():
 
 def test_main_bounds_reads_census_floors(monkeypatch, two_cusp_report):
     """The table rests on the floors the censuses check: weakening either
-    census floor makes the dimension-6 certificate refuse."""
+    census floor leaves the dimension-6 certificate incomplete."""
     assert two_cusp_report.budget == 10
     with monkeypatch.context() as mp:
         mp.setitem(enum3.TWO_CUSP_FLOORS, 2, 9)
-        with pytest.raises(AssertionError, match="table2: surplus 20 vs deficit 30 "):
-            main_bounds()
+        cert = main_bounds()
+        assert not cert.complete
+        assert "table2: surplus 20 vs deficit 30 " in cert.refusal()
     with monkeypatch.context() as mp:
         mp.setattr(enum3, "ONE_CUSP_FLOOR", 11)
-        with pytest.raises(AssertionError, match="needs >= 11 2-faces"):
-            main_bounds()
-    assert main_bounds().table == MAIN_TABLE
-
+        cert = main_bounds()
+        assert not cert.complete
+        assert "needs >= 11 2-faces" in cert.refusal()
+        assert "average must stay < 12: no contradiction" in cert.refusal()
+        assert "dimension 7" not in cert.refusal()
+    cert = main_bounds()
+    assert cert.complete and cert.table == MAIN_TABLE
 
 
 def test_main_bounds_reads_table_class(monkeypatch, capsys):
@@ -160,7 +164,9 @@ def test_main_bounds_reads_table_class(monkeypatch, capsys):
         return rows[:-1] if t == 1 else rows
 
     monkeypatch.setattr(cusplink, "derive_rows", one_short)
-    with pytest.raises(AssertionError, match="table1: surplus 11 vs deficit 12 "):
-        main_bounds()
+    cert = main_bounds()
+    assert cert.n6.tables["table1"].ok and not cert.complete
+    assert "table1: surplus 11 vs deficit 12 " in cert.refusal()
     assert main(["bounds"]) == 1
     assert "table1: surplus 11 vs deficit 12 " in capsys.readouterr().err
+

@@ -6,12 +6,13 @@ import os
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from orthocusp import cli, enum3, to_poly3
+from orthocusp import bounds, cli, cusplink, enum3, to_poly3
 from orthocusp.cli import main
 
 FIXTURE_DIR = resources.files("orthocusp.data")
@@ -473,6 +474,80 @@ def test_verify_all_reports_a_lowered_floor(capsys, monkeypatch):
     assert "table2: surplus 20 vs deficit 30" in err
 
 
+def test_verify_all_builds_the_certificate_once(capsys, monkeypatch):
+    """``verify all`` derives each case's rows once, and builds the
+    dimension-7 certificate and the whole certificate once."""
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cusplink, "derive_rows")
+    counted(bounds, "n7_certificate")
+    counted(bounds, "main_bounds")
+    assert run(capsys, "--machine", "verify", "all")[:2] == (0, VERIFY_ALL_MACHINE_GOLDEN)
+    assert sorted(calls) == ["derive_rows"] * 3 + ["main_bounds", "n7_certificate"]
+
+
+def test_verify_all_table_rests_on_the_census_reports(capsys, monkeypatch):
+    """A census report that fails, here a two-cusp type below its floor or
+    a failing one-cusp check, fails ``bounds.table`` as well."""
+    minima = enum3.two_cusp_minima()
+    lemma31 = enum3.verify_lemma31()
+    for name, stage, report in (
+            ("two_cusp_minima", "minima", replace(minima, violations=[(2, 9)])),
+            ("verify_lemma31", "lemma31", replace(lemma31, face_sizes=[]))):
+        assert not report.ok
+        with monkeypatch.context() as mp:
+            mp.setattr(enum3, name, lambda: report)
+            code, out, err = run(capsys, "--machine", "verify", "all")
+        assert code == 1
+        assert out == VERIFY_ALL_MACHINE_GOLDEN.replace(
+            f"{stage}=ok", f"{stage}=fail").replace("bounds.table=ok", "bounds.table=fail")
+        assert err == ""
+
+
+def test_a_row_outside_the_lemma_is_refused(capsys, monkeypatch):
+    """A derived row whose members share one hyperface fails table2's
+    check; ``bounds`` refuses naming the case, and ``verify all`` fails
+    both the case and the table."""
+    derive_rows = cusplink.derive_rows
+    bad = (frozenset({1, 6, 8}), frozenset({1, 6, 9}), frozenset({1, 8, 9}))
+
+    def with_bad_row(t, count):
+        return derive_rows(t, count) + ([bad] if t == 2 else [])
+
+    monkeypatch.setattr(cusplink, "derive_rows", with_bad_row)
+    code, out, err = run(capsys, "bounds")
+    assert (code, out) == (1, "")
+    assert "table2: row 20: members share [1], not two hyperfaces\n" in err
+    code, out, err2 = run(capsys, "--machine", "verify", "all")
+    assert code == 1 and err2 == err
+    assert out == VERIFY_ALL_MACHINE_GOLDEN.replace(
+        "tables.table2=ok", "tables.table2=fail").replace("bounds.table=ok", "bounds.table=fail")
+
+
+def test_bounds_refusal_words_a_lowered_one_cusp_floor(capsys, monkeypatch):
+    monkeypatch.setattr(enum3, "ONE_CUSP_FLOOR", 11)
+    code, out, err = run(capsys, "bounds")
+    assert (code, out) == (1, "")
+    assert "needs >= 11 2-faces, average must stay < 12: no contradiction\n" in err
+
+
+def test_verify_n7_fails_on_a_negative_polynomial(capsys, monkeypatch):
+    monkeypatch.setattr(bounds, "n7_polynomial", lambda l, m: -1)
+    code, out, _ = run(capsys, "verify", "n7")
+    assert code == 1
+    assert "impossible" not in out
+    assert out.startswith("m=3: one-cusp 3-faces >= 210 > 0, polynomial -1 < 0 -> not excluded\n")
+    assert out.endswith("\ncusp count >= 17 not shown\n")
+
+
 @pytest.mark.parametrize("argv", [["bounds"], ["bounds", "--certificate"]])
 def test_bounds_reports_a_refused_certificate(capsys, monkeypatch, argv):
     """With the t=2 floor lowered to 9, table2 refuses: ``bounds`` prints
@@ -594,7 +669,29 @@ def test_poly3_names_match_the_glob(tmp_path, monkeypatch):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
 
     monkeypatch.setattr(os, "scandir", refuse)
-    assert cli._poly3_names(tmp_path) == []
+    with pytest.raises(cli._UnreadableInput, match=f"cannot read {tmp_path}: "):
+        cli._poly3_names(tmp_path)
+
+
+@pytest.mark.parametrize("check", [False, True])
+def test_unlistable_cache_is_an_io_error(capsys, tmp_path, monkeypatch, check):
+    """A census directory that cannot be listed exits 3 with ``cannot read
+    DIR``: ``--check-cache`` does not report a mismatch, and ``--out``
+    does not pass over the stale files it could not find."""
+    out_dir = tmp_path / "types"
+    argv = ["enumerate", "--faces", "7", "--cusps", "0", "--out", str(out_dir)]
+    assert run(capsys, *argv)[0] == 0
+    scandir = os.scandir
+
+    def refuse(path="."):
+        if Path(path) == out_dir:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", refuse)
+    code, _, err = run(capsys, *argv, *(["--check-cache"] if check else []))
+    eacces = f"[Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: '{out_dir}'"
+    assert (code, err) == (3, f"cannot read {out_dir}: {eacces}\n")
 
 
 def test_cache_check_detects_tampering(capsys, tmp_path):
