@@ -151,45 +151,57 @@ def _derive_face_graph(p: Polyhedron3, incidence: ValidationReport) -> FaceGraph
             nbrs[a].add(b)
             nbrs[b].add(a)
     vsets = [frozenset(face) for face in p.faces]
+    circuits3, circuits4 = _prismatic_circuits(nbrs, vsets)
     return FaceGraph(adjacency=MappingProxyType(table),
-                     circuits3=_prismatic_circuits(3, nbrs, vsets),
-                     circuits4=_prismatic_circuits(4, nbrs, vsets),
+                     circuits3=circuits3, circuits4=circuits4,
                      flanks=_cusp_flanks(p, nbrs, vsets))
 
 
-def _prismatic_circuits(length: int, nbrs: list[set[int]],
-                        vsets: list[frozenset[int]]) -> tuple[PrismaticCircuit, ...]:
-    """The prismatic circuits of the given length, given the face neighbour
-    sets N(x) and the vertex set of each face, listed by sorted members.
+def _prismatic_circuits(nbrs: list[set[int]], vsets: list[frozenset[int]]):
+    """The prismatic 3- and 4-circuits, given the face neighbour sets N(x)
+    and the vertex set of each face: 3-circuits (a, b, c) in that order,
+    4-circuits (a, b, c, d) listed by sorted members.
 
-    Exactly once: a 3-circuit a < b < c is met only from its least member a,
-    with b in N(a) and c in N(a) & N(b).  An induced 4-cycle with least
-    member a is met only at the pair (a, c), since c is its one member not
-    in N(a), and there at the pair b < d of N(a) & N(c) above a, the other
-    two members, which are not adjacent.  Conversely a-b-c-d-a with a, c
-    and b, d non-adjacent is an induced 4-cycle.  A candidate is kept when
-    its members share no vertex.
+    One pass over the wedges a-b-c of the face graph with a < b and a < c,
+    b in N(a) and c in N(b).  When c is in N(a) and c > b, the triangle
+    a < b < c is a 3-circuit candidate.  When c is not in N(a), b joins the
+    list of c, and each non-adjacent pair b < d of that list closes the
+    induced 4-cycle a-b-c-d-a.  A candidate is kept when its members share
+    no vertex, which excludes the faces around one vertex or one cusp.
+
+    Exactly once: a 3-circuit is met only from its least member a, by the
+    wedge a-b-c through its middle member b, as the wedge a-c-b has c > b.
+    An induced 4-cycle is met only from its least member a, at c, its one
+    member not in N(a), where the other two members b < d both reach c;
+    they are not adjacent.  Conversely a-b-c-d-a with a, c and b, d
+    non-adjacent is an induced 4-cycle.  Sorted neighbour lists put the
+    3-circuits in (a, b, c) order and each list of c in ascending order.
     """
-    nf = len(nbrs)
-    out = []
-    if length == 3:
-        for a in range(nf):
-            for b in sorted(x for x in nbrs[a] if x > a):
-                for c in sorted(x for x in nbrs[a] & nbrs[b] if x > b):
-                    if not vsets[a] & vsets[b] & vsets[c]:
-                        out.append(PrismaticCircuit((a, b, c)))
-        return tuple(out)
-    for a in range(nf):
-        for c in range(a + 1, nf):
-            if c in nbrs[a]:
+    ordered = [sorted(x) for x in nbrs]
+    out3, out4 = [], []
+    for a, around in enumerate(ordered):
+        near = nbrs[a]
+        opposite: dict[int, list[int]] = {}
+        for b in around:
+            if b < a:
                 continue
-            common = sorted(x for x in nbrs[a] & nbrs[c] if x > a)
+            for c in ordered[b]:
+                if c <= a:
+                    continue
+                if c in near:
+                    if c > b and not vsets[a] & vsets[b] & vsets[c]:
+                        out3.append(PrismaticCircuit((a, b, c)))
+                else:
+                    opposite.setdefault(c, []).append(b)
+        for c, ends in opposite.items():
+            if len(ends) < 2:
+                continue
             shared = vsets[a] & vsets[c]
-            for b, d in combinations(common, 2):
+            for b, d in combinations(ends, 2):
                 if d not in nbrs[b] and not shared & vsets[b] & vsets[d]:
-                    out.append(PrismaticCircuit((a, b, c, d)))
-    out.sort(key=lambda circ: sorted(circ.faces))
-    return tuple(out)
+                    out4.append(PrismaticCircuit((a, b, c, d)))
+    out4.sort(key=lambda circ: sorted(circ.faces))
+    return tuple(out3), tuple(out4)
 
 
 def _cusp_flanks(p: Polyhedron3, nbrs: list[set[int]], vsets: list[frozenset[int]]):

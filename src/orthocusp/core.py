@@ -37,6 +37,9 @@ class Polyhedron3:
 
     ``faces`` holds each 2-face as a cyclic vertex sequence; orientation must
     be globally consistent (each edge traversed once in each direction).
+    The first ``validate`` keeps its structural pass on the instance as
+    ``_validation``; it is not a field, so equality, hashing and repr
+    ignore it.
     """
 
     vertex_count: int
@@ -68,12 +71,6 @@ class Polyhedron3:
         """The edge list ``edges`` copies, built once per instance."""
         return tuple(sorted({_norm_edge(u, v) for face in self.faces
                              for u, v in zip(face, face[1:] + face[:1])}))
-
-    @cached_property
-    def _validation(self) -> ValidationReport:
-        """``validate(self)``, kept for ``require_valid``; not a field, so
-        equality, hashing and repr ignore it."""
-        return validate(self)
 
 
 @dataclass(frozen=True)
@@ -228,6 +225,30 @@ def validate(p: Polyhedron3, profile: DegreeProfile | None = None) -> Validation
     more than one edge is legal for the data model but reported as a
     warning; right-angled checks reject it downstream.
 
+    The structural pass runs once per instance and is kept on it, where
+    ``require_valid`` reads it; the report returned is the caller's, with
+    lists of its own.  The degree profile is read off the rotation system,
+    which a valid polyhedron has.
+    """
+    kept = getattr(p, "_validation", None)
+    if kept is None:
+        kept = _structure(p)
+        object.__setattr__(p, "_validation", kept)
+    report = ValidationReport(list(kept.violations), list(kept.warnings),
+                              rotation=kept.rotation, face_of=kept.face_of)
+    if profile is not None and report.valid:
+        for v, row in enumerate(report.rotation):
+            # a one-vertex face makes a loop, which adds no edge
+            got = len(row) - (v in row)
+            want = profile.ideal_degree if v in p.ideal_vertices else profile.finite_degree
+            if got != want:
+                report.degree_violations.append((v, got, want))
+    return report
+
+
+def _structure(p: Polyhedron3) -> ValidationReport:
+    """The structural part of ``validate``, without a degree profile.
+
     One pass over the faces records each dart u->v, its face and the vertex
     after v; every other check reads that record.
     """
@@ -301,21 +322,15 @@ def validate(p: Polyhedron3, profile: DegreeProfile | None = None) -> Validation
             if count > 1:
                 report.warnings.append(
                     ("multi-adjacency", f"faces {a} and {b} share {count} edges"))
-
-    if profile is not None and not violations:
-        for v, heads in enumerate(out_darts):
-            # a one-vertex face makes a loop, which adds no edge
-            got = len(heads) - (v in heads)
-            want = profile.ideal_degree if v in p.ideal_vertices else profile.finite_degree
-            if got != want:
-                report.degree_violations.append((v, got, want))
     return report
 
 
 def require_valid(p: Polyhedron3) -> ValidationReport:
     """Raise ``Poly3Error`` unless ``p`` is valid; return its validation
-    report, whose ``rotation`` and ``face_of`` are set.  The validation is
-    made once per instance and kept on it."""
+    report, whose ``rotation`` and ``face_of`` are set.  It is the
+    structural pass kept on the instance, shared with ``validate``."""
+    if not hasattr(p, "_validation"):
+        validate(p)
     report = p._validation
     if not report.valid:
         raise Poly3Error("invalid polyhedron: " + "; ".join(m for _, m in report.violations))

@@ -386,6 +386,8 @@ def enumerate_types(spec: EnumSpec) -> EnumReport:
             p = _dualize(rot, faces, face_of)
             # the one validation of the type; its rotation feeds the code
             rep = validate(p, RIGHT_ANGLED_PROFILE)
+            # a census holds thousands of types at once: keep no pass on them
+            object.__delattr__(p, "_validation")
             if not rep.clean:
                 raise AssertionError(f"enumerated type fails validation: {rep.lines()}")
             if len(p.ideal_vertices) != spec.num_cusps:

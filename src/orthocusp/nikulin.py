@@ -48,8 +48,12 @@ def face_average(lattice: FaceLattice, k: int, l: int) -> Rational:
     top = lattice.faces_of_dim(k)
     if not top:
         raise ValueError(f"lattice has no {k}-dimensional faces")
-    total = sum(lattice.count_below(f.id, l) for f in top)
-    return Fraction(total, len(top))
+    return _average(lattice, top, l)
+
+
+def _average(lattice: FaceLattice, top: list, l: int) -> Rational:
+    """Average number of l-faces below the faces ``top`` of one grade."""
+    return Fraction(sum(lattice.count_below(f.id, l) for f in top), len(top))
 
 
 def nikulin_rhs(n: int, k: int, l: int) -> Rational:
@@ -75,12 +79,13 @@ def audit(lattice: FaceLattice) -> NikulinAudit:
     n = lattice.dimension
     records = []
     for k in range(1, n // 2 + 1):
-        if not lattice.faces_of_dim(k):
+        top = lattice.faces_of_dim(k)   # listed once for all l
+        if not top:
             continue
         for l in range(k):
             records.append(AuditRecord(
                 k=k, l=l,
-                average=face_average(lattice, k, l),
+                average=_average(lattice, top, l),
                 bound=nikulin_rhs(n, k, l)))
     return NikulinAudit(dimension=n, records=tuple(records))
 

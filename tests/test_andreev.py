@@ -110,6 +110,26 @@ def test_prismatic_circuits_match_scan_cusped(cusps, max_faces):
     assert sorted(checked) == list(range(9, max_faces + 1))
 
 
+def test_wedge_pass_matches_scan_loebell_and_prisms(loebell, k_gonal_prism):
+    """The wedge pass lists what the scan lists, in the same order, on the
+    Loebell polyhedra L(5..12), on each of them with one edge contracted
+    to a cusp, and on the k-gonal prisms up to 40.  Around a contracted
+    edge the faces at either end form 3-circuit candidates through a
+    vertex, and the four faces around the cusp an induced 4-cycle through
+    it, which both searches must exclude."""
+    for n in range(5, 13):
+        p = loebell(n)
+        assert_circuits_match_scan(p)
+        contracted = contract_edge(p, p.edges[0])
+        cusp = next(iter(contracted.ideal_vertices))
+        around = [fi for fi, face in enumerate(contracted.faces) if cusp in face]
+        assert len(around) == 4
+        assert prismatic_circuits(contracted, 4) == prismatic_circuits(p, 4) == []
+        assert_circuits_match_scan(contracted)
+    for k in range(3, 41):
+        assert_circuits_match_scan(k_gonal_prism(k))
+
+
 def test_prismatic_circuits_k_gonal_prism(k_gonal_prism):
     """The k-gonal prism has no 3-circuit for k >= 4, and its 4-circuits are
     the k(k - 3)/2 bands through the two k-gons for k >= 5."""
@@ -293,6 +313,52 @@ def test_checks_validate_once(one_cusp_12, monkeypatch):
         edge_reads.append(calls["edges"] - before)
     assert calls["validate"] == 1
     assert edge_reads[0] == 0 and edge_reads[1] <= 1
+
+
+@pytest.mark.parametrize("first", ["validate", "require_valid"])
+def test_audit_chain_makes_one_structural_pass(one_cusp_12, monkeypatch, first):
+    """The audit chain as the benchmark runs it (validate with the
+    right-angled profile, both checks, the face lattice, its audits and the
+    canonical code) makes one structural pass, and so does the chain
+    entered by ``require_valid``.  The report ``validate`` returns is the
+    caller's: appending to its lists leaves a later ``require_valid`` and a
+    later ``validate`` unchanged."""
+    from dataclasses import replace
+
+    from orthocusp import (RIGHT_ANGLED_PROFILE, canonical_code, core, nikulin,
+                           to_face_lattice, validate)
+    from orthocusp.core import require_valid
+
+    p = replace(one_cusp_12)   # a fresh instance: nothing is kept on it yet
+    calls = Counter()
+    real_structure = core._structure
+
+    def structure(*args):
+        calls["structure"] += 1
+        return real_structure(*args)
+
+    monkeypatch.setattr(core, "_structure", structure)
+    if first == "require_valid":
+        require_valid(p)
+    report = validate(p, RIGHT_ANGLED_PROFILE)
+    check_right_angled(p)
+    check_andreev(p, right_angles(p))
+    lattice = to_face_lattice(p)
+    nikulin.audit(lattice)
+    nikulin.check_small(lattice)
+    canonical_code(p)
+    assert calls["structure"] == 1
+    assert report.clean and not report.warnings
+
+    kept = require_valid(p)
+    report.violations.append(("stale", "appended by the caller"))
+    report.warnings.append(("stale", "appended by the caller"))
+    report.degree_violations.append((0, 2, 3))
+    assert require_valid(p) is kept
+    assert not (kept.violations or kept.warnings or kept.degree_violations)
+    again = validate(p, RIGHT_ANGLED_PROFILE)
+    assert again.clean and not again.warnings
+    assert calls["structure"] == 1
 
 
 def test_face_graph_derived_once(one_cusp_12, monkeypatch):

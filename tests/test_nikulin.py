@@ -122,6 +122,26 @@ def test_audit_synthetic_boundary_lattice():
     assert rec.strict_ok is False
 
 
+def test_audit_lists_each_grade_once(monkeypatch):
+    """``audit`` lists each grade k once for all its l, and its records are
+    the face averages and bounds pair by pair."""
+    L = chain_lattice(6, (3, 12))
+    listed = []
+    real = FaceLattice.faces_of_dim
+
+    def faces_of_dim(self, k):
+        listed.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(FaceLattice, "faces_of_dim", faces_of_dim)
+    a = audit(L)
+    assert listed == [1, 2, 3]
+    monkeypatch.undo()
+    assert [(r.k, r.l) for r in a.records] == [(k, l) for k in (1, 2, 3) for l in range(k)]
+    for r in a.records:
+        assert (r.average, r.bound) == (face_average(L, r.k, r.l), nikulin_rhs(6, r.k, r.l))
+
+
 # ---------------------------------------------------------------------------
 # small dimensions
 # ---------------------------------------------------------------------------
