@@ -16,7 +16,8 @@ from numbers import Rational
 from types import MappingProxyType
 from typing import Mapping
 
-from .core import Edge, Polyhedron3, Poly3Error, ValidationReport, require_valid, _norm_edge
+from .core import (Edge, Polyhedron3, Poly3Error, RIGHT_ANGLED_PROFILE, ValidationReport,
+                   require_valid, validate, _norm_edge)
 
 HALF = Fraction(1, 2)
 
@@ -275,13 +276,10 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
     degree 3 to exactly pi.
     """
     incidence = require_valid(p)
+    rotation = incidence.rotation
     edges = p.edges
     terms = []
-    # edges at each vertex, by the other endpoint, as the edge list is sorted
-    edges_at: list[list[Edge]] = [[] for _ in range(p.vertex_count)]
     for e in edges:
-        edges_at[e[0]].append(e)
-        edges_at[e[1]].append(e)
         if e not in angles:
             raise AngleError(f"missing angle for edge {e}")
         q = angles[e]
@@ -295,8 +293,8 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
         known = set(edges)
         stray = next(pair for pair in angles if pair not in known)
         raise AngleError(f"angle given for {stray}, which is not an edge")
-    for v, at in enumerate(edges_at):
-        d = len(at)
+    for v, nbrs in enumerate(rotation):
+        d = len(nbrs)
         if v in p.ideal_vertices:
             if d not in (3, 4):
                 raise Poly3Error(f"cusp {v} has degree {d}, need 3 or 4")
@@ -315,7 +313,9 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
     L = lcm(*(d for _, d in terms))
     x = {e: n * (L // d) for e, (n, d) in zip(edges, terms)}
 
-    for v, at in enumerate(edges_at):
+    for v, nbrs in enumerate(rotation):
+        # the edges at v, by the other endpoint
+        at = [_norm_edge(v, u) for u in sorted(nbrs)]
         total = sum(map(x.__getitem__, at))
         if v in p.ideal_vertices:
             if len(at) == 3:
@@ -363,12 +363,7 @@ def check_right_angled(p: Polyhedron3) -> ConditionReport:
     no prismatic 3- or 4-circuit may exist and no non-adjacent face pair may
     share a cusp avoiding a common neighbour face.
     """
-    return _check_right_angled(p, require_valid(p))
-
-
-def _check_right_angled(p: Polyhedron3, incidence: ValidationReport) -> ConditionReport:
-    """``check_right_angled`` of a valid polyhedron, given its validation
-    report."""
+    incidence = require_valid(p)
     report = ConditionReport()
     if _is_tetrahedron(p) or _is_triangular_prism(p):
         report.excluded_family = True
@@ -385,13 +380,9 @@ def _check_right_angled(p: Polyhedron3, incidence: ValidationReport) -> Conditio
         if a < b and len(shared) > 1:
             report.entries["single_shared_edge"].append((a, b, list(shared)))
 
-    for v, nbrs in enumerate(incidence.rotation):
-        d = len(nbrs)
-        if v in p.ideal_vertices:
-            if d != 4:
-                report.entries["cusp_degree"].append((v, d))
-        elif d != 3:
-            report.entries["vertex_degree"].append((v, d))
+    for v, d, _ in validate(p, RIGHT_ANGLED_PROFILE).degree_violations:
+        key = "cusp_degree" if v in p.ideal_vertices else "vertex_degree"
+        report.entries[key].append((v, d))
 
     for circ in graph.circuits3:
         report.entries["c"].append((circ.faces, Fraction(3, 2)))

@@ -37,9 +37,9 @@ class Polyhedron3:
 
     ``faces`` holds each 2-face as a cyclic vertex sequence; orientation must
     be globally consistent (each edge traversed once in each direction).
-    The first ``validate`` keeps its structural pass on the instance as
-    ``_validation``; it is not a field, so equality, hashing and repr
-    ignore it.
+    The edge list and the structural pass of ``validate`` are cached
+    properties, derived once per instance; they are not fields, so
+    equality, hashing and repr ignore them.
     """
 
     vertex_count: int
@@ -54,7 +54,7 @@ class Polyhedron3:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._edges)
 
     @property
     def face_count(self) -> int:
@@ -71,6 +71,11 @@ class Polyhedron3:
         """The edge list ``edges`` copies, built once per instance."""
         return tuple(sorted({_norm_edge(u, v) for face in self.faces
                              for u, v in zip(face, face[1:] + face[:1])}))
+
+    @cached_property
+    def _validation(self) -> ValidationReport:
+        """The structural pass ``validate`` and ``require_valid`` read."""
+        return _structure(self)
 
 
 @dataclass(frozen=True)
@@ -225,15 +230,12 @@ def validate(p: Polyhedron3, profile: DegreeProfile | None = None) -> Validation
     more than one edge is legal for the data model but reported as a
     warning; right-angled checks reject it downstream.
 
-    The structural pass runs once per instance and is kept on it, where
-    ``require_valid`` reads it; the report returned is the caller's, with
+    The structural pass is the instance's cached ``_validation``, which
+    ``require_valid`` reads too; the report returned is the caller's, with
     lists of its own.  The degree profile is read off the rotation system,
     which a valid polyhedron has.
     """
-    kept = getattr(p, "_validation", None)
-    if kept is None:
-        kept = _structure(p)
-        object.__setattr__(p, "_validation", kept)
+    kept = p._validation
     report = ValidationReport(list(kept.violations), list(kept.warnings),
                               rotation=kept.rotation, face_of=kept.face_of)
     if profile is not None and report.valid:
@@ -328,9 +330,7 @@ def _structure(p: Polyhedron3) -> ValidationReport:
 def require_valid(p: Polyhedron3) -> ValidationReport:
     """Raise ``Poly3Error`` unless ``p`` is valid; return its validation
     report, whose ``rotation`` and ``face_of`` are set.  It is the
-    structural pass kept on the instance, shared with ``validate``."""
-    if not hasattr(p, "_validation"):
-        validate(p)
+    instance's cached structural pass, shared with ``validate``."""
     report = p._validation
     if not report.valid:
         raise Poly3Error("invalid polyhedron: " + "; ".join(m for _, m in report.violations))
@@ -429,14 +429,8 @@ def canonical_code(p: Polyhedron3) -> bytes:
     if p.vertex_count > maps.MAX_CODE_VERTICES:
         raise Poly3Error(f"canonical codes cover at most {maps.MAX_CODE_VERTICES} "
                          f"vertices, got {p.vertex_count}")
-    return _canonical_code(p, require_valid(p).rotation)
-
-
-def _canonical_code(p: Polyhedron3, rot: maps.Rotation) -> bytes:
-    """``canonical_code`` of a polyhedron already validated, whose
-    rotation system is ``rot``."""
     marks = [1 if v in p.ideal_vertices else 0 for v in range(p.vertex_count)]
-    return maps.canonical_form(rot, marks)[0]
+    return maps.canonical_form(require_valid(p).rotation, marks)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -510,21 +504,15 @@ def to_face_lattice(p: Polyhedron3) -> FaceLattice:
     """Build the dimension-3 lattice of a valid polyhedron.
 
     ``a0`` counts finite vertices, cusps keep their flag, containment
-    follows incidence.
+    follows incidence: each edge lies below the faces of its two darts.
     """
-    require_valid(p)
-    faces = []
+    face_of = require_valid(p).face_of
+    faces = [LatticeFace(("v", v), 0, v in p.ideal_vertices) for v in range(p.vertex_count)]
     order = []
-    for v in range(p.vertex_count):
-        faces.append(LatticeFace(("v", v), 0, v in p.ideal_vertices))
-    for e in p.edges:
-        faces.append(LatticeFace(("e", e), 1))
-        order.append((("v", e[0]), ("e", e)))
-        order.append((("v", e[1]), ("e", e)))
-    for fi, face in enumerate(p.faces):
-        faces.append(LatticeFace(("f", fi), 2))
-        k = len(face)
-        for i in range(k):
-            e = _norm_edge(face[i], face[(i + 1) % k])
-            order.append((("e", e), ("f", fi)))
+    for u, v in p.edges:
+        e = ("e", (u, v))
+        faces.append(LatticeFace(e, 1))
+        order += [(("v", u), e), (("v", v), e),
+                  (e, ("f", face_of[(u, v)])), (e, ("f", face_of[(v, u)]))]
+    faces += [LatticeFace(("f", fi), 2) for fi in range(len(p.faces))]
     return FaceLattice(3, faces, order)

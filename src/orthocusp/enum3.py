@@ -34,13 +34,13 @@ quadrilaterals to be tested (``_quads_keep_three_connected``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from . import maps
-from .andreev import _check_right_angled, adjacency
+from .andreev import adjacency, check_right_angled
 from .core import (Polyhedron3, canonical_code, contract_edge, require_valid, validate,
-                   RIGHT_ANGLED_PROFILE, _canonical_code, _dual_cycles, _norm_edge)
+                   RIGHT_ANGLED_PROFILE, _dual_cycles, _norm_edge)
 from .data import load_fixture
 
 FILTER_ALL = "all-almost-simple"
@@ -384,18 +384,18 @@ def enumerate_types(spec: EnumSpec) -> EnumReport:
                 report.nonpolyhedral_by_faces[n] = report.nonpolyhedral_by_faces.get(n, 0) + 1
                 continue
             p = _dualize(rot, faces, face_of)
-            # the one validation of the type; its rotation feeds the code
+            # the one structural pass of the type, which the checks and the code share
             rep = validate(p, RIGHT_ANGLED_PROFILE)
-            # a census holds thousands of types at once: keep no pass on them
-            object.__delattr__(p, "_validation")
             if not rep.clean:
                 raise AssertionError(f"enumerated type fails validation: {rep.lines()}")
             if len(p.ideal_vertices) != spec.num_cusps:
                 raise AssertionError("cusp count mismatch after dualisation")
-            if prefilter and _check_right_angled(p, rep).verdict != "pass":
+            if prefilter and check_right_angled(p).verdict != "pass":
                 continue
+            # a census holds thousands of types at once: emit a fresh
+            # instance, which keeps no pass
             report.types.append(EnumeratedType(
-                code=_canonical_code(p, rep.rotation), faces=n, polyhedron=p))
+                code=canonical_code(p), faces=n, polyhedron=replace(p)))
             report.counts_by_faces[n] = report.counts_by_faces.get(n, 0) + 1
     report.types.sort(key=lambda t: (t.faces, t.code))
     return report

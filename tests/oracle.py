@@ -159,7 +159,10 @@ def brute_force_dual_types(n: int, quads: int):
                 continue
             if quads and sizes != [3] * (facial_triangles) + [4] * quads:
                 continue
-            key = nx.weisfeiler_lehman_graph_hash(G, iterations=3)
+            # degree labels stand for the first of three WL rounds; the hash
+            # is a bucket key only, each match is confirmed by is_isomorphic
+            nx.set_node_attributes(G, dict(G.degree), "degree")
+            key = nx.weisfeiler_lehman_graph_hash(G, node_attr="degree", iterations=2)
             bucket = buckets.setdefault(key, [])
             if any(nx.is_isomorphic(G, H) for H in bucket):
                 continue

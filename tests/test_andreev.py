@@ -283,8 +283,8 @@ def test_compact_accepted_face_floor(enum_right_angled_compact_12):
 
 def test_checks_validate_once(one_cusp_12, monkeypatch):
     """The audit chain on one instance (both checks, its face lattice and
-    its canonical code) validates it once; each check reads the edge list
-    at most once, and the right-angled check not at all."""
+    its canonical code) makes one structural pass over it; each check reads
+    the edge list at most once, and the right-angled check not at all."""
     from dataclasses import replace
 
     from orthocusp import Polyhedron3, canonical_code, core, to_face_lattice
@@ -292,18 +292,18 @@ def test_checks_validate_once(one_cusp_12, monkeypatch):
     p = replace(one_cusp_12)   # a fresh instance: nothing is kept on it yet
     angles = right_angles(p)
     calls = Counter()
-    real_validate = core.validate
+    real_structure = core._structure
     real_edges = Polyhedron3.edges.fget
 
-    def validate(*args):
-        calls["validate"] += 1
-        return real_validate(*args)
+    def structure(*args):
+        calls["structure"] += 1
+        return real_structure(*args)
 
     def edges(p):
         calls["edges"] += 1
         return real_edges(p)
 
-    monkeypatch.setattr(core, "validate", validate)
+    monkeypatch.setattr(core, "_structure", structure)
     monkeypatch.setattr(Polyhedron3, "edges", property(edges))
     edge_reads = []
     for step in (check_right_angled, lambda p: check_andreev(p, angles),
@@ -311,7 +311,7 @@ def test_checks_validate_once(one_cusp_12, monkeypatch):
         before = calls["edges"]
         step(p)
         edge_reads.append(calls["edges"] - before)
-    assert calls["validate"] == 1
+    assert calls["structure"] == 1
     assert edge_reads[0] == 0 and edge_reads[1] <= 1
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import json
 import os
 import stat
 import subprocess
@@ -12,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from orthocusp import bounds, cli, cusplink, enum3, to_poly3
+from orthocusp import bounds, cli, contract_edge, cusplink, enum3, to_poly3
 from orthocusp.cli import main
+from orthocusp.data import FIXTURES
 
 FIXTURE_DIR = resources.files("orthocusp.data")
 
@@ -158,6 +160,33 @@ def test_andreev_outside_scope(capsys):
                        "--right-angled")
     assert code == 1
     assert "outside-scope" in out
+
+
+FILE_COMMANDS = {
+    "validate": ("validate", "{path}", "--right-angled-profile"),
+    "right-angled": ("right-angled", "{path}"),
+    "andreev": ("andreev", "{path}", "--right-angled"),
+    "nikulin": ("nikulin", "{path}"),
+}
+FILE_GOLDEN = json.loads((Path(__file__).parent / "cli_file_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES) + ["contracted_dodecahedron"])
+@pytest.mark.parametrize("machine", [False, True], ids=["plain", "machine"])
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+def test_file_command_goldens(capsys, tmp_path, dodecahedron, name, machine, command):
+    """The whole stdout, stderr and exit code of each per-file check on each
+    fixture and on the contracted dodecahedron, as ``cli_file_golden.json``
+    pins them."""
+    if name in FIXTURES:
+        path = fixture_path(name)
+    else:
+        path = tmp_path / f"{name}.poly3"
+        path.write_text(to_poly3(contract_edge(dodecahedron, dodecahedron.edges[0])))
+    argv = [arg.format(path=path) for arg in FILE_COMMANDS[command]]
+    code, out, err = run(capsys, *(["--machine"] if machine else []), *argv)
+    want = FILE_GOLDEN[f"{name} {'--machine ' if machine else ''}{command}"]
+    assert (code, out, err) == (want["exit"], want["stdout"], want["stderr"])
 
 
 def test_andreev_angle_file(capsys, tmp_path, cube):

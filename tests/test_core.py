@@ -422,6 +422,25 @@ def test_lattice_one_cusp(one_cusp_12):
     assert L.cusp_count() == 1
 
 
+def test_lattice_matches_face_cycles(incidence_corpus):
+    """The lattice's elements, cusp flags and children of each element are
+    those read directly off the face cycles: each face covers the edges of
+    its cycle, each edge its two endpoints."""
+    for p in incidence_corpus:
+        children = {("v", v): set() for v in range(p.vertex_count)}
+        for fi, face in enumerate(p.faces):
+            children[("f", fi)] = set()
+            for u, v in zip(face, face[1:] + face[:1]):
+                e = ("e", (min(u, v), max(u, v)))
+                children[e] = {("v", u), ("v", v)}
+                children[("f", fi)].add(e)
+        L = to_face_lattice(p)
+        assert L._children == children
+        assert {fid: (f.dim, f.is_cusp) for fid, f in L.faces.items()} == {
+            fid: ("vef".index(fid[0]), fid[0] == "v" and fid[1] in p.ideal_vertices)
+            for fid in children}
+
+
 def test_lattice_counts_below(cube):
     L = to_face_lattice(cube)
     for f in L.faces_of_dim(2):

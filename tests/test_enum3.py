@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -355,12 +355,13 @@ def test_each_emitted_type_validated_once(monkeypatch):
 @pytest.mark.parametrize("spec", [EnumSpec(8, 2), EnumSpec(9, 2, FILTER_RIGHT_ANGLED)],
                          ids=["all", "right-angled"])
 def test_emitted_types_keep_no_validation(spec):
-    """``enumerate_types`` validates through the uncached ``validate``, so
-    no emitted polyhedron holds the validation ``require_valid`` keeps: a
-    census holds thousands of them at once."""
+    """``enumerate_types`` emits a fresh instance of each type, so no
+    emitted polyhedron holds a cached property, such as the structural pass
+    ``validate`` keeps: a census holds thousands of them at once."""
     report = enumerate_types(spec)
     assert report.types
-    assert not any("_validation" in vars(t.polyhedron) for t in report.types)
+    names = {f.name for f in fields(Polyhedron3)}
+    assert all(vars(t.polyhedron).keys() == names for t in report.types)
 
 
 def test_deficit_screen_matches_prefilter():
