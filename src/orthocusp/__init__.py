@@ -25,7 +25,6 @@ from .core import (
 from .andreev import (
     AngleError,
     ConditionReport,
-    PrismaticCircuit,
     adjacency,
     check_andreev,
     check_right_angled,

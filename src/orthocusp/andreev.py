@@ -70,17 +70,6 @@ class ConditionReport:
         return out
 
 
-@dataclass(frozen=True)
-class PrismaticCircuit:
-    """3 or 4 faces, cyclically adjacent, opposite pairs non-adjacent, with
-    no vertex and no cusp common to all members."""
-
-    faces: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.faces)
-
-
 def adjacency(p: Polyhedron3) -> dict[tuple[int, int], list[Edge]]:
     """Symmetric face-pair table: shared edges of every adjacent pair.
 
@@ -92,9 +81,9 @@ def adjacency(p: Polyhedron3) -> dict[tuple[int, int], list[Edge]]:
     return {pair: list(edges) for pair, edges in table.items()}
 
 
-def prismatic_circuits(p: Polyhedron3, length: int) -> list[PrismaticCircuit]:
-    """All prismatic circuits of the given length (3 or 4), one per
-    rotation/reflection class.
+def prismatic_circuits(p: Polyhedron3, length: int) -> list[tuple[int, ...]]:
+    """All prismatic circuits of the given length (3 or 4) as face tuples,
+    one per rotation/reflection class.
 
     Length 3: pairwise adjacent triples.  Length 4: 4-tuples whose adjacency
     pattern is an induced 4-cycle (consecutive adjacent, diagonals not).
@@ -113,14 +102,16 @@ class FaceGraph:
     once from its validation report and kept on it (``_face_graph``).
 
     ``adjacency`` maps each adjacent face pair, under both (i, j) and
-    (j, i), to the sorted edges they share; ``circuits3`` and ``circuits4``
-    are the prismatic circuits; ``flanks`` are the candidates of condition
-    (d).  Every member is immutable, so the public readers copy out of it.
+    (j, i), to the sorted edges they share; ``cusps`` holds each face's
+    cusps; ``circuits3`` and ``circuits4`` are the prismatic circuits as
+    face tuples; ``flanks`` are the candidates of condition (d).  Every
+    member is immutable, so the public readers copy out of it.
     """
 
     adjacency: Mapping[tuple[int, int], tuple[Edge, ...]]
-    circuits3: tuple[PrismaticCircuit, ...]
-    circuits4: tuple[PrismaticCircuit, ...]
+    cusps: tuple[frozenset[int], ...]
+    circuits3: tuple[tuple[int, int, int], ...]
+    circuits4: tuple[tuple[int, int, int, int], ...]
     flanks: tuple[tuple[int, int, int, tuple[int, ...]], ...]
 
 
@@ -135,27 +126,22 @@ def _face_graph(p: Polyhedron3, incidence: ValidationReport) -> FaceGraph:
 def _derive_face_graph(p: Polyhedron3, incidence: ValidationReport) -> FaceGraph:
     """``FaceGraph`` of a valid polyhedron from its validation report.
 
-    Each edge enters at its dart in the earlier face, so the adjacency
-    pairs come in the order their first shared edge appears in the faces.
-    A dart whose reverse lies on the same face joins no pair.  The face
-    neighbour sets N(x) and vertex sets feed the circuit and flank
-    searches.
+    The adjacency table and the face neighbour sets N(x) are read off the
+    report's ``face_pairs``, so pairs keep its order.  N(x) and the vertex
+    and cusp sets of the faces feed the circuit and flank searches.
     """
-    face_of = incidence.face_of
     table: dict[tuple[int, int], tuple[Edge, ...]] = {}
     nbrs: list[set[int]] = [set() for _ in p.faces]
-    for (u, v), a in face_of.items():
-        b = face_of[(v, u)]
-        if a < b:
-            shared = table.get((a, b), ())
-            table[(a, b)] = table[(b, a)] = tuple(sorted(shared + (_norm_edge(u, v),)))
-            nbrs[a].add(b)
-            nbrs[b].add(a)
+    for (a, b), shared in incidence.face_pairs.items():
+        table[(a, b)] = table[(b, a)] = tuple(sorted(shared))
+        nbrs[a].add(b)
+        nbrs[b].add(a)
     vsets = [frozenset(face) for face in p.faces]
+    cusps = tuple(p.ideal_vertices & vs for vs in vsets)
     circuits3, circuits4 = _prismatic_circuits(nbrs, vsets)
-    return FaceGraph(adjacency=MappingProxyType(table),
+    return FaceGraph(adjacency=MappingProxyType(table), cusps=cusps,
                      circuits3=circuits3, circuits4=circuits4,
-                     flanks=_cusp_flanks(p, nbrs, vsets))
+                     flanks=_cusp_flanks(cusps, nbrs, vsets))
 
 
 def _prismatic_circuits(nbrs: list[set[int]], vsets: list[frozenset[int]]):
@@ -191,7 +177,7 @@ def _prismatic_circuits(nbrs: list[set[int]], vsets: list[frozenset[int]]):
                     continue
                 if c in near:
                     if c > b and not vsets[a] & vsets[b] & vsets[c]:
-                        out3.append(PrismaticCircuit((a, b, c)))
+                        out3.append((a, b, c))
                 else:
                     opposite.setdefault(c, []).append(b)
         for c, ends in opposite.items():
@@ -200,17 +186,17 @@ def _prismatic_circuits(nbrs: list[set[int]], vsets: list[frozenset[int]]):
             shared = vsets[a] & vsets[c]
             for b, d in combinations(ends, 2):
                 if d not in nbrs[b] and not shared & vsets[b] & vsets[d]:
-                    out4.append(PrismaticCircuit((a, b, c, d)))
-    out4.sort(key=lambda circ: sorted(circ.faces))
+                    out4.append((a, b, c, d))
+    out4.sort(key=sorted)
     return tuple(out3), tuple(out4)
 
 
-def _cusp_flanks(p: Polyhedron3, nbrs: list[set[int]], vsets: list[frozenset[int]]):
+def _cusp_flanks(cusps: tuple[frozenset[int], ...], nbrs: list[set[int]],
+                 vsets: list[frozenset[int]]):
     """The candidates of condition (d): ``(i, j, k, cusps)`` where faces j < k
     are non-adjacent and share the cusps, and face i is adjacent to both
-    without containing every shared cusp, given the face neighbour and
-    vertex sets.  In (j, k) then i order."""
-    cusps = [p.ideal_vertices & vs for vs in vsets]
+    without containing every shared cusp, given the cusp, neighbour and
+    vertex sets of the faces.  In (j, k) then i order."""
     cusped = [fi for fi, found in enumerate(cusps) if found]
     out = []
     for j, k in combinations(cusped, 2):
@@ -332,12 +318,12 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
         return [x[e] for e in table[(a, b)]]
 
     for circ in graph.circuits3:
-        a, b, c = circ.faces
+        a, b, c = circ
         for xa in pair_angles(a, b):
             for xb in pair_angles(a, c):
                 for xc in pair_angles(b, c):
                     if xa + xb + xc >= L:
-                        report.entries["c"].append((circ.faces, Fraction(xa + xb + xc, L)))
+                        report.entries["c"].append((circ, Fraction(xa + xb + xc, L)))
 
     # (d): at each flank F_i of a cusp shared by F_j, F_k, some angle is not 1/2
     for i, j, k, cusps in graph.flanks:
@@ -345,10 +331,10 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
             report.entries["d"].append((i, j, k, list(cusps)))
 
     for circ in graph.circuits4:
-        a, b, c, d = circ.faces
+        a, b, c, d = circ
         ring = [(a, b), (b, c), (c, d), (d, a)]
         if all(2 * y == L for u, w in ring for y in pair_angles(u, w)):
-            report.entries["e"].append((circ.faces,))
+            report.entries["e"].append((circ,))
     return report
 
 
@@ -369,24 +355,24 @@ def check_right_angled(p: Polyhedron3) -> ConditionReport:
         report.excluded_family = True
         return report
     report.entries = {k: [] for k in CONDITION_KEYS}
+    graph = _face_graph(p, incidence)
 
     for fi, face in enumerate(p.faces):
-        cusps = len(set(face) & p.ideal_vertices)
+        cusps = len(graph.cusps[fi])
         if len(face) + cusps < 5:
             report.entries["face_size"].append((fi, len(face), cusps))
 
-    graph = _face_graph(p, incidence)
-    for (a, b), shared in graph.adjacency.items():
-        if a < b and len(shared) > 1:
-            report.entries["single_shared_edge"].append((a, b, list(shared)))
+    for (a, b), shared in incidence.face_pairs.items():
+        if len(shared) > 1:
+            report.entries["single_shared_edge"].append((a, b, sorted(shared)))
 
     for v, d, _ in validate(p, RIGHT_ANGLED_PROFILE).degree_violations:
         key = "cusp_degree" if v in p.ideal_vertices else "vertex_degree"
         report.entries[key].append((v, d))
 
     for circ in graph.circuits3:
-        report.entries["c"].append((circ.faces, Fraction(3, 2)))
+        report.entries["c"].append((circ, Fraction(3, 2)))
     for circ in graph.circuits4:
-        report.entries["e"].append((circ.faces,))
+        report.entries["e"].append((circ,))
     report.entries["d"].extend((i, j, k, list(cusps)) for i, j, k, cusps in graph.flanks)
     return report

@@ -99,8 +99,10 @@ RIGHT_ANGLED_PROFILE = DegreeProfile(finite_degree=3, ideal_degree=4)
 class ValidationReport:
     """Outcome of ``validate``: structural violations, soft warnings and
     degree-profile deviations, each with a witness.  ``rotation`` is the
-    rotation system validation built, and ``face_of`` maps each dart
-    ``(u, v)`` to the index of its face; both are None when validation
+    rotation system validation built, ``face_of`` maps each dart ``(u, v)``
+    to the index of its face, and ``face_pairs`` maps each pair of adjacent
+    faces a < b to the edges they share, pairs in the order their first
+    shared edge appears in the faces; all three are None when validation
     stopped earlier.  ``face_graph`` is the ``andreev.FaceGraph`` a check
     derives from a valid report, kept here once derived."""
 
@@ -109,6 +111,8 @@ class ValidationReport:
     degree_violations: list[tuple[int, int, int]] = field(default_factory=list)
     rotation: maps.Rotation | None = field(default=None, repr=False, compare=False)
     face_of: dict[tuple[int, int], int] | None = field(default=None, repr=False, compare=False)
+    face_pairs: dict[tuple[int, int], list[Edge]] | None = field(
+        default=None, repr=False, compare=False)
     face_graph: FaceGraph | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -237,11 +241,11 @@ def validate(p: Polyhedron3, profile: DegreeProfile | None = None) -> Validation
     """
     kept = p._validation
     report = ValidationReport(list(kept.violations), list(kept.warnings),
-                              rotation=kept.rotation, face_of=kept.face_of)
+                              rotation=kept.rotation, face_of=kept.face_of,
+                              face_pairs=kept.face_pairs)
     if profile is not None and report.valid:
         for v, row in enumerate(report.rotation):
-            # a one-vertex face makes a loop, which adds no edge
-            got = len(row) - (v in row)
+            got = len(row)
             want = profile.ideal_degree if v in p.ideal_vertices else profile.finite_degree
             if got != want:
                 report.degree_violations.append((v, got, want))
@@ -252,7 +256,9 @@ def _structure(p: Polyhedron3) -> ValidationReport:
     """The structural part of ``validate``, without a degree profile.
 
     One pass over the faces records each dart u->v, its face and the vertex
-    after v; every other check reads that record.
+    after v; every other check reads that record.  Faces need three
+    distinct vertices, so an edge's darts lie on two faces; the edge enters
+    the face-pair table at its dart in the lower-numbered one.
     """
     report = ValidationReport()
     violations = report.violations
@@ -263,11 +269,12 @@ def _structure(p: Polyhedron3) -> ValidationReport:
     stray: set[int] = set()                  # vertices of faces that repeat one
     for fi, face in enumerate(p.faces):
         k = len(face)
-        if len(set(face)) != k:
-            violations.append(("face-cycle", f"face {fi} repeats a vertex"))
+        if k < 3 or len(set(face)) != k:
+            why = "has fewer than three vertices" if k < 3 else "repeats a vertex"
+            violations.append(("face-cycle", f"face {fi} {why}"))
             stray.update(face)
             continue
-        if k and (min(face) < 0 or max(face) >= n):
+        if min(face) < 0 or max(face) >= n:
             violations.append(("vertex-range", f"face {fi} uses id outside 0..{n - 1}"))
             return report
         heads = face[1:] + face[:1]   # darts (face[i], face[i+1]), then face[i+2]
@@ -283,7 +290,7 @@ def _structure(p: Polyhedron3) -> ValidationReport:
 
     out_darts: list[list[int]] = [[] for _ in range(n)]  # heads per tail, in dart order
     edges = 0
-    shared: dict[tuple[int, int], int] = {}   # face pair -> edges between them
+    pairs: dict[tuple[int, int], list[Edge]] = {}   # faces a < b -> edges between them
     for (u, v), fi in owner.items():
         if (u, v) in repeats:
             violations.append(
@@ -292,10 +299,9 @@ def _structure(p: Polyhedron3) -> ValidationReport:
         if fj is None:
             violations.append(
                 ("edge-pairing", f"edge {{{u},{v}}} lacks the opposite traversal {v}->{u}"))
-        elif u < v:
+        elif fi < fj:
             edges += 1
-            pair = (fi, fj) if fi < fj else (fj, fi)
-            shared[pair] = shared.get(pair, 0) + 1
+            pairs.setdefault((fi, fj), []).append((u, v) if u < v else (v, u))
         out_darts[u].append(v)
     for v in range(n):
         if not out_darts[v] and v not in stray:
@@ -316,21 +322,22 @@ def _structure(p: Polyhedron3) -> ValidationReport:
         try:
             report.rotation = maps._close_rotation(succ, out_darts)
             report.face_of = owner
+            report.face_pairs = pairs
         except maps.MapError as exc:
             violations.append(("embedding", str(exc)))
 
-    if len(shared) < edges:   # some face pair shares several edges
-        for (a, b), count in sorted(shared.items()):
-            if count > 1:
+    if len(pairs) < edges:   # some face pair shares several edges
+        for (a, b), shared in sorted(pairs.items()):
+            if len(shared) > 1:
                 report.warnings.append(
-                    ("multi-adjacency", f"faces {a} and {b} share {count} edges"))
+                    ("multi-adjacency", f"faces {a} and {b} share {len(shared)} edges"))
     return report
 
 
 def require_valid(p: Polyhedron3) -> ValidationReport:
     """Raise ``Poly3Error`` unless ``p`` is valid; return its validation
-    report, whose ``rotation`` and ``face_of`` are set.  It is the
-    instance's cached structural pass, shared with ``validate``."""
+    report, whose ``rotation``, ``face_of`` and ``face_pairs`` are set.
+    It is the instance's cached structural pass, shared with ``validate``."""
     report = p._validation
     if not report.valid:
         raise Poly3Error("invalid polyhedron: " + "; ".join(m for _, m in report.violations))

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from . import maps
-from .andreev import adjacency, check_right_angled
+from .andreev import check_right_angled
 from .core import (Polyhedron3, canonical_code, contract_edge, require_valid, validate,
                    RIGHT_ANGLED_PROFILE, _dual_cycles, _norm_edge)
 from .data import load_fixture
@@ -464,7 +464,7 @@ def verify_lemma31() -> OneCuspMinimumReport:
         cusp_cycle = tuple(len(p.faces[incidence.face_of[(u, cusp)]])
                            for u in incidence.rotation[cusp])
         quad_ids = [i for i, f in enumerate(p.faces) if len(f) == 4]
-        quads_adjacent = tuple(quad_ids) in adjacency(p)
+        quads_adjacent = tuple(quad_ids) in incidence.face_pairs
         dode = load_fixture("dodecahedron")
         contracted = contract_edge(dode, dode.edges[0])
         matches = canonical_code(contracted) == report.types[-1].code

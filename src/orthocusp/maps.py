@@ -25,15 +25,12 @@ class MapError(ValueError):
 def _close_rotation(succ: dict[tuple[int, int], int],
                     out_darts: Sequence[Sequence[int]]) -> Rotation:
     """Rotation rows from ``succ[(u, v)]``, the vertex after v on the face
-    through the dart u->v, starting row v at ``out_darts[v][0]``; used by
-    ``core.validate``, which reads both from the face cycles.  Each dart
-    must occur once with its reverse, so x -> succ[(x, v)] permutes v's
-    neighbours ``out_darts[v]`` and each row closes."""
+    through the dart u->v, starting row v at ``out_darts[v][0]``, which
+    ``core.validate`` reads from the face cycles once every vertex has a
+    dart.  Each dart must occur once with its reverse, so x -> succ[(x, v)]
+    permutes v's neighbours ``out_darts[v]`` and each row closes."""
     rot = []
     for v, darts in enumerate(out_darts):
-        if not darts:
-            rot.append(())
-            continue
         start = darts[0]
         row = [start]
         cur = succ[(start, v)]

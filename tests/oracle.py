@@ -319,6 +319,9 @@ def validate_reference(p, profile=None) -> ValidationReport:
     report = ValidationReport()
     directed: dict[tuple[int, int], list[int]] = {}
     for fi, face in enumerate(p.faces):
+        if len(face) < 3:
+            report.violations.append(("face-cycle", f"face {fi} has fewer than three vertices"))
+            continue
         if len(set(face)) != len(face):
             report.violations.append(("face-cycle", f"face {fi} repeats a vertex"))
             continue
@@ -529,12 +532,12 @@ def check_andreev_reference(p: Polyhedron3, angles: dict[Edge, Fraction]) -> Con
         return [angles[e] for e in table[(a, b)]]
 
     for circ in graph.circuits3:
-        a, b, c = circ.faces
+        a, b, c = circ
         for qa in pair_angles(a, b):
             for qb in pair_angles(a, c):
                 for qc in pair_angles(b, c):
                     if qa + qb + qc >= 1:
-                        report.entries["c"].append((circ.faces, qa + qb + qc))
+                        report.entries["c"].append((circ, qa + qb + qc))
 
     # (d): at each flank F_i of a cusp shared by F_j, F_k, some angle is not 1/2
     for i, j, k, cusps in graph.flanks:
@@ -542,8 +545,8 @@ def check_andreev_reference(p: Polyhedron3, angles: dict[Edge, Fraction]) -> Con
             report.entries["d"].append((i, j, k, list(cusps)))
 
     for circ in graph.circuits4:
-        a, b, c, d = circ.faces
+        a, b, c, d = circ
         ring = [(a, b), (b, c), (c, d), (d, a)]
         if all(q == HALF for x, y in ring for q in pair_angles(x, y)):
-            report.entries["e"].append((circ.faces,))
+            report.entries["e"].append((circ,))
     return report

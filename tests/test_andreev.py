@@ -55,7 +55,7 @@ def test_adjacency_matches_reference(incidence_corpus):
 def test_prismatic_3_circuits_prism(prism):
     circuits = prismatic_circuits(prism, 3)
     assert len(circuits) == 1
-    assert set(circuits[0].faces) == {2, 3, 4}
+    assert set(circuits[0]) == {2, 3, 4}
 
 
 def test_prismatic_circuits_cube(cube):
@@ -73,7 +73,7 @@ def test_prismatic_circuit_cusp_exclusion(one_cusp_12):
     # the four faces around the cusp are cyclically adjacent with opposite
     # pairs parallel, but they meet at the cusp, so they never qualify
     for circ in prismatic_circuits(one_cusp_12, 4):
-        members = set(circ.faces)
+        members = set(circ)
         cusp = next(iter(one_cusp_12.ideal_vertices))
         around = {i for i, f in enumerate(one_cusp_12.faces) if cusp in f}
         assert members != around
@@ -82,7 +82,7 @@ def test_prismatic_circuit_cusp_exclusion(one_cusp_12):
 
 def assert_circuits_match_scan(p):
     for length in (3, 4):
-        found = [circ.faces for circ in prismatic_circuits(p, length)]
+        found = prismatic_circuits(p, length)
         assert found == prismatic_circuits_by_scan(p.faces, length), (length, p)
 
 
@@ -249,6 +249,36 @@ def test_right_angled_rejects_degree3_cusp(cube):
     assert any(v == 0 and d == 3 for v, d in report.witnesses("cusp_degree"))
 
 
+def test_right_angled_multi_adjacency_witnesses(incidence_corpus, subdivided_cube):
+    """On the corpus, and on the subdivided cube with a second edge
+    subdivided on another face pair, the single_shared_edge witnesses are
+    the pairs sharing several edges in the reference table's order, and the
+    face_size witnesses are read off the face cycles."""
+    from orthocusp import Polyhedron3
+    from oracle import adjacency_reference
+
+    faces = list(subdivided_cube.faces)
+    faces[1] = (4, 5, 6, 7, 9)   # vertex 9 on edge 4-7 of faces 1 and 5
+    faces[5] = (3, 8, 0, 4, 9, 7)
+    twice = Polyhedron3(10, subdivided_cube.ideal_vertices, tuple(faces))
+    multi = 0
+    for p in incidence_corpus + [twice]:
+        report = check_right_angled(p)
+        if report.excluded_family:
+            continue
+        shared = [(a, b, edges) for (a, b), edges in adjacency_reference(p).items()
+                  if a < b and len(edges) > 1]
+        assert report.witnesses("single_shared_edge") == shared, p
+        cusps = [len(set(face) & p.ideal_vertices) for face in p.faces]
+        small = [(fi, len(face), c) for fi, (face, c) in enumerate(zip(p.faces, cusps))
+                 if len(face) + c < 5]
+        assert report.witnesses("face_size") == small, p
+        multi += bool(shared)
+    assert multi == 2
+    assert report.witnesses("single_shared_edge") == [
+        (0, 5, [(0, 8), (3, 8)]), (1, 5, [(4, 9), (7, 9)])]
+
+
 def test_right_angled_matches_andreev_on_corpus(enum_all_small):
     """Internal consistency: a type passes the right-angled check exactly
     when the all-right acute check passes, every cusp has degree 4, and
@@ -368,7 +398,7 @@ def test_face_graph_derived_once(one_cusp_12, monkeypatch):
     from copy import deepcopy
     from dataclasses import replace
 
-    from orthocusp import PrismaticCircuit, andreev
+    from orthocusp import andreev
 
     p = replace(one_cusp_12)   # a fresh instance: nothing is kept on it yet
     derived = Counter()
@@ -389,8 +419,8 @@ def test_face_graph_derived_once(one_cusp_12, monkeypatch):
     # each change would add a witness to a report that read it
     next(iter(table.values())).append((0, 1))
     table[(0, 1)] = table[(1, 0)] = [(0, 1), (1, 2)]
-    circuits[3].append(PrismaticCircuit((0, 1, 2)))
-    circuits[4].append(PrismaticCircuit((0, 1, 2, 3)))
+    circuits[3].append((0, 1, 2))
+    circuits[4].append((0, 1, 2, 3))
     for witnesses in first.entries.values():
         witnesses.append("stale")
     later = check_right_angled(p)
@@ -527,7 +557,7 @@ def test_andreev_matches_reference_at_boundaries(angle_corpus):
             seen["vertex"] += 1
         table = adjacency(p)
         for circ in prismatic_circuits(p, 3):
-            a, b, c = circ.faces
+            a, b, c = circ
             pairs = [table[(a, b)], table[(a, c)], table[(b, c)]]
             if any(len(shared) != 1 for shared in pairs):
                 continue
@@ -535,7 +565,7 @@ def test_andreev_matches_reference_at_boundaries(angle_corpus):
             for shared, q in zip(pairs, triple):
                 angles[shared[0]] = q
             entries = assert_matches_reference(p, angles)[0]
-            assert (circ.faces, Fraction(1)) in entries["c"]
+            assert (circ, Fraction(1)) in entries["c"]
             seen["circuit"] += 1
             break
         for cusp in sorted(p.ideal_vertices):

@@ -171,18 +171,32 @@ FILE_COMMANDS = {
 FILE_GOLDEN = json.loads((Path(__file__).parent / "cli_file_golden.json").read_text())
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURES) + ["contracted_dodecahedron"])
+#: Parseable files that fail validation, by the ``_malformed`` entry each
+#: is written from.
+MALFORMED_FILES = {"reversed_tetrahedron": "edge-pairing", "torus": "euler",
+                   "pinched": "embedding"}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES) + ["contracted_dodecahedron"]
+                         + sorted(MALFORMED_FILES) + ["subdivided_cube"])
 @pytest.mark.parametrize("machine", [False, True], ids=["plain", "machine"])
 @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
-def test_file_command_goldens(capsys, tmp_path, dodecahedron, name, machine, command):
+def test_file_command_goldens(capsys, tmp_path, cube, dodecahedron, subdivided_cube,
+                              name, machine, command):
     """The whole stdout, stderr and exit code of each per-file check on each
-    fixture and on the contracted dodecahedron, as ``cli_file_golden.json``
-    pins them."""
+    fixture, on the contracted dodecahedron, on three files that fail
+    validation and on the subdivided cube (a warning and a degree-2
+    vertex), as ``cli_file_golden.json`` pins them."""
+    from test_core import _malformed
+
     if name in FIXTURES:
         path = fixture_path(name)
     else:
+        written = {"contracted_dodecahedron": contract_edge(dodecahedron, dodecahedron.edges[0]),
+                   "subdivided_cube": subdivided_cube}
+        written.update((n, _malformed(cube)[code]) for n, code in MALFORMED_FILES.items())
         path = tmp_path / f"{name}.poly3"
-        path.write_text(to_poly3(contract_edge(dodecahedron, dodecahedron.edges[0])))
+        path.write_text(to_poly3(written[name]))
     argv = [arg.format(path=path) for arg in FILE_COMMANDS[command]]
     code, out, err = run(capsys, *(["--machine"] if machine else []), *argv)
     want = FILE_GOLDEN[f"{name} {'--machine ' if machine else ''}{command}"]

@@ -176,13 +176,16 @@ def _torus(offset: int) -> tuple[tuple[int, ...], ...]:
 
 def _malformed(cube) -> dict[str, Polyhedron3]:
     """One polyhedron per violation code, named after the code it raises
-    first (the pairing one raises both pairing messages, interleaved)."""
+    first (the pairing one raises both pairing messages, interleaved), and
+    two more face-cycle ones whose only face has one or two vertices."""
     octahedron = dual(cube)   # vertices 0 and 1 are opposite
     relabel = {0: 0, 1: 1, 2: 4, 3: 5, 4: 6, 5: 7}
     pinched = TETRA_FACES + tuple(tuple(relabel[x] for x in f) for f in octahedron.faces)
     flipped = ((0, 2, 1),) + TETRA_FACES[1:]
     return {
         "face-cycle": Polyhedron3(4, frozenset(), ((0, 1, 2, 1),) + TETRA_FACES[1:]),
+        "face-cycle one-vertex": Polyhedron3(1, frozenset(), ((0,),)),
+        "face-cycle two-vertex": Polyhedron3(2, frozenset(), ((0, 1),)),
         "vertex-range": Polyhedron3(4, frozenset(), TETRA_FACES[:3] + ((1, 3, 4),)),
         "ideal-range": Polyhedron3(4, frozenset({0, 7}), TETRA_FACES),
         "edge-pairing": Polyhedron3(4, frozenset(), flipped),
@@ -212,11 +215,25 @@ def _assert_matches_reference(p: Polyhedron3):
 def test_validate_matches_reference_on_malformed(cube):
     """Each malformed polyhedron gives the reference's report, entry for
     entry and in order, and its own code comes first."""
-    for code, p in _malformed(cube).items():
+    for name, p in _malformed(cube).items():
         _assert_matches_reference(p)
-        assert validate(p).violations[0][0] == code
+        assert validate(p).violations[0][0] == name.split()[0]
     pairing = validate(_malformed(cube)["edge-pairing"]).violations
     assert [m.split()[0] for _, m in pairing] == ["dart", "edge"] * 3
+
+
+def test_faces_under_three_vertices_refused(cube):
+    """A face of one or two vertices is a face-cycle violation, so the
+    readers of a valid polyhedron refuse it."""
+    from orthocusp import check_right_angled
+
+    for size in ("one", "two"):
+        p = _malformed(cube)[f"face-cycle {size}-vertex"]
+        assert validate(p).violations == [
+            ("face-cycle", "face 0 has fewer than three vertices")]
+        for reader in (canonical_code, check_right_angled, to_face_lattice):
+            with pytest.raises(Poly3Error, match="fewer than three"):
+                reader(p)
 
 
 def test_validate_matches_reference_on_multi_adjacency(subdivided_cube):
