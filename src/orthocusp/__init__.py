@@ -9,7 +9,6 @@ bounds for dimensions 6 through 12.
 from .core import (
     DegreeProfile,
     FaceLattice,
-    LatticeFace,
     Poly3Error,
     Polyhedron3,
     RIGHT_ANGLED_PROFILE,

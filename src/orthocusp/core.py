@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import maps
 
@@ -403,8 +404,6 @@ def contract_edge(p: Polyhedron3, e: Edge) -> Polyhedron3:
     if len(rot[u]) != 3 or len(rot[v]) != 3:
         raise Poly3Error("contraction endpoints must have degree 3")
     fu, fv = face_of[(u, v)], face_of[(v, u)]
-    if fu == fv:
-        raise Poly3Error("edge does not lie on exactly two faces")
     if len(p.faces[fu]) < 4 or len(p.faces[fv]) < 4:
         raise Poly3Error("a face through the edge is a triangle")
 
@@ -444,82 +443,65 @@ def canonical_code(p: Polyhedron3) -> bytes:
 # face lattice
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatticeFace:
-    id: object
-    dim: int
-    is_cusp: bool = False
-
-
 class FaceLattice:
-    """Dimension-graded face poset.
+    """Face lattice of an n-polyhedron as a table graded by dimension.
 
-    Cusps enter as dimension-0 elements flagged ``is_cusp``; they are not
-    counted by ``a`` (face counts follow the finite-volume convention where
-    ideal points are not vertices).
+    Grade 0 is the faces ``range(vertices)``; ``cusps`` holds the grade-0
+    indices that are ideal points, which ``a`` does not count (face counts
+    follow the finite-volume convention where ideal points are not
+    vertices).  ``below[k - 1][i]`` is the tuple of distinct (k-1)-face
+    indices that k-face i covers, for k = 1 .. n - 1, so n is
+    ``len(below) + 1``.  The grading makes the order join consecutive
+    dimensions; the table checks only that each index lies in its grade.
     """
 
-    def __init__(self, dimension: int, faces: Iterable[LatticeFace],
-                 order: Iterable[tuple[object, object]]):
-        self.dimension = dimension
-        face_list = list(faces)
-        self.faces = {f.id: f for f in face_list}
-        if len(self.faces) != len(face_list):
-            raise ValueError("duplicate face ids")
-        self._children: dict[object, set[object]] = {fid: set() for fid in self.faces}
-        for child, parent in order:
-            if child not in self.faces or parent not in self.faces:
-                raise ValueError(f"order pair ({child!r}, {parent!r}) uses unknown face id")
-            cf, pf = self.faces[child], self.faces[parent]
-            if pf.dim != cf.dim + 1:
-                raise ValueError(
-                    f"order must join consecutive dimensions, got {cf.dim} -> {pf.dim}")
-            self._children[parent].add(child)
-        for f in self.faces.values():
-            if not 0 <= f.dim <= dimension - 1:
-                raise ValueError(f"face {f.id!r} has dimension {f.dim} outside 0..{dimension - 1}")
-            if f.is_cusp and f.dim != 0:
-                raise ValueError("only dimension-0 faces can be cusps")
+    def __init__(self, vertices: int, cusps: Iterable[int],
+                 below: Sequence[Sequence[tuple[int, ...]]]):
+        self.vertices = vertices
+        self.cusps = frozenset(cusps)
+        self.below = tuple(below)
+        self.dimension = len(self.below) + 1
+        if self.cusps and not (min(self.cusps) >= 0 and max(self.cusps) < vertices):
+            raise ValueError(f"cusp ids must lie in 0..{vertices - 1}")
+        size = vertices
+        for k, grade in enumerate(self.below, start=1):
+            ids = list(chain.from_iterable(grade))
+            if ids and not (min(ids) >= 0 and max(ids) < size):
+                raise ValueError(f"a {k}-face covers an id outside 0..{size - 1}")
+            size = len(grade)
 
     def a(self, k: int) -> int:
-        """Number of k-dimensional faces (cusps excluded)."""
-        return sum(1 for f in self.faces.values() if f.dim == k and not f.is_cusp)
+        """Number of k-dimensional faces (cusps excluded); 0 outside the
+        grades 0 .. n - 1."""
+        if k == 0:
+            return self.vertices - len(self.cusps)
+        return len(self.below[k - 1]) if 0 < k < self.dimension else 0
 
     def cusp_count(self) -> int:
-        return sum(1 for f in self.faces.values() if f.is_cusp)
+        return len(self.cusps)
 
-    def faces_of_dim(self, k: int):
-        return [f for f in self.faces.values() if f.dim == k and not f.is_cusp]
-
-    def lower_set(self, fid: object) -> set[object]:
-        """Ids of all faces strictly below ``fid``."""
-        out: set[object] = set()
-        stack = list(self._children[fid])
-        while stack:
-            x = stack.pop()
-            if x not in out:
-                out.add(x)
-                stack.extend(self._children[x])
-        return out
-
-    def count_below(self, fid: object, dim: int) -> int:
-        return sum(1 for x in self.lower_set(fid)
-                   if self.faces[x].dim == dim and not self.faces[x].is_cusp)
+    def count_below(self, k: int, i: int, l: int) -> int:
+        """Number of l-faces below k-face i (cusps excluded), for l < k."""
+        faces = self.below[k - 1][i]
+        if l < k - 1:
+            for grade in reversed(self.below[l:k - 1]):
+                faces = {j for c in faces for j in grade[c]}
+        if l == 0 and self.cusps:
+            return len(faces) - len(self.cusps.intersection(faces))
+        return len(faces)
 
 
 def to_face_lattice(p: Polyhedron3) -> FaceLattice:
     """Build the dimension-3 lattice of a valid polyhedron.
 
-    ``a0`` counts finite vertices, cusps keep their flag, containment
-    follows incidence: each edge lies below the faces of its two darts.
+    Grade 1 is the sorted edge list, each edge covering its two endpoints;
+    one pass over the edges puts edge (u, v) below the faces of its darts
+    u->v and v->u.  Cusps are the ideal vertices.
     """
     face_of = require_valid(p).face_of
-    faces = [LatticeFace(("v", v), 0, v in p.ideal_vertices) for v in range(p.vertex_count)]
-    order = []
-    for u, v in p.edges:
-        e = ("e", (u, v))
-        faces.append(LatticeFace(e, 1))
-        order += [(("v", u), e), (("v", v), e),
-                  (e, ("f", face_of[(u, v)])), (e, ("f", face_of[(v, u)]))]
-    faces += [LatticeFace(("f", fi), 2) for fi in range(len(p.faces))]
-    return FaceLattice(3, faces, order)
+    edges = p._edges
+    faces: list[list[int]] = [[] for _ in p.faces]
+    for i, (u, v) in enumerate(edges):
+        faces[face_of[(u, v)]].append(i)
+        faces[face_of[(v, u)]].append(i)
+    return FaceLattice(p.vertex_count, p.ideal_vertices, (edges, tuple(map(tuple, faces))))

@@ -45,15 +45,10 @@ def face_average(lattice: FaceLattice, k: int, l: int) -> Rational:
     """
     if not 0 <= l < k <= lattice.dimension - 1:
         raise ValueError(f"need 0 <= l < k <= {lattice.dimension - 1}, got k={k} l={l}")
-    top = lattice.faces_of_dim(k)
-    if not top:
+    count = lattice.a(k)
+    if not count:
         raise ValueError(f"lattice has no {k}-dimensional faces")
-    return _average(lattice, top, l)
-
-
-def _average(lattice: FaceLattice, top: list, l: int) -> Rational:
-    """Average number of l-faces below the faces ``top`` of one grade."""
-    return Fraction(sum(lattice.count_below(f.id, l) for f in top), len(top))
+    return Fraction(sum(lattice.count_below(k, i, l) for i in range(count)), count)
 
 
 def nikulin_rhs(n: int, k: int, l: int) -> Rational:
@@ -77,17 +72,10 @@ def audit(lattice: FaceLattice) -> NikulinAudit:
     skipped (a lattice with a face in every grade has none).
     """
     n = lattice.dimension
-    records = []
-    for k in range(1, n // 2 + 1):
-        top = lattice.faces_of_dim(k)   # listed once for all l
-        if not top:
-            continue
-        for l in range(k):
-            records.append(AuditRecord(
-                k=k, l=l,
-                average=_average(lattice, top, l),
-                bound=nikulin_rhs(n, k, l)))
-    return NikulinAudit(dimension=n, records=tuple(records))
+    records = tuple(AuditRecord(k=k, l=l, average=face_average(lattice, k, l),
+                                bound=nikulin_rhs(n, k, l))
+                    for k in range(1, n // 2 + 1) if lattice.a(k) for l in range(k))
+    return NikulinAudit(dimension=n, records=records)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from orthocusp import (
+    FaceLattice,
     Poly3Error,
     Polyhedron3,
     RIGHT_ANGLED_PROFILE,
@@ -439,27 +440,51 @@ def test_lattice_one_cusp(one_cusp_12):
     assert L.cusp_count() == 1
 
 
+def _face_cycle_edges(p):
+    """The sorted edges and each face's edge set, read off the face cycles."""
+    cycles = [{(min(u, v), max(u, v)) for u, v in zip(face, face[1:] + face[:1])}
+              for face in p.faces]
+    return sorted(set().union(*cycles)), cycles
+
+
 def test_lattice_matches_face_cycles(incidence_corpus):
-    """The lattice's elements, cusp flags and children of each element are
-    those read directly off the face cycles: each face covers the edges of
-    its cycle, each edge its two endpoints."""
+    """The lattice's grades, cusps and the children of each element are
+    those read directly off the face cycles: grade 1 is the sorted edge
+    list, each edge covering its two endpoints, and each face covers the
+    edges of its cycle."""
     for p in incidence_corpus:
-        children = {("v", v): set() for v in range(p.vertex_count)}
-        for fi, face in enumerate(p.faces):
-            children[("f", fi)] = set()
-            for u, v in zip(face, face[1:] + face[:1]):
-                e = ("e", (min(u, v), max(u, v)))
-                children[e] = {("v", u), ("v", v)}
-                children[("f", fi)].add(e)
+        edges, cycles = _face_cycle_edges(p)
         L = to_face_lattice(p)
-        assert L._children == children
-        assert {fid: (f.dim, f.is_cusp) for fid, f in L.faces.items()} == {
-            fid: ("vef".index(fid[0]), fid[0] == "v" and fid[1] in p.ideal_vertices)
-            for fid in children}
+        assert (L.dimension, L.vertices, L.cusps) == (3, p.vertex_count, p.ideal_vertices)
+        assert list(L.below[0]) == edges
+        assert [{edges[j] for j in below} for below in L.below[1]] == cycles
+        assert all(len(below) == len(set(below)) for grade in L.below for below in grade)
 
 
-def test_lattice_counts_below(cube):
-    L = to_face_lattice(cube)
-    for f in L.faces_of_dim(2):
-        assert L.count_below(f.id, 1) == 4
-        assert L.count_below(f.id, 0) == 4
+def test_lattice_counts_below(incidence_corpus):
+    """The a-vector, the cusp count and every count_below(k, i, l), l < k,
+    equal the counts read off the face cycles and the ideal vertices."""
+    for p in incidence_corpus:
+        edges, _ = _face_cycle_edges(p)
+        ideal = p.ideal_vertices
+        L = to_face_lattice(p)
+        assert [L.a(k) for k in range(-1, 4)] == [
+            0, p.vertex_count - len(ideal), len(edges), len(p.faces), 0]
+        assert L.cusp_count() == len(ideal)
+        for i, e in enumerate(edges):
+            assert L.count_below(1, i, 0) == len(set(e) - ideal)
+        for i, face in enumerate(p.faces):
+            assert L.count_below(2, i, 1) == len(face)
+            assert L.count_below(2, i, 0) == len(set(face) - ideal)
+
+
+@pytest.mark.parametrize("cusps, below", [
+    ((), [[(0, 4)]]),                      # an edge past the last vertex
+    ((), [[(0, 1)], [(0,), (-1,)]]),       # a face below edge -1
+    ((), [[(0, 1)], [(1,)]]),              # a face past the last edge
+    ((4,), [[(0, 1)]]),                    # a cusp past the last vertex
+    ((-1,), [[(0, 1)]]),                   # a negative cusp
+])
+def test_lattice_refuses_ids_outside_their_grade(cusps, below):
+    with pytest.raises(ValueError):
+        FaceLattice(4, cusps, below)

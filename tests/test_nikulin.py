@@ -12,24 +12,19 @@ from orthocusp import (
     nikulin_rhs,
     to_face_lattice,
 )
-from orthocusp.core import FaceLattice, LatticeFace
+from orthocusp.core import FaceLattice
 
 
 def chain_lattice(dimension, top_children):
-    """Minimal well-graded lattice: one chain face per grade, plus exactly
-    ``width`` grade-(k-1) faces forming the down-set of the single grade-k
-    face (the chain deliberately bypasses that face)."""
+    """Minimal well-graded lattice: one chain face (index 0) per grade, plus
+    exactly ``width`` grade-(k-1) faces forming the down-set of the chain's
+    grade-k face (the chain deliberately bypasses that face)."""
     k, width = top_children
-    faces = []
-    order = []
-    for d in range(dimension):
-        faces.append(LatticeFace(("c", d), d))
-        if d and d != k:
-            order.append(((("c", d - 1)), ("c", d)))
-    for i in range(width):
-        faces.append(LatticeFace(("w", i), k - 1))
-        order.append((("w", i), ("c", k)))
-    return FaceLattice(dimension, faces, order)
+    below = []
+    for d in range(1, dimension):
+        chain = tuple(range(1, width + 1)) if d == k else (0,)
+        below.append([chain] + [()] * (width if d == k - 1 else 0))
+    return FaceLattice(1 + (width if k == 1 else 0), (), below)
 
 
 # ---------------------------------------------------------------------------
@@ -122,21 +117,11 @@ def test_audit_synthetic_boundary_lattice():
     assert rec.strict_ok is False
 
 
-def test_audit_lists_each_grade_once(monkeypatch):
-    """``audit`` lists each grade k once for all its l, and its records are
-    the face averages and bounds pair by pair."""
+def test_audit_records_pair_by_pair():
+    """``audit`` makes one record per pair (k, l), l < k, grade by grade,
+    and its records are the face averages and bounds pair by pair."""
     L = chain_lattice(6, (3, 12))
-    listed = []
-    real = FaceLattice.faces_of_dim
-
-    def faces_of_dim(self, k):
-        listed.append(k)
-        return real(self, k)
-
-    monkeypatch.setattr(FaceLattice, "faces_of_dim", faces_of_dim)
     a = audit(L)
-    assert listed == [1, 2, 3]
-    monkeypatch.undo()
     assert [(r.k, r.l) for r in a.records] == [(k, l) for k in (1, 2, 3) for l in range(k)]
     for r in a.records:
         assert (r.average, r.bound) == (face_average(L, r.k, r.l), nikulin_rhs(6, r.k, r.l))
@@ -148,16 +133,7 @@ def test_audit_lists_each_grade_once(monkeypatch):
 
 def polygon_lattice(edges, cusps):
     """Dimension-2 lattice of a polygon with some vertices at infinity."""
-    faces = []
-    order = []
-    total = edges
-    for i in range(total):
-        faces.append(LatticeFace(("v", i), 0, i < cusps))
-    for i in range(total):
-        faces.append(LatticeFace(("e", i), 1))
-        order.append((("v", i), ("e", i)))
-        order.append((("v", (i + 1) % total), ("e", i)))
-    return FaceLattice(2, faces, order)
+    return FaceLattice(edges, range(cusps), [[(i, (i + 1) % edges) for i in range(edges)]])
 
 
 def test_check_small_pentagon():
