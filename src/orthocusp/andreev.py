@@ -21,6 +21,10 @@ from .core import (Edge, Polyhedron3, Poly3Error, RIGHT_ANGLED_PROFILE, Validati
 
 HALF = Fraction(1, 2)
 
+#: Marks an edge with no angle, and starts the angle check's loop so that
+#: its first angle is always checked, whatever the object.
+_UNSET = object()
+
 #: Condition keys, in report order.  'a'..'e' are the acute-angled vertex,
 #: cusp and circuit conditions; the remaining keys are the structural
 #: right-angled requirements.
@@ -264,16 +268,22 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
     incidence = require_valid(p)
     rotation = incidence.rotation
     edges = p.edges
+    # consecutive edges often carry one angle object, checked once
+    last = _UNSET
     terms = []
+    dens = set()
     for e in edges:
-        if e not in angles:
+        q = angles.get(e, _UNSET)
+        if q is _UNSET:
             raise AngleError(f"missing angle for edge {e}")
-        q = angles[e]
-        if not isinstance(q, Rational):
-            raise AngleError(f"angle {q} for edge {e} is not rational")
-        n, d = q.numerator, q.denominator
-        if not (0 < n and 2 * n <= d):
-            raise AngleError(f"angle {q} for edge {e} outside (0, 1/2]")
+        if q is not last:
+            if not isinstance(q, Rational):
+                raise AngleError(f"angle {q} for edge {e} is not rational")
+            n, d = q.numerator, q.denominator
+            if not (0 < n and 2 * n <= d):
+                raise AngleError(f"angle {q} for edge {e} outside (0, 1/2]")
+            dens.add(d)
+            last = q
         terms.append((n, d))
     if len(angles) > len(edges):
         known = set(edges)
@@ -296,23 +306,24 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
     graph = _face_graph(p, incidence)
     table = graph.adjacency
     # each angle as x/L over the common denominator L: pi is L, pi/2 is 2x == L
-    L = lcm(*(d for _, d in terms))
+    L = lcm(*dens)
     x = {e: n * (L // d) for e, (n, d) in zip(edges, terms)}
+    total = [0] * len(rotation)
+    for (a, b), y in x.items():
+        total[a] += y
+        total[b] += y
 
     for v, nbrs in enumerate(rotation):
-        # the edges at v, by the other endpoint
-        at = [_norm_edge(v, u) for u in sorted(nbrs)]
-        total = sum(map(x.__getitem__, at))
         if v in p.ideal_vertices:
-            if len(at) == 3:
-                if total != L:
-                    report.entries["a"].append((v, Fraction(total, L)))
-            else:
-                bad = [e for e in at if 2 * x[e] != L]
-                if bad:
-                    report.entries["b"].append((v, bad))
-        elif total <= L:
-            report.entries["a"].append((v, Fraction(total, L)))
+            if len(nbrs) == 3:
+                if total[v] != L:
+                    report.entries["a"].append((v, Fraction(total[v], L)))
+            # no angle exceeds pi/2, so four sum to 2 pi only when all are pi/2
+            elif total[v] != 2 * L:
+                at = [_norm_edge(v, u) for u in sorted(nbrs)]
+                report.entries["b"].append((v, [e for e in at if 2 * x[e] != L]))
+        elif total[v] <= L:
+            report.entries["a"].append((v, Fraction(total[v], L)))
 
     def pair_angles(a: int, b: int):
         return [x[e] for e in table[(a, b)]]

@@ -193,14 +193,15 @@ def parse_poly3(text: str) -> Polyhedron3:
         if not line.startswith("face:"):
             raise Poly3Error(f"unexpected line {line!r}", num)
         try:
-            cycle = tuple(int(t) for t in line.split(":", 1)[1].split())
+            cycle = tuple(map(int, line.split(":", 1)[1].split()))
         except ValueError:
             raise Poly3Error("face contains a non-integer token", num) from None
         if len(cycle) < 3:
             raise Poly3Error("face needs at least three vertices", num)
-        for v in cycle:
-            if not 0 <= v < n:
-                raise Poly3Error(f"vertex id {v} out of range 0..{n - 1}", num)
+        if min(cycle) < 0 or max(cycle) >= n:
+            # name the first id out of range
+            v = next(v for v in cycle if not 0 <= v < n)
+            raise Poly3Error(f"vertex id {v} out of range 0..{n - 1}", num)
         if len(set(cycle)) != len(cycle):
             raise Poly3Error("duplicate vertex in face cycle", num)
         faces.append(cycle)

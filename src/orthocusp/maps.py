@@ -121,9 +121,17 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None):
     unlabelled neighbour taking the next label, and ends with 254.  The
     code is the head (marks and degrees of u and v), the rows and the
     vertex marks in label order.  Only the starts with the least head can
-    give the least code.  They all write row 0 as ``1..deg u``; row 1, of
-    length ``deg v`` for each, is read off u's ring without a traversal,
-    and only the starts with the least row 1 are traversed.  These run
+    give the least code.  Each vertex gets one key, its mark and degree
+    packed into one int, so the head is found per vertex, not per dart:
+    u is any vertex with an edge and the least key, and v any neighbour
+    of such a u with the least key among their neighbours.  The starts
+    with the least head all write row 0 as ``1..deg u``; row 1, of length
+    ``deg v`` for each, is read off u's ring without a traversal.  When u
+    and v share no neighbour, row 1 is all new labels, ``deg u + 1`` on,
+    the same row for every such start and larger than any row holding a
+    label of u's ring, so these starts are kept only when no start has a
+    common neighbour, and then all of them are, each with s = 1 before
+    s = -1.  Only the starts with the least row 1 are traversed.  These run
     together one row at a time, and after each row only the starts with
     the least row stay.  This is exact: 254 is above every label, so no
     row is a proper prefix of another and comparing row by row is the
@@ -138,54 +146,61 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None):
     if n > MAX_CODE_VERTICES:
         raise MapError(f"canonical codes cover at most {MAX_CODE_VERTICES} "
                        f"vertices, got {n}")
+    deg = [len(nbrs) for nbrs in rot]
+    # one key per vertex, its (mark, degree) packed: a vertex has at most
+    # n - 1 < 256 neighbours
+    key = deg if marks is None else [m * 256 + d for m, d in zip(marks, deg)]
     if marks is None:
         marks = [0] * n
-    deg = [len(nbrs) for nbrs in rot]
-    # only darts with the smallest invariant key can open the minimal code
-    best_key = None
-    starts = []
-    for u in range(n):
-        mu = marks[u]
-        du = deg[u]
-        for v in rot[u]:
-            key = (mu, du, marks[v], deg[v])
-            if best_key is None or key < best_key:
-                best_key = key
-                starts = [(u, v)]
-            elif key == best_key:
-                starts.append((u, v))
-    if not starts:
+    # only darts from a vertex with the least key to a neighbour with the
+    # least key among theirs can open the minimal code; a vertex of degree
+    # 0 opens none
+    key_u = min((k for k, d in zip(key, deg) if d), default=None)
+    if key_u is None:
         raise MapError("map has no edges")
+    heads = [u for u in range(n) if key[u] == key_u]
+    key_v = min(key[w] for u in heads for w in rot[u])
     # row 1, v's ring after u: a vertex at place i of u's ring has label
     # 1 + (i - k) * s mod deg u, with k the place of v; the others take
-    # labels from deg u + 1 on, in order of appearance
+    # labels from deg u + 1 on, in order of appearance, so the row is all
+    # new labels when u and v have no common neighbour
     least = None
     kept = []
-    pu_of = None
-    for u, v in starts:
-        if pu_of != u:
-            pu_of = u
-            pu = {w: i for i, w in enumerate(rot[u])}
-        du = len(pu)
-        k = pu[v]
-        r = rot[v]
-        j = r.index(u)
-        after = r[j + 1:] + r[:j]
-        for s, ring in ((1, after), (-1, after[::-1])):
-            new = du + 1
-            row = []
-            for w in ring:
-                i = pu.get(w)
-                if i is None:
-                    row.append(new)
-                    new += 1
-                else:
-                    row.append(1 + (i - k) * s % du)
-            if least is None or row < least:
-                least = row
-                kept = [(u, v, s)]
-            elif row == least:
-                kept.append((u, v, s))
+    apart = []
+    for u in heads:
+        ru = rot[u]
+        near = set(ru)
+        pu = None
+        for v in ru:
+            if key[v] != key_v:
+                continue
+            r = rot[v]
+            if near.isdisjoint(r):
+                apart.append((u, v))
+                continue
+            if pu is None:
+                pu = {w: i for i, w in enumerate(ru)}
+                du = len(pu)
+            k = pu[v]
+            j = r.index(u)
+            after = r[j + 1:] + r[:j]
+            for s, ring in ((1, after), (-1, after[::-1])):
+                new = du + 1
+                row = []
+                for w in ring:
+                    i = pu.get(w)
+                    if i is None:
+                        row.append(new)
+                        new += 1
+                    else:
+                        row.append(1 + (i - k) * s % du)
+                if least is None or row < least:
+                    least = row
+                    kept = [(u, v, s)]
+                elif row == least:
+                    kept.append((u, v, s))
+    if not kept:
+        kept = [(u, v, s) for u, v in apart for s in (1, -1)]
     live = []
     for u, v, s in kept:
         lab = [-1] * n
@@ -222,7 +237,8 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None):
     # map need not respect the vertex marks
     tails = [bytes(marks[v] for v in state[2]) for state in live]
     least = min(tails)
-    code = bytes(best_key) + b"".join(map(bytes, rows)) + least
+    head = bytes((key_u >> 8, key_u & 255, key_v >> 8, key_v & 255))
+    code = head + b"".join(map(bytes, rows)) + least
     return (code, tuple(tuple(row[:-1]) for row in rows),
             tuple(state[2] for state, tail in zip(live, tails) if tail == least))
 

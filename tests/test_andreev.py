@@ -633,3 +633,38 @@ def test_andreev_rejects_non_rational_angle(cube, bad):
     angles[cube.edges[0]] = bad
     with pytest.raises(AngleError, match=r"for edge \(0, 1\) is not rational$"):
         check_andreev(cube, angles)
+
+
+@pytest.mark.parametrize("bad", [None, [HALF]], ids=["None", "list"])
+def test_andreev_checks_first_angle(cube, bad):
+    """The first edge's angle is checked whatever object it is, even one
+    that could pass for "no angle seen yet"; the rest are right angles."""
+    angles = {e: bad if i == 0 else HALF for i, e in enumerate(cube.edges)}
+    assert cube.edges[0] == (0, 1)
+    with pytest.raises(AngleError, match=r"for edge \(0, 1\) is not rational$"):
+        check_andreev(cube, angles)
+
+
+def test_andreev_shared_bad_angle_names_first_edge(cube):
+    """One out-of-range object on two edges is refused at the first of
+    them, as the reference refuses it."""
+    bad = Fraction(2, 3)
+    for pair in ((2, 3), (2, 7), (0, len(cube.edges) - 1)):
+        angles = right_angles(cube)
+        for i in pair:
+            angles[cube.edges[i]] = bad
+        got = outcome(check_andreev, cube, angles)
+        assert got == outcome(check_andreev_reference, cube, angles)
+        assert got == (AngleError, f"angle 2/3 for edge {cube.edges[pair[0]]} outside (0, 1/2]")
+
+
+def test_andreev_shared_and_distinct_angle_objects(angle_corpus):
+    """Right angles as one shared object, as distinct equal objects and as
+    two objects taking turns give the same outcome as the reference."""
+    for p in angle_corpus:
+        shared = right_angles(p)
+        distinct = {e: Fraction(1, 2) for e in p.edges}
+        turns = {e: HALF if i % 2 else Fraction(1, 2) for i, e in enumerate(p.edges)}
+        want = outcome(check_andreev_reference, p, distinct)
+        for angles in (shared, distinct, turns):
+            assert outcome(check_andreev, p, angles) == want, p

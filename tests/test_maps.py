@@ -242,5 +242,43 @@ def test_code_vertex_limit(k_gonal_prism):
 
 def test_edgeless_map_rejected():
     for rot in [((),), ((), ())]:
-        with pytest.raises(maps.MapError, match="no edges"):
-            maps.canonical_form(rot)
+        for marks in (None, [0] * len(rot), [1] * len(rot)):
+            with pytest.raises(maps.MapError, match="no edges"):
+                maps.canonical_form(rot, marks)
+
+
+@pytest.mark.parametrize("marks", [None, [0, 0, 0], [0, 1, 1], [1, 2, 2]])
+def test_isolated_vertex_never_opens_the_code(marks):
+    """A vertex of degree 0 has the least key here, with or without marks,
+    but the head only picks vertices with an edge, so the traversal meets
+    the missing vertex and the map is refused as not connected."""
+    with pytest.raises(maps.MapError, match="^map is not connected$"):
+        maps.canonical_form(((), (2,), (1,)), marks)
+
+
+def _triangles(rot):
+    return {frozenset((u, v, w)) for u, nbrs in enumerate(rot) for v in nbrs
+            for w in rot[v] if w in nbrs}
+
+
+def test_form_without_common_neighbours(loebell):
+    """Loebell L(5)..L(9), compact and with one edge contracted to a cusp,
+    have no triangle: no start's two vertices share a neighbour, so every
+    start skips row 1 and all of them enter the row loop."""
+    polys = []
+    for n in range(5, 10):
+        p = loebell(n)
+        polys += [p, core.contract_edge(p, p.edges[0])]
+    for p in polys:
+        assert not _triangles(_form_args(p)[0])
+    assert_form_is_exhaustive(polys)
+
+
+def test_form_with_one_triangle():
+    """A cube with corner 0 truncated has one triangle, so only the
+    darts of that triangle keep a row 1 that holds a label of u's ring."""
+    faces = ((8, 9, 3, 2, 1), (4, 5, 6, 7), (0, 8, 1, 5, 4), (1, 2, 6, 5),
+             (2, 3, 7, 6), (3, 9, 0, 4, 7), (9, 8, 0))
+    p = core.Polyhedron3(10, frozenset(), faces)
+    assert _triangles(_form_args(p)[0]) == {frozenset((0, 8, 9))}
+    assert_form_is_exhaustive([p])
