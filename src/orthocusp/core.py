@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import maps
 
@@ -102,17 +103,17 @@ class ValidationReport:
     degree-profile deviations, each with a witness.  ``rotation`` is the
     rotation system validation built, ``face_of`` maps each dart ``(u, v)``
     to the index of its face, and ``face_pairs`` maps each pair of adjacent
-    faces a < b to the edges they share, pairs in the order their first
-    shared edge appears in the faces; all three are None when validation
-    stopped earlier.  ``face_graph`` is the ``andreev.FaceGraph`` a check
-    derives from a valid report, kept here once derived."""
+    faces a < b to the edges they share, as a tuple, pairs in the order
+    their first shared edge appears in the faces; all three are None when
+    validation stopped earlier.  ``face_graph`` is the ``andreev.FaceGraph``
+    a check derives from a valid report, kept here once derived."""
 
     violations: list[tuple[str, str]] = field(default_factory=list)
     warnings: list[tuple[str, str]] = field(default_factory=list)
     degree_violations: list[tuple[int, int, int]] = field(default_factory=list)
     rotation: maps.Rotation | None = field(default=None, repr=False, compare=False)
-    face_of: dict[tuple[int, int], int] | None = field(default=None, repr=False, compare=False)
-    face_pairs: dict[tuple[int, int], list[Edge]] | None = field(
+    face_of: Mapping[tuple[int, int], int] | None = field(default=None, repr=False, compare=False)
+    face_pairs: Mapping[tuple[int, int], tuple[Edge, ...]] | None = field(
         default=None, repr=False, compare=False)
     face_graph: FaceGraph | None = field(default=None, repr=False, compare=False)
 
@@ -238,19 +239,23 @@ def validate(p: Polyhedron3, profile: DegreeProfile | None = None) -> Validation
 
     The structural pass is the instance's cached ``_validation``, which
     ``require_valid`` reads too; the report returned is the caller's, with
-    lists of its own.  The degree profile is read off the rotation system,
-    which a valid polyhedron has.
+    lists of its own and read-only views of the kept ``face_of`` and
+    ``face_pairs``, so no caller can change what later checks read.  The
+    degree profile is read off the rotation system, which a valid
+    polyhedron has.
     """
     kept = p._validation
     report = ValidationReport(list(kept.violations), list(kept.warnings),
-                              rotation=kept.rotation, face_of=kept.face_of,
-                              face_pairs=kept.face_pairs)
-    if profile is not None and report.valid:
-        for v, row in enumerate(report.rotation):
-            got = len(row)
-            want = profile.ideal_degree if v in p.ideal_vertices else profile.finite_degree
-            if got != want:
-                report.degree_violations.append((v, got, want))
+                              rotation=kept.rotation)
+    if report.valid:
+        report.face_of = MappingProxyType(kept.face_of)
+        report.face_pairs = MappingProxyType(kept.face_pairs)
+        if profile is not None:
+            for v, row in enumerate(report.rotation):
+                got = len(row)
+                want = profile.ideal_degree if v in p.ideal_vertices else profile.finite_degree
+                if got != want:
+                    report.degree_violations.append((v, got, want))
     return report
 
 
@@ -292,7 +297,7 @@ def _structure(p: Polyhedron3) -> ValidationReport:
 
     out_darts: list[list[int]] = [[] for _ in range(n)]  # heads per tail, in dart order
     edges = 0
-    pairs: dict[tuple[int, int], list[Edge]] = {}   # faces a < b -> edges between them
+    pairs: dict[tuple[int, int], tuple[Edge, ...]] = {}   # faces a < b -> edges between them
     for (u, v), fi in owner.items():
         if (u, v) in repeats:
             violations.append(
@@ -303,7 +308,8 @@ def _structure(p: Polyhedron3) -> ValidationReport:
                 ("edge-pairing", f"edge {{{u},{v}}} lacks the opposite traversal {v}->{u}"))
         elif fi < fj:
             edges += 1
-            pairs.setdefault((fi, fj), []).append((u, v) if u < v else (v, u))
+            edge = (u, v) if u < v else (v, u)
+            pairs[fi, fj] = pairs.get((fi, fj), ()) + (edge,)
         out_darts[u].append(v)
     for v in range(n):
         if not out_darts[v] and v not in stray:

@@ -124,21 +124,20 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None):
     give the least code.  Each vertex gets one key, its mark and degree
     packed into one int, so the head is found per vertex, not per dart:
     u is any vertex with an edge and the least key, and v any neighbour
-    of such a u with the least key among their neighbours.  The starts
-    with the least head all write row 0 as ``1..deg u``; row 1, of length
-    ``deg v`` for each, is read off u's ring without a traversal.  When u
-    and v share no neighbour, row 1 is all new labels, ``deg u + 1`` on,
+    of such a u with the least key among their neighbours.  The key packs
+    the degree, so every start writes row 0 as ``1..deg u``: row 0 and the
+    labels of u's ring, from v on, are seeded without a traversal.  When
+    u and v share no neighbour, row 1 is all new labels, ``deg u + 1`` on,
     the same row for every such start and larger than any row holding a
-    label of u's ring, so these starts are kept only when no start has a
-    common neighbour, and then all of them are, each with s = 1 before
-    s = -1.  Only the starts with the least row 1 are traversed.  These run
-    together one row at a time, and after each row only the starts with
-    the least row stay.  This is exact: 254 is above every label, so no
-    row is a proper prefix of another and comparing row by row is the
-    byte order of the code.  A start dropped at some row has a larger code
-    than a start that stays, and the marks take one byte per vertex for
-    every start, so they decide among the starts left.  Those are exactly
-    the starts with the least code, in start order.
+    label of u's ring, so these starts are traversed only when no start
+    has a common neighbour.  The starts taken, each with s = 1 before
+    s = -1, run together one row at a time from row 1, and after each row
+    only the starts with the least row stay.  This is exact: 254 is above
+    every label, so no row is a proper prefix of another and comparing row
+    by row is the byte order of the code.  A start dropped at some row has
+    a larger code than a start that stays, and the marks take one byte per
+    vertex for every start, so they decide among the starts left.  Those
+    are exactly the starts with the least code, in start order.
     """
     n = len(rot)
     if n == 0:
@@ -160,54 +159,28 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None):
         raise MapError("map has no edges")
     heads = [u for u in range(n) if key[u] == key_u]
     key_v = min(key[w] for u in heads for w in rot[u])
-    # row 1, v's ring after u: a vertex at place i of u's ring has label
-    # 1 + (i - k) * s mod deg u, with k the place of v; the others take
-    # labels from deg u + 1 on, in order of appearance, so the row is all
-    # new labels when u and v have no common neighbour
-    least = None
-    kept = []
+    # a start whose u and v share no neighbour writes row 1 as all new
+    # labels, so it can open the least code only when every start does
+    close = []
     apart = []
     for u in heads:
-        ru = rot[u]
-        near = set(ru)
-        pu = None
-        for v in ru:
-            if key[v] != key_v:
-                continue
-            r = rot[v]
-            if near.isdisjoint(r):
-                apart.append((u, v))
-                continue
-            if pu is None:
-                pu = {w: i for i, w in enumerate(ru)}
-                du = len(pu)
-            k = pu[v]
-            j = r.index(u)
-            after = r[j + 1:] + r[:j]
-            for s, ring in ((1, after), (-1, after[::-1])):
-                new = du + 1
-                row = []
-                for w in ring:
-                    i = pu.get(w)
-                    if i is None:
-                        row.append(new)
-                        new += 1
-                    else:
-                        row.append(1 + (i - k) * s % du)
-                if least is None or row < least:
-                    least = row
-                    kept = [(u, v, s)]
-                elif row == least:
-                    kept.append((u, v, s))
-    if not kept:
-        kept = [(u, v, s) for u, v in apart for s in (1, -1)]
+        near = set(rot[u])
+        for v in rot[u]:
+            if key[v] == key_v:
+                (apart if near.isdisjoint(rot[v]) else close).append((u, v))
     live = []
-    for u, v, s in kept:
-        lab = [-1] * n
-        lab[u] = 0
-        live.append((s, lab, [u], [v]))
-    rows = []
-    for i in range(n):
+    for u, v in close or apart:
+        r = rot[u]
+        k = r.index(v)
+        for s, ring in ((1, r[k:] + r[:k]), (-1, r[k::-1] + r[:k:-1])):
+            lab = [-1] * n
+            lab[u] = 0
+            for label, w in enumerate(ring, 1):
+                lab[w] = label
+            live.append((s, lab, [u, *ring], [v] + [u] * len(ring)))
+    # every head has the same degree, since the key packs it
+    rows = [[*range(1, deg[heads[0]] + 1), 254]]
+    for i in range(1, n):
         least = None
         tied = []
         for state in live:

@@ -64,6 +64,12 @@ def test_prismatic_circuits_cube(cube):
     assert len(bands) == 3
 
 
+@pytest.mark.parametrize("length", [2, 5])
+def test_prismatic_circuits_refuses_other_lengths(cube, length):
+    with pytest.raises(ValueError, match="^circuit length must be 3 or 4$"):
+        prismatic_circuits(cube, length)
+
+
 def test_prismatic_circuits_dodecahedron(dodecahedron):
     assert prismatic_circuits(dodecahedron, 3) == []
     assert prismatic_circuits(dodecahedron, 4) == []
@@ -181,6 +187,18 @@ def test_andreev_rejects_bad_degrees(pyramid):
         check_andreev(pyramid, right_angles(pyramid))
 
 
+def test_andreev_rejects_cusp_of_degree_five():
+    """The pentagonal pyramid with its apex a cusp is valid, but a cusp
+    needs degree 3 or 4."""
+    from orthocusp import Polyhedron3, validate
+
+    pyramid = Polyhedron3(6, frozenset({5}), ((0, 1, 2, 3, 4),)
+                          + tuple((5, (i + 1) % 5, i) for i in range(5)))
+    assert validate(pyramid).valid
+    with pytest.raises(Poly3Error, match=r"^cusp 5 has degree 5, need 3 or 4$"):
+        check_andreev(pyramid, right_angles(pyramid))
+
+
 def test_andreev_finite_vertex_needs_sum_above_one(dodecahedron):
     """Angles 1/2, 1/4, 1/4 at a finite vertex sum to exactly 1, which
     belongs to an ideal vertex: (a) fails at that vertex alone."""
@@ -213,6 +231,15 @@ def test_angle_file_parsing():
         parse_angles("angle: 0 1 x 2\n")
     with pytest.raises(AngleError, match="line 2: .*zero denominator"):
         parse_angles("angle: 0 1 1 2\nangle: 0 1 1 0\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("bogus\n", r"^line 1: unexpected line 'bogus'$"),
+    ("angle: 0 1 1\n", r"^line 1: expected 'angle: u v p q'$"),
+])
+def test_angle_file_refuses_malformed_lines(text, message):
+    with pytest.raises(AngleError, match=message):
+        parse_angles(text)
 
 
 def test_angle_file_repeated_edge():

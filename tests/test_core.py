@@ -256,6 +256,30 @@ def test_validate_matches_reference_on_valid(one_cusp_12, k_gonal_prism):
         _assert_matches_reference(p)
 
 
+def test_validate_report_cannot_change_the_kept_pass():
+    """A ``validate`` report reads the dart and face-pair tables of the
+    kept structural pass through read-only views, so a write through it
+    raises and the later checks and the face lattice read what they read
+    before."""
+    from orthocusp import check_right_angled
+    from orthocusp.core import require_valid
+
+    p = load_fixture("dodecahedron")
+    report = validate(p)
+    pair = next(iter(report.face_pairs))
+    dart = next(iter(report.face_of))
+    with pytest.raises(TypeError):
+        report.face_pairs[pair] += ((0, 1),)
+    with pytest.raises(TypeError):
+        report.face_of[dart] = 0
+    with pytest.raises(TypeError):
+        del report.face_of[dart]
+    assert all(type(shared) is tuple for shared in report.face_pairs.values())
+    assert report.face_pairs == require_valid(p).face_pairs
+    assert check_right_angled(p).verdict == "pass"
+    assert to_face_lattice(p).below == to_face_lattice(load_fixture("dodecahedron")).below
+
+
 @pytest.mark.parametrize("cusps", [0, 1, 2])
 def test_validate_matches_reference_on_census(cusps):
     """Every type with at most 9 faces, and the duals of those without

@@ -461,6 +461,27 @@ def test_right_angled_filter_is_a_subset(enum_all_small):
     assert set(accepted.codes) <= set(enum_all_small[2].codes)
 
 
+def test_right_angled_filter_rejects_after_the_prefilter(monkeypatch):
+    """At budget 12 with two cusps, one type passes the prefilter and
+    3-connectivity but fails ``check_right_angled`` on condition (e), with
+    one witness, and is not emitted."""
+    real = enum3.check_right_angled
+    verdicts = []
+
+    def recording(p):
+        report = real(p)
+        verdicts.append((len(p.faces), report))
+        return report
+
+    monkeypatch.setattr(enum3, "check_right_angled", recording)
+    report = enumerate_types(EnumSpec(12, 2, FILTER_RIGHT_ANGLED))
+    assert report.counts_by_faces == {8: 1, 9: 1, 10: 2, 11: 4, 12: 15}
+    [(faces, rejected)] = [(f, r) for f, r in verdicts if r.verdict != "pass"]
+    assert (faces, rejected.verdict) == (12, "fail")
+    assert {k: len(v) for k, v in rejected.entries.items() if v} == {"e": 1}
+    assert len(report.types) == len(verdicts) - 1
+
+
 def test_one_cusp_report(one_cusp_report):
     assert one_cusp_report.ok
     assert one_cusp_report.counts_by_faces == {12: 1}

@@ -264,7 +264,7 @@ def _triangles(rot):
 def test_form_without_common_neighbours(loebell):
     """Loebell L(5)..L(9), compact and with one edge contracted to a cusp,
     have no triangle: no start's two vertices share a neighbour, so every
-    start skips row 1 and all of them enter the row loop."""
+    start writes row 1 as all new labels and all of them are traversed."""
     polys = []
     for n in range(5, 10):
         p = loebell(n)
