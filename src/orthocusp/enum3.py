@@ -139,28 +139,64 @@ def _grow(level):
     σ extends to an isomorphism of the two children that takes new edge
     to new edge, so both have the same key, and keeping only the split
     least in its orbit (vertex first, then sorted hinges) loses no class.
+
+    Some splits are rejected before the filter runs.  A split at v changes
+    adjacency only inside N[v] and the new vertex w: w's neighbours lie in
+    N[v], and only the rows of N[v] change.  So a contractible edge of the
+    parent with both endpoints outside N[v] keeps its endpoint degrees and
+    its two common neighbours in every child of a split at v, and stays
+    contractible there.  The new edge of the split at hinge positions
+    i < j has endpoint degrees j - i + 2 and d - j + i + 2, d the degree
+    of v.  When their sorted pair is strictly above the least endpoint
+    degree pair of such a far edge, the far edge has a smaller key and the
+    filter would reject the child; ``_far_edge_beats`` marks these splits
+    by v and j - i.  Every other split runs the filter in full.
     """
     found = {}
     for rot, group in level:
+        beats = _far_edge_beats(rot)
         for v in range(len(rot)):
             nbrs = rot[v]
             d = len(nbrs)
+            rows = maps._split_rows(rot, v)
+            beaten = beats[v]
             # a split at v is least in its orbit only if v is, and then its
             # hinge pair is compared under the stabiliser
             moved_down = any(g[v] < v for g in group)
             fixing = [g for g in group if g[v] == v]
             for i in range(d):
                 for j in range(i + 1, d):
-                    cand = maps.split_vertex(rot, v, i, j)
+                    cand = maps.split_vertex(rot, v, i, j, rows)
                     if moved_down or (fixing and not _least_in_orbit(
                             [_norm_edge(nbrs[i], nbrs[j])], fixing)):
                         continue
-                    if not _is_canonical_augmentation(cand, v):
+                    if beaten[j - i] or not _is_canonical_augmentation(cand, v):
                         continue
                     code, canon, orders = maps.canonical_form(cand)
                     if code not in found:
                         found[code] = (canon, _automorphisms(orders))
     return tuple(found[code] for code in sorted(found))
+
+
+def _far_edge_beats(rot: maps.Rotation) -> list[list[bool]]:
+    """``out[v][gap]``: whether a contractible edge of the triangulation
+    ``rot`` with both endpoints outside N[v] has a sorted endpoint degree
+    pair strictly below that of the new edge of a split at v with hinge
+    positions j - i = gap, which then fails ``_is_canonical_augmentation``
+    (see ``_grow``)."""
+    near = [{*nbrs} for nbrs in rot]
+    contractible = sorted(
+        (_norm_edge(len(rot[a]), len(rot[b])), a, b)
+        for a, nbrs in enumerate(rot) for b in nbrs
+        if a < b and len(near[a] & near[b]) == 2)
+    out = []
+    for v, ball in enumerate(near):
+        far = next((pair for pair, a, b in contractible
+                    if v != a and v != b and a not in ball and b not in ball), None)
+        d = len(rot[v])
+        out.append([far is not None and _norm_edge(gap + 2, d - gap + 2) > far
+                    for gap in range(d)])
+    return out
 
 
 def _automorphisms(orders) -> tuple[tuple[int, ...], ...]:

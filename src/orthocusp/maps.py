@@ -113,7 +113,8 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None):
     included, moves the first start to exactly one of them, so
     ``len(orders)`` is |Aut±| and ``i -> orders[0].index(orders[k][i])``
     are the automorphisms of ``canon_rot``.  Maps with no edge or with more
-    than ``MAX_CODE_VERTICES`` vertices raise MapError.
+    than ``MAX_CODE_VERTICES`` vertices raise MapError, and so do marks
+    that are not one byte, 0 to 255, per vertex.
 
     A traversal starts at a dart (u, v) in an orientation s.  It labels u
     0 and visits the vertices in label order; the row of a vertex is its
@@ -146,11 +147,18 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None):
         raise MapError(f"canonical codes cover at most {MAX_CODE_VERTICES} "
                        f"vertices, got {n}")
     deg = [len(nbrs) for nbrs in rot]
-    # one key per vertex, its (mark, degree) packed: a vertex has at most
-    # n - 1 < 256 neighbours
-    key = deg if marks is None else [m * 256 + d for m, d in zip(marks, deg)]
     if marks is None:
+        key = deg
         marks = [0] * n
+    else:
+        if len(marks) != n:
+            raise MapError(f"{len(marks)} vertex marks for {n} vertices")
+        if min(marks) < 0 or max(marks) > 255:
+            x = next(x for x, m in enumerate(marks) if not 0 <= m <= 255)
+            raise MapError(f"mark {marks[x]} of vertex {x} is outside 0..255")
+        # one key per vertex, its (mark, degree) packed: a vertex has at
+        # most n - 1 < 256 neighbours
+        key = [m * 256 + d for m, d in zip(marks, deg)]
     # only darts from a vertex with the least key to a neighbour with the
     # least key among theirs can open the minimal code; a vertex of degree
     # 0 opens none
@@ -220,35 +228,48 @@ def canonical_form(rot: Rotation, marks: Sequence[int] | None = None):
 # local operations used by the enumeration
 # ---------------------------------------------------------------------------
 
-def split_vertex(rot: Rotation, v: int, i: int, j: int) -> Rotation:
-    """Split vertex ``v`` of a triangulation along hinge positions ``i < j``.
-
-    Vertex ``v`` keeps the rotation arc ``rot[v][i..j]``; a new vertex
-    (appended with the next free id) takes the complementary arc; both stay
-    adjacent to the two hinge neighbours and gain the edge between them.
-    Adds one vertex, three edges and two triangular faces, and always yields
-    a simple triangulation again.  Rows the split leaves alone are shared
-    with ``rot``.
-    """
+def _split_rows(rot: Rotation, v: int):
+    """What every split of ``rot`` at ``v`` assigns, derived once: v's
+    ring twice over; for each position t of the ring, the pair (u, u's row
+    with the new vertex in place of v) for u = ring[t], that list twice
+    over; and u's row with the new vertex inserted after v, and before v.
+    The doubled lists let a split slice an arc that wraps round."""
     nbrs = rot[v]
     w = len(rot)
-    arc2 = nbrs[j:] + nbrs[:i + 1]
-    hi, hj = nbrs[i], nbrs[j]
-    new_rot = list(rot)
-    new_rot[v] = nbrs[i:j + 1] + (w,)
-    new_rot.append(arc2 + (v,))
-    for u in arc2[1:-1]:
+    swapped, after, before = [], [], []
+    for u in nbrs:
         r = rot[u]
         k = r.index(v)
-        new_rot[u] = r[:k] + (w,) + r[k + 1:]
-    # new triangles (w, v, u_i) and (v, w, u_j): at hinge u_i the new vertex
-    # follows v in the rotation, at hinge u_j it precedes v.
-    r = rot[hi]
-    k = r.index(v) + 1
-    new_rot[hi] = r[:k] + (w,) + r[k:]
-    r = rot[hj]
-    k = r.index(v)
-    new_rot[hj] = r[:k] + (w,) + r[k:]
+        swapped.append((u, r[:k] + (w,) + r[k + 1:]))
+        after.append(r[:k + 1] + (w,) + r[k + 1:])
+        before.append(r[:k] + (w,) + r[k:])
+    return nbrs + nbrs, swapped + swapped, after, before
+
+
+def split_vertex(rot: Rotation, v: int, i: int, j: int, rows=None) -> Rotation:
+    """Split vertex ``v`` of a triangulation along hinge positions ``i < j``.
+
+    Vertex ``v`` keeps the rotation arc ``rot[v][i..j]``, and a new vertex
+    w, with the next free id, takes the arc from ``rot[v][j]`` round to
+    ``rot[v][i]``.  Both stay adjacent to the two hinge neighbours and
+    gain the edge v–w, so the split adds one vertex, three edges and two
+    triangles, and always yields a simple triangulation again.  Only
+    v's neighbours change rows besides v and w: a neighbour inside w's
+    arc sees w in place of v, and at hinge ``rot[v][i]`` w follows v, at
+    hinge ``rot[v][j]`` it precedes v.  ``rows`` is ``_split_rows(rot, v)``,
+    which every split at v shares; it is derived when not given.  Rows
+    the split leaves alone are shared with ``rot``.
+    """
+    ring, swapped, after, before = rows or _split_rows(rot, v)
+    d = len(rot[v])
+    w = len(rot)
+    new_rot = list(rot)
+    new_rot[v] = ring[i:j + 1] + (w,)
+    new_rot.append(ring[j:d + i + 1] + (v,))
+    for u, r in swapped[j + 1:d + i]:
+        new_rot[u] = r
+    new_rot[ring[i]] = after[i]
+    new_rot[ring[j]] = before[j]
     return tuple(new_rot)
 
 

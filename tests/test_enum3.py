@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -140,6 +140,37 @@ def test_cold_growth_form_count(monkeypatch):
         assert enum3._LEVELS[n] == warm[n], n
 
 
+def test_cold_growth_makes_every_split_in_its_level(monkeypatch):
+    """Growth from an empty store calls ``maps.split_vertex`` once per
+    split of every parent, sum C(deg, 2) over the parent level, and each
+    call happens while the ``triangulations(n)`` call that builds level n
+    runs: the split counts the benchmark's traced growth gate pins."""
+    triangulations(12)
+    want = {n: sum(comb(len(nbrs), 2) for rot, _ in enum3._LEVELS[n - 1] for nbrs in rot)
+            for n in range(5, 13)}
+    assert want[12] == 150139 and sum(want.values()) == 179583
+    running = []
+    splits = Counter()
+    real_split, real_level = maps.split_vertex, enum3.triangulations
+
+    def counting_split(*args):
+        splits[running[-1] if running else None] += 1
+        return real_split(*args)
+
+    def level(n):
+        running.append(n)
+        try:
+            return real_level(n)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(maps, "split_vertex", counting_split)
+    monkeypatch.setattr(enum3, "triangulations", level)
+    monkeypatch.setattr(enum3, "_LEVELS", {})
+    enum3.triangulations(12)
+    assert dict(splits) == want
+
+
 def test_growth_store_digest():
     """The stored levels to 12 vertices, canonical rotations and
     automorphisms, are pinned byte for byte."""
@@ -178,6 +209,32 @@ def test_growth_matches_canonicalising_every_split():
 @pytest.mark.slow
 def test_growth_matches_canonicalising_every_split_to_11():
     _assert_growth_matches_canonicalising_every_split(11)
+
+
+def _assert_far_edge_shortcut_exact(top):
+    rejected = 0
+    for n in range(4, top):
+        for rot in triangulations(n):
+            beats = enum3._far_edge_beats(rot)
+            for v, nbrs in enumerate(rot):
+                for i in range(len(nbrs)):
+                    for j in range(i + 1, len(nbrs)):
+                        if beats[v][j - i]:
+                            assert not _is_canonical_augmentation(
+                                maps.split_vertex(rot, v, i, j), v), (rot, v, i, j)
+                            rejected += 1
+    assert rejected > 0
+
+
+def test_far_edge_shortcut_rejects_only_failing_splits():
+    """Every split up to 10 vertices that growth rejects by a far
+    contractible edge, before running the filter, fails the filter."""
+    _assert_far_edge_shortcut_exact(10)
+
+
+@pytest.mark.slow
+def test_far_edge_shortcut_rejects_only_failing_splits_to_11():
+    _assert_far_edge_shortcut_exact(11)
 
 
 def test_augmentation_filter_uses_contractible_edges():

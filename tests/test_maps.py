@@ -87,15 +87,18 @@ def _split_copying_every_row(rot, v, i, j):
 
 def test_split_matches_copying_reference():
     """Every split up to 9 vertices equals the copy-everything reference,
-    tuple for tuple, and shares every row it leaves alone."""
+    tuple for tuple, and shares every row it leaves alone; passing the
+    rows derived once for the split vertex gives the same rotation."""
     for n in range(4, 10):
         for rot in triangulations(n):
             for v, nbrs in enumerate(rot):
+                rows = maps._split_rows(rot, v)
                 for i in range(len(nbrs)):
                     for j in range(i + 1, len(nbrs)):
                         got = maps.split_vertex(rot, v, i, j)
                         assert got == _split_copying_every_row(rot, v, i, j)
                         assert all(new is old for new, old in zip(got, rot) if new == old)
+                        assert maps.split_vertex(rot, v, i, j, rows) == got
 
 
 def test_split_results_isomorphic_on_tetrahedron():
@@ -245,6 +248,26 @@ def test_edgeless_map_rejected():
         for marks in (None, [0] * len(rot), [1] * len(rot)):
             with pytest.raises(maps.MapError, match="no edges"):
                 maps.canonical_form(rot, marks)
+
+
+@pytest.mark.parametrize("marks, message", [
+    ([0, 0, 0, 0, 1], "^5 vertex marks for 4 vertices$"),
+    ([0, 0, 0], "^3 vertex marks for 4 vertices$"),
+    ([], "^0 vertex marks for 4 vertices$"),
+    ([0, 0, 256, 0], "^mark 256 of vertex 2 is outside 0..255$"),
+    ([0, -1, 0, 0], "^mark -1 of vertex 1 is outside 0..255$"),
+])
+def test_marks_must_be_one_byte_per_vertex(marks, message):
+    """Marks of the wrong length or outside a byte are refused by name,
+    not ignored past the map's end or left to fail while the code is
+    written."""
+    with pytest.raises(maps.MapError, match=message):
+        maps.canonical_form(maps.TETRAHEDRON, marks)
+
+
+def test_extreme_marks_accepted():
+    code, _, orders = maps.canonical_form(maps.TETRAHEDRON, [255, 0, 0, 255])
+    assert code.endswith(bytes([0, 0, 255, 255])) and len(orders) == 4
 
 
 @pytest.mark.parametrize("marks", [None, [0, 0, 0], [0, 1, 1], [1, 2, 2]])
