@@ -323,7 +323,7 @@ def _structure(p: Polyhedron3) -> ValidationReport:
         violations.append(
             ("euler", f"V-E+F = {n}-{edges}+{len(p.faces)} = {euler}, expected 2"))
     # every vertex lies on a face here, so n > 0 means there are faces
-    if n and not maps._connected_without(out_darts):
+    if n and not maps._connected(out_darts):
         violations.append(("connectivity", "incidence graph is not connected"))
     # each vertex's rotation must close into a single cycle (disk neighbourhood)
     if not violations:

@@ -28,8 +28,9 @@ which maps get a canonical form at all:
 
 Each keeps at least one representative of every class, so the output is
 the same as canonicalising everything.  Because every candidate comes from
-a triangulation, 3-connectivity needs only the opposite corners of its
-quadrilaterals to be tested (``_quads_keep_three_connected``).
+a triangulation, its 3-connectivity is decided on the pick: only the apex
+pair of a deleted edge can separate it, and does so exactly when the
+apexes are adjacent or shared by two deleted edges (``_candidates``).
 """
 
 from __future__ import annotations
@@ -253,25 +254,11 @@ def _is_canonical_augmentation(rot: maps.Rotation, v: int) -> bool:
 # candidate generation on the dual side
 # ---------------------------------------------------------------------------
 
-def _right_angled_prefilter(rot: maps.Rotation, quad_vertices: dict[int, int]) -> bool:
-    """Dual-side necessity check: a face of the polyhedron needs edge count
-    plus cusp count at least five, i.e. every dual vertex needs degree plus
-    incident quadrilateral count at least five."""
-    for v, nbrs in enumerate(rot):
-        if len(nbrs) + quad_vertices.get(v, 0) < 5:
-            return False
-    return True
-
-
-def _degree_key(deg: list[int], drop: dict[int, int], x: int, y: int) -> tuple[int, int]:
-    """Sorted degrees of x and y once the edges counted in ``drop`` go."""
-    return _norm_edge(deg[x] - drop.get(x, 0), deg[y] - drop.get(y, 0))
-
-
 def _candidates(rot: maps.Rotation, group, num_cusps: int, prefilter: bool):
     """Near-triangulations obtained from one triangulation by deleting
-    ``num_cusps`` pairwise non-cofacial edges, as (code, canon_rot) pairs;
-    with no cusps the one pick is empty and the candidate is ``rot`` itself.
+    ``num_cusps`` pairwise non-cofacial edges, as (code, canon_rot,
+    3-connected) triples; with no cusps the one pick is empty and the
+    candidate is ``rot`` itself.
 
     No face is traced: the apexes of an edge (u, v), the third corners of
     its two triangles, are v's neighbours on either side in ``rot[u]``,
@@ -306,80 +293,88 @@ def _candidates(rot: maps.Rotation, group, num_cusps: int, prefilter: bool):
     verdict: keeping the orbit-least pick loses no class.  The degree
     keys may be replaced by any isomorphism-invariant key without
     breaking either argument.
+
+    3-connectivity: Q = T - P, for the triangulation T and the pick P, is
+    3-connected exactly when every deleted edge can be flipped and no two
+    deleted edges have the same apex pair.  Suppose removing x and y
+    disconnects Q.  T - {x, y} is connected, so some deleted edge (u, v)
+    with u, v outside {x, y} joins two parts of Q - {x, y}.  In Q, u and v
+    are joined through either apex of (u, v), so both apexes lie in
+    {x, y}; with fewer vertices removed the same argument shows Q is
+    2-connected.  So a separating pair is the apex pair {a, b} of a
+    deleted edge e, and it separates exactly when a and b lie on a second
+    common face: a closed curve through both faces meets Q only in a and
+    b and has the other corners u, v of e's quadrilateral on either side.
+    Besides that quadrilateral, a face of Q holding a and b is a triangle
+    or quadrilateral with ab as a side or deleted diagonal, which needs ab
+    in T, or the quadrilateral of another deleted edge with apexes a, b.
+    The verdict is a property of Q, so all picks of one class agree.
     """
     out = []
     deg = [len(nbrs) for nbrs in rot]
-    apexes = {(u, v): (nbrs[t - 1], nbrs[(t + 1) % len(nbrs)])
+    apexes = {(u, v): _norm_edge(nbrs[t - 1], nbrs[(t + 1) % len(nbrs)])
               for u, nbrs in enumerate(rot) for t, v in enumerate(nbrs) if u < v}
     # an edge whose apexes are not adjacent can be flipped
     flippable = {e for e, (a, b) in apexes.items() if b not in rot[a]}
     # ordered pairs of distinct edges that are two sides of one triangle
     cofacial = {(e, _norm_edge(w, x)) for e, ab in apexes.items() for w in e for x in ab}
-    picks = (pick for pick in combinations(apexes, num_cusps)
+    # an edge at a vertex of degree 3 would leave it below 3
+    deletable = [(u, v) for u, v in apexes if deg[u] > 3 and deg[v] > 3]
+    picks = (pick for pick in combinations(deletable, num_cusps)
              if cofacial.isdisjoint(combinations(pick, 2)))
     for pick in picks:
-        drop: dict[int, int] = {}
-        for (u, v) in pick:
-            drop[u] = drop.get(u, 0) + 1
-            drop[v] = drop.get(v, 0) + 1
-        if any(deg[x] - k < 3 for x, k in drop.items()):
+        d = deg.copy()
+        for u, v in pick:
+            d[u] -= 1
+            d[v] -= 1
+        # deleted edges that share a vertex can still leave it below 3
+        if min(d) < 3:
             continue
-        if any(e in flippable
-               and _degree_key(deg, drop, *apexes[e]) < _degree_key(deg, drop, *e)
-               for e in pick):
+        if any(_norm_edge(d[a], d[b]) < _norm_edge(d[u], d[v])
+               for (u, v) in pick if (u, v) in flippable for a, b in [apexes[u, v]]):
             continue
         if group and not _least_in_orbit(pick, group):
             continue
-        # quad corners: the deleted edge's endpoints plus its two apexes
-        quad_at = dict(drop)
-        for e in pick:
-            for x in apexes[e]:
-                quad_at[x] = quad_at.get(x, 0) + 1
+        if prefilter:
+            # right-angled prefilter: a face of the polyhedron needs edge
+            # count plus cusp count at least five, so each vertex of Q
+            # needs degree plus quadrilaterals (on a deleted edge and its
+            # apexes) at least five
+            sides_and_cusps = d.copy()
+            for e in pick:
+                for x in (*e, *apexes[e]):
+                    sides_and_cusps[x] += 1
+            if min(sides_and_cusps) < 5:
+                continue
         cand = rot
         for (u, v) in pick:
             cand = maps.delete_edge(cand, u, v)
-        if prefilter and not _right_angled_prefilter(cand, quad_at):
-            continue
         code, canon, _ = maps.canonical_form(cand)
-        out.append((code, canon))
+        out.append((code, canon, flippable.issuperset(pick)
+                    and len({apexes[e] for e in pick}) == num_cusps))
     return out
 
 
-def _quads_keep_three_connected(rot: maps.Rotation, faces: list[tuple[int, ...]]) -> bool:
-    """Vertex 3-connectivity of a candidate, testing only vertex pairs that
-    are opposite corners of a quadrilateral face.
-
-    A candidate Q is a triangulation T, which is 3-connected, with the
-    diagonal (u, v) of each quadrilateral deleted.  Suppose removing x and
-    y disconnects Q.  T - {x, y} is connected, so a deleted edge (u, v)
-    with u, v outside {x, y} joins two parts of Q - {x, y}.  In Q, u and v
-    are joined through either apex of (u, v), so both apexes lie in
-    {x, y}: the removed pair is the other opposite-corner pair of that
-    quadrilateral.  The same argument with nothing removed shows Q is
-    connected.  A deduplicated candidate does not record which diagonal
-    was deleted, so both pairs of every quadrilateral are tried.
-    """
-    return all(maps._connected_without(rot, face[k], face[k + 2])
-               for face in faces if len(face) == 4 for k in (0, 1))
-
-
 def _level_candidates(level, num_cusps: int, prefilter: bool):
-    """Candidates of the (rotation, automorphisms) pairs ``level``, one per code.
+    """Candidates of the (rotation, automorphisms) pairs ``level``, one per
+    code, as code -> canonical rotation, or None for a candidate that is
+    not 3-connected, which is only counted.
 
     With the prefilter on, a triangulation whose deficit (the sum of
     max(0, 5 - deg) over its vertices) exceeds 2 * ``num_cusps`` is skipped,
-    since none of its candidates would pass ``_right_angled_prefilter``: a
-    deleted edge leaves the degree plus quadrilateral count of each of its
-    endpoints unchanged and adds 1 at each of its two apexes, so the
-    deficit falls by at most 2 per cusp, and the prefilter needs it to be 0.
+    since none of its candidates would pass the right-angled prefilter of
+    ``_candidates``: a deleted edge leaves the degree plus quadrilateral
+    count of each of its endpoints unchanged and adds 1 at each of its two
+    apexes, so the deficit falls by at most 2 per cusp, and the prefilter
+    needs it to be 0.
     """
-    found: dict[bytes, maps.Rotation] = {}
+    found: dict[bytes, maps.Rotation | None] = {}
     for rot, group in level:
         if prefilter and sum(max(0, 5 - len(nbrs)) for nbrs in rot) > 2 * num_cusps:
             continue
-        for code, canon in _candidates(rot, group, num_cusps, prefilter):
+        for code, canon, three_connected in _candidates(rot, group, num_cusps, prefilter):
             if code not in found:
-                found[code] = canon
+                found[code] = canon if three_connected else None
     return found
 
 
@@ -415,10 +410,10 @@ def enumerate_types(spec: EnumSpec) -> EnumReport:
         found = _level_candidates(_LEVELS[n], spec.num_cusps, prefilter)
         for code in sorted(found):
             rot = found[code]
-            faces, face_of = maps.faces_of_rotation(rot)
-            if not _quads_keep_three_connected(rot, faces):
+            if rot is None:
                 report.nonpolyhedral_by_faces[n] = report.nonpolyhedral_by_faces.get(n, 0) + 1
                 continue
+            faces, face_of = maps.faces_of_rotation(rot)
             p = _dualize(rot, faces, face_of)
             # the one structural pass of the type, which the checks and the code share
             rep = validate(p, RIGHT_ANGLED_PROFILE)

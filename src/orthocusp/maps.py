@@ -52,7 +52,6 @@ def faces_of_rotation(rot: Rotation) -> tuple[list[tuple[int, ...]], dict[tuple[
     ``core.validate`` builds from face cycles, up to face order and
     starting points: every dart belongs to exactly one returned face.
     """
-    pos = [{u: i for i, u in enumerate(nbrs)} for nbrs in rot]
     face_of: dict[tuple[int, int], int] = {}
     faces = []
     for v, nbrs in enumerate(rot):
@@ -66,19 +65,17 @@ def faces_of_rotation(rot: Rotation) -> tuple[list[tuple[int, ...]], dict[tuple[
                 face_of[(a, b)] = fi
                 cycle.append(a)
                 r = rot[b]
-                nxt = r[(pos[b][a] + 1) % len(r)]
-                a, b = b, nxt
+                a, b = b, r[(r.index(a) + 1) % len(r)]
             faces.append(tuple(cycle))
     return faces, face_of
 
 
-def _connected_without(rows: Sequence[Sequence[int]], *gone: int) -> bool:
-    """Whether the graph with these neighbour rows stays connected once
-    the vertices ``gone`` are removed; at least one vertex must stay."""
+def _connected(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether the graph with these neighbour rows, at least one, is
+    connected."""
     n = len(rows)
-    start = next(v for v in range(n) if v not in gone)
-    seen = {*gone, start}
-    stack = [start]
+    seen = {0}
+    stack = [0]
     while stack:
         for u in rows[stack.pop()]:
             if u not in seen:

@@ -828,6 +828,18 @@ def test_enumerate_over_cap(capsys):
     assert "cap" in err
 
 
+def test_enumerate_tallies_nonpolyhedral(capsys, monkeypatch):
+    """Plain ``enumerate`` of the 8-face two-cusp census prints the types
+    per face count, the 43 complexes that are not 3-connected and the
+    total, and writes no census."""
+    monkeypatch.delenv("ORTHOCUSP_CACHE", raising=False)
+    code, out, _ = run(capsys, "enumerate", "--faces", "8", "--cusps", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "faces=6: 1 type(s)", "faces=7: 9 type(s)", "faces=8: 64 type(s)",
+        "non-polyhedral complexes (not 3-connected): 43", "total: 74"]
+
+
 def test_machine_mode_enumerate(capsys):
     code, out, _ = run(capsys, "--machine", "enumerate", "--faces", "7", "--cusps", "0")
     assert code == 0

@@ -13,8 +13,7 @@ from orthocusp import (EnumSpec, Polyhedron3, canonical_code, core, dual, enum3,
                        enumerate_types, maps, validate)
 from orthocusp.core import RIGHT_ANGLED_PROFILE
 from orthocusp.enum3 import (FILTER_RIGHT_ANGLED, _candidates, _dualize,
-                             _is_canonical_augmentation, _level_candidates,
-                             _quads_keep_three_connected, triangulations)
+                             _is_canonical_augmentation, _level_candidates, triangulations)
 from oracle import edge_set, is_three_connected
 
 
@@ -118,40 +117,23 @@ def test_automorphism_groups_match_networkx_at_11():
     _assert_groups_match_networkx([11])
 
 
-def test_cold_growth_form_count(monkeypatch):
-    """Growth from an empty store to 12 vertices computes 10,514 canonical
-    forms for the 9,150 classes and gives the stored levels again, pair
-    for pair."""
+@pytest.fixture(scope="module")
+def cold_growth():
+    """One growth from an empty store to 12 vertices, with the stored levels
+    of a warm growth, the number of canonical forms computed, the count of
+    ``maps.split_vertex`` calls made inside each ``triangulations(n)`` call,
+    and the levels the cold growth stored."""
     triangulations(12)
     warm = dict(enum3._LEVELS)
-    calls = 0
-    real = maps.canonical_form
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(maps, "canonical_form", counting)
-    monkeypatch.setattr(enum3, "_LEVELS", {})
-    assert sum(len(triangulations(n)) for n in range(4, 13)) == 9150
-    assert calls == 10514
-    for n in range(4, 13):
-        assert enum3._LEVELS[n] == warm[n], n
-
-
-def test_cold_growth_makes_every_split_in_its_level(monkeypatch):
-    """Growth from an empty store calls ``maps.split_vertex`` once per
-    split of every parent, sum C(deg, 2) over the parent level, and each
-    call happens while the ``triangulations(n)`` call that builds level n
-    runs: the split counts the benchmark's traced growth gate pins."""
-    triangulations(12)
-    want = {n: sum(comb(len(nbrs), 2) for rot, _ in enum3._LEVELS[n - 1] for nbrs in rot)
-            for n in range(5, 13)}
-    assert want[12] == 150139 and sum(want.values()) == 179583
+    forms = 0
     running = []
     splits = Counter()
-    real_split, real_level = maps.split_vertex, enum3.triangulations
+    real_form, real_split, real_level = maps.canonical_form, maps.split_vertex, enum3.triangulations
+
+    def counting_form(*args):
+        nonlocal forms
+        forms += 1
+        return real_form(*args)
 
     def counting_split(*args):
         splits[running[-1] if running else None] += 1
@@ -164,11 +146,37 @@ def test_cold_growth_makes_every_split_in_its_level(monkeypatch):
         finally:
             running.pop()
 
-    monkeypatch.setattr(maps, "split_vertex", counting_split)
-    monkeypatch.setattr(enum3, "triangulations", level)
-    monkeypatch.setattr(enum3, "_LEVELS", {})
-    enum3.triangulations(12)
-    assert dict(splits) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maps, "canonical_form", counting_form)
+        mp.setattr(maps, "split_vertex", counting_split)
+        mp.setattr(enum3, "triangulations", level)
+        mp.setattr(enum3, "_LEVELS", {})
+        classes = sum(len(enum3.triangulations(n)) for n in range(4, 13))
+        cold = dict(enum3._LEVELS)
+    return warm, classes, forms, dict(splits), cold
+
+
+def test_cold_growth_form_count(cold_growth):
+    """Growth from an empty store to 12 vertices computes 10,514 canonical
+    forms for the 9,150 classes and gives the stored levels again, pair
+    for pair."""
+    warm, classes, forms, _, cold = cold_growth
+    assert classes == 9150
+    assert forms == 10514
+    for n in range(4, 13):
+        assert cold[n] == warm[n], n
+
+
+def test_cold_growth_makes_every_split_in_its_level(cold_growth):
+    """Growth from an empty store calls ``maps.split_vertex`` once per
+    split of every parent, sum C(deg, 2) over the parent level, and each
+    call happens while the ``triangulations(n)`` call that builds level n
+    runs: the split counts the benchmark's traced growth gate pins."""
+    warm, _, _, splits, _ = cold_growth
+    want = {n: sum(comb(len(nbrs), 2) for rot, _ in warm[n - 1] for nbrs in rot)
+            for n in range(5, 13)}
+    assert want[12] == 150139 and sum(want.values()) == 179583
+    assert splits == want
 
 
 def test_growth_store_digest():
@@ -272,24 +280,33 @@ def test_augmentation_filter_uses_contractible_edges():
 @pytest.fixture(scope="module")
 def unfiltered_candidates():
     """``_level_candidates`` without the prefilter for 1 and 2 cusps at levels
-    4..10, with the number of canonical forms each run computed."""
+    4..10, with the number of canonical forms each run computed and every
+    (code, canon_rot, 3-connected) triple ``_candidates`` gave it."""
     triangulations(10)
     out = {}
     calls = 0
-    real = maps.canonical_form
+    picks = []
+    real_form, real_candidates = maps.canonical_form, enum3._candidates
 
     def counting(rot, *args):
         nonlocal calls
         calls += 1
-        return real(rot, *args)
+        return real_form(rot, *args)
+
+    def recording(*args):
+        got = real_candidates(*args)
+        picks.extend(got)
+        return got
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(maps, "canonical_form", counting)
+        mp.setattr(enum3, "_candidates", recording)
         for c in (1, 2):
             for n in range(4, 11):
                 calls = 0
+                picks = []
                 found = _level_candidates([(rot, ()) for rot in triangulations(n)], c, False)
-                out[(n, c)] = (found, calls)
+                out[(n, c)] = (found, calls, picks)
     return out
 
 
@@ -317,7 +334,7 @@ def test_least_diagonal_rule_keeps_every_candidate(unfiltered_candidates):
     """The candidate stage finds the same classes, with the prefilter on
     and off, as canonicalising every pick, and its rule drops picks."""
     rejected = 0
-    for (n, c), (found, calls) in unfiltered_candidates.items():
+    for (n, c), (found, calls, _) in unfiltered_candidates.items():
         tris = triangulations(n)
         picks = [p for rot in tris for p in _every_pick(rot, c)]
         assert set(found) == {code for code, _ in picks}, (n, c)
@@ -348,7 +365,7 @@ def test_orbit_rule_keeps_every_candidate(monkeypatch, unfiltered_candidates):
                 filtered = True
                 got = _level_candidates(enum3._LEVELS[n], c, prefilter)
                 if c and not prefilter:
-                    want, count = unfiltered_candidates[(n, c)]
+                    want, count, _ = unfiltered_candidates[(n, c)]
                     calls[False] += count
                 else:
                     filtered = False
@@ -357,16 +374,51 @@ def test_orbit_rule_keeps_every_candidate(monkeypatch, unfiltered_candidates):
     assert calls[True] < calls[False]
 
 
-def test_quad_pairs_decide_three_connectivity(unfiltered_candidates):
-    """On every deduplicated 1- and 2-cusp candidate up to 10 faces, the
-    quadrilateral-corner test agrees with the all-pairs test."""
+def _assert_verdicts_match_oracle(picks):
+    """Each verdict in the (code, canon_rot, 3-connected) triples ``picks``
+    equals the all-pairs test on its candidate, and every pick of one
+    class gets the same.  Returns the verdict of each class, by code."""
+    verdicts = {}
+    for code, canon, got in picks:
+        if code not in verdicts:
+            verdicts[code] = got
+            assert got == is_three_connected(canon), canon
+        assert verdicts[code] == got, canon
+    return verdicts
+
+
+def test_pick_decides_three_connectivity(unfiltered_candidates):
+    """On every pick of 1 and 2 edges up to 10 faces that the candidate
+    stage canonicalises, the 3-connectivity verdict decided on the pick
+    agrees with the all-pairs test, and the deduplicated candidates carry
+    those verdicts."""
     verdicts = Counter()
-    for found, _ in unfiltered_candidates.values():
-        for rot in found.values():
-            got = _quads_keep_three_connected(rot, maps.faces_of_rotation(rot)[0])
-            assert got == is_three_connected(rot), rot
-            verdicts[got] += 1
+    for (n, c), (found, _, picks) in unfiltered_candidates.items():
+        by_code = _assert_verdicts_match_oracle(picks)
+        assert {code: rot is not None for code, rot in found.items()} == by_code, (n, c)
+        verdicts.update(by_code.values())
     assert verdicts == {True: 1672 + 4498, False: 442 + 2349}
+
+
+@pytest.mark.slow
+def test_pick_decides_three_connectivity_three_cusps():
+    """The same with three deleted edges, up to 9 vertices, where two or
+    three of them can share an apex pair."""
+    verdicts = Counter()
+    for n in range(4, 10):
+        picks = [p for rot in triangulations(n) for p in _candidates(rot, (), 3, False)]
+        verdicts.update(_assert_verdicts_match_oracle(picks).values())
+    assert verdicts[True] and verdicts[False]
+
+
+@pytest.mark.parametrize("cusps, want", [
+    (1, {6: 1, 7: 2, 8: 12, 9: 59, 10: 368}),
+    (2, {6: 1, 7: 5, 8: 37, 9: 263, 10: 2043})])
+def test_nonpolyhedral_tally_pinned(cusps, want):
+    """The candidates up to 10 faces that are not 3-connected, counted per
+    face count and never emitted: 442 with one cusp, 2,349 with two."""
+    report = enumerate_types(EnumSpec(10, cusps))
+    assert report.nonpolyhedral_by_faces == want
 
 
 def test_dualize_matches_core_dual(unfiltered_candidates):
@@ -377,8 +429,9 @@ def test_dualize_matches_core_dual(unfiltered_candidates):
     triangulations(10)
     maps_by_cusps = {0: [rot for n in range(4, 11) for rot in _level_candidates(
         enum3._LEVELS[n], 0, False).values()]}
-    for (_, c), (found, _) in unfiltered_candidates.items():
-        maps_by_cusps.setdefault(c, []).extend(found.values())
+    for (_, c), (_, _, picks) in unfiltered_candidates.items():
+        # the rotation of every class, 3-connected or not
+        maps_by_cusps.setdefault(c, []).extend({code: rot for code, rot, _ in picks}.values())
     for c, rots in maps_by_cusps.items():
         for rot in rots:
             faces, face_of = maps.faces_of_rotation(rot)
