@@ -10,13 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from numbers import Rational
-from types import MappingProxyType
-from typing import Mapping
 
-from .core import (Edge, Polyhedron3, Poly3Error, RIGHT_ANGLED_PROFILE, ValidationReport,
+from .core import (Edge, Polyhedron3, Poly3Error, RIGHT_ANGLED_PROFILE,
                    require_valid, validate, _norm_edge)
 
 HALF = Fraction(1, 2)
@@ -77,12 +74,15 @@ class ConditionReport:
 def adjacency(p: Polyhedron3) -> dict[tuple[int, int], list[Edge]]:
     """Symmetric face-pair table: shared edges of every adjacent pair.
 
-    Entries under both (i, j) and (j, i); a multiplicity above one signals
-    two faces sharing several edges.  A fresh copy of the kept face graph's
-    table.
+    Entries under both (i, j) and (j, i), edges sorted; a multiplicity
+    above one signals two faces sharing several edges.  A fresh copy of the
+    structural pass's ``face_pairs``.
     """
-    table = _face_graph(p, require_valid(p)).adjacency
-    return {pair: list(edges) for pair, edges in table.items()}
+    table = {}
+    for (a, b), shared in require_valid(p).face_pairs.items():
+        table[(a, b)] = list(shared)
+        table[(b, a)] = list(shared)
+    return table
 
 
 def prismatic_circuits(p: Polyhedron3, length: int) -> list[tuple[int, ...]]:
@@ -96,121 +96,8 @@ def prismatic_circuits(p: Polyhedron3, length: int) -> list[tuple[int, ...]]:
     """
     if length not in (3, 4):
         raise ValueError("circuit length must be 3 or 4")
-    graph = _face_graph(p, require_valid(p))
+    graph = p._face_graph
     return list(graph.circuits3 if length == 3 else graph.circuits4)
-
-
-@dataclass(frozen=True)
-class FaceGraph:
-    """What both checks read off the faces of a valid polyhedron, derived
-    once from its validation report and kept on it (``_face_graph``).
-
-    ``adjacency`` maps each adjacent face pair, under both (i, j) and
-    (j, i), to the sorted edges they share; ``cusps`` holds each face's
-    cusps; ``circuits3`` and ``circuits4`` are the prismatic circuits as
-    face tuples; ``flanks`` are the candidates of condition (d).  Every
-    member is immutable, so the public readers copy out of it.
-    """
-
-    adjacency: Mapping[tuple[int, int], tuple[Edge, ...]]
-    cusps: tuple[frozenset[int], ...]
-    circuits3: tuple[tuple[int, int, int], ...]
-    circuits4: tuple[tuple[int, int, int, int], ...]
-    flanks: tuple[tuple[int, int, int, tuple[int, ...]], ...]
-
-
-def _face_graph(p: Polyhedron3, incidence: ValidationReport) -> FaceGraph:
-    """The face graph of ``p`` given its validation report, derived on the
-    first call and kept on the report."""
-    if incidence.face_graph is None:
-        incidence.face_graph = _derive_face_graph(p, incidence)
-    return incidence.face_graph
-
-
-def _derive_face_graph(p: Polyhedron3, incidence: ValidationReport) -> FaceGraph:
-    """``FaceGraph`` of a valid polyhedron from its validation report.
-
-    The adjacency table and the face neighbour sets N(x) are read off the
-    report's ``face_pairs``, so pairs keep its order.  N(x) and the vertex
-    and cusp sets of the faces feed the circuit and flank searches.
-    """
-    table: dict[tuple[int, int], tuple[Edge, ...]] = {}
-    nbrs: list[set[int]] = [set() for _ in p.faces]
-    for (a, b), shared in incidence.face_pairs.items():
-        table[(a, b)] = table[(b, a)] = tuple(sorted(shared))
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    vsets = [frozenset(face) for face in p.faces]
-    cusps = tuple(p.ideal_vertices & vs for vs in vsets)
-    circuits3, circuits4 = _prismatic_circuits(nbrs, vsets)
-    return FaceGraph(adjacency=MappingProxyType(table), cusps=cusps,
-                     circuits3=circuits3, circuits4=circuits4,
-                     flanks=_cusp_flanks(cusps, nbrs, vsets))
-
-
-def _prismatic_circuits(nbrs: list[set[int]], vsets: list[frozenset[int]]):
-    """The prismatic 3- and 4-circuits, given the face neighbour sets N(x)
-    and the vertex set of each face: 3-circuits (a, b, c) in that order,
-    4-circuits (a, b, c, d) listed by sorted members.
-
-    One pass over the wedges a-b-c of the face graph with a < b and a < c,
-    b in N(a) and c in N(b).  When c is in N(a) and c > b, the triangle
-    a < b < c is a 3-circuit candidate.  When c is not in N(a), b joins the
-    list of c, and each non-adjacent pair b < d of that list closes the
-    induced 4-cycle a-b-c-d-a.  A candidate is kept when its members share
-    no vertex, which excludes the faces around one vertex or one cusp.
-
-    Exactly once: a 3-circuit is met only from its least member a, by the
-    wedge a-b-c through its middle member b, as the wedge a-c-b has c > b.
-    An induced 4-cycle is met only from its least member a, at c, its one
-    member not in N(a), where the other two members b < d both reach c;
-    they are not adjacent.  Conversely a-b-c-d-a with a, c and b, d
-    non-adjacent is an induced 4-cycle.  Sorted neighbour lists put the
-    3-circuits in (a, b, c) order and each list of c in ascending order.
-    """
-    ordered = [sorted(x) for x in nbrs]
-    out3, out4 = [], []
-    for a, around in enumerate(ordered):
-        near = nbrs[a]
-        opposite: dict[int, list[int]] = {}
-        for b in around:
-            if b < a:
-                continue
-            for c in ordered[b]:
-                if c <= a:
-                    continue
-                if c in near:
-                    if c > b and not vsets[a] & vsets[b] & vsets[c]:
-                        out3.append((a, b, c))
-                else:
-                    opposite.setdefault(c, []).append(b)
-        for c, ends in opposite.items():
-            if len(ends) < 2:
-                continue
-            shared = vsets[a] & vsets[c]
-            for b, d in combinations(ends, 2):
-                if d not in nbrs[b] and not shared & vsets[b] & vsets[d]:
-                    out4.append((a, b, c, d))
-    out4.sort(key=sorted)
-    return tuple(out3), tuple(out4)
-
-
-def _cusp_flanks(cusps: tuple[frozenset[int], ...], nbrs: list[set[int]],
-                 vsets: list[frozenset[int]]):
-    """The candidates of condition (d): ``(i, j, k, cusps)`` where faces j < k
-    are non-adjacent and share the cusps, and face i is adjacent to both
-    without containing every shared cusp, given the cusp, neighbour and
-    vertex sets of the faces.  In (j, k) then i order."""
-    cusped = [fi for fi, found in enumerate(cusps) if found]
-    out = []
-    for j, k in combinations(cusped, 2):
-        shared = cusps[j] & cusps[k]
-        if not shared or k in nbrs[j]:
-            continue
-        for i in sorted(nbrs[j] & nbrs[k]):
-            if not shared <= vsets[i]:
-                out.append((i, j, k, tuple(sorted(shared))))
-    return tuple(out)
 
 
 def right_angles(p: Polyhedron3) -> dict[Edge, Fraction]:
@@ -303,8 +190,8 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
         return report
 
     report.entries = {k: [] for k in ("a", "b", "c", "d", "e")}
-    graph = _face_graph(p, incidence)
-    table = graph.adjacency
+    graph = p._face_graph
+    pairs = incidence.face_pairs
     # each angle as x/L over the common denominator L: pi is L, pi/2 is 2x == L
     L = lcm(*dens)
     x = {e: n * (L // d) for e, (n, d) in zip(edges, terms)}
@@ -325,8 +212,8 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
         elif total[v] <= L:
             report.entries["a"].append((v, Fraction(total[v], L)))
 
-    def pair_angles(a: int, b: int):
-        return [x[e] for e in table[(a, b)]]
+    def pair_angles(a: int, b: int):   # face_pairs keys each pair as a < b
+        return [x[e] for e in pairs[_norm_edge(a, b)]]
 
     for circ in graph.circuits3:
         a, b, c = circ
@@ -366,7 +253,7 @@ def check_right_angled(p: Polyhedron3) -> ConditionReport:
         report.excluded_family = True
         return report
     report.entries = {k: [] for k in CONDITION_KEYS}
-    graph = _face_graph(p, incidence)
+    graph = p._face_graph
 
     for fi, face in enumerate(p.faces):
         cusps = len(graph.cusps[fi])
@@ -375,7 +262,7 @@ def check_right_angled(p: Polyhedron3) -> ConditionReport:
 
     for (a, b), shared in incidence.face_pairs.items():
         if len(shared) > 1:
-            report.entries["single_shared_edge"].append((a, b, sorted(shared)))
+            report.entries["single_shared_edge"].append((a, b, list(shared)))
 
     for v, d, _ in validate(p, RIGHT_ANGLED_PROFILE).degree_violations:
         key = "cusp_degree" if v in p.ideal_vertices else "vertex_degree"

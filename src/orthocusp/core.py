@@ -2,23 +2,21 @@
 
 A polyhedron is stored as its faces (cyclic vertex sequences with globally
 consistent orientation) together with the set of vertices marked as ideal
-(cusps).  The POLY3 text format, structural validation, duality, edge
-contraction, canonical codes and the conversion to a dimension-graded face
-lattice live here.
+(cusps).  The POLY3 text format, structural validation, the face graph,
+duality, edge contraction, canonical codes and the conversion to a
+dimension-graded face lattice live here; what a polyhedron's incidence
+yields is derived once per instance and handed out read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import maps
-
-if TYPE_CHECKING:
-    from .andreev import FaceGraph
 
 Edge = tuple[int, int]
 
@@ -39,9 +37,9 @@ class Polyhedron3:
 
     ``faces`` holds each 2-face as a cyclic vertex sequence; orientation must
     be globally consistent (each edge traversed once in each direction).
-    The edge list and the structural pass of ``validate`` are cached
-    properties, derived once per instance; they are not fields, so
-    equality, hashing and repr ignore them.
+    The edge list, the structural pass of ``validate`` and the face graph
+    are cached properties, derived once per instance; they are not fields,
+    so equality, hashing and repr ignore them.
     """
 
     vertex_count: int
@@ -79,6 +77,11 @@ class Polyhedron3:
         """The structural pass ``validate`` and ``require_valid`` read."""
         return _structure(self)
 
+    @cached_property
+    def _face_graph(self) -> FaceGraph:
+        """The face graph the realizability checks read, of a valid ``self``."""
+        return _derive_face_graph(self, require_valid(self))
+
 
 @dataclass(frozen=True)
 class DegreeProfile:
@@ -97,25 +100,24 @@ class DegreeProfile:
 RIGHT_ANGLED_PROFILE = DegreeProfile(finite_degree=3, ideal_degree=4)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
     """Outcome of ``validate``: structural violations, soft warnings and
     degree-profile deviations, each with a witness.  ``rotation`` is the
     rotation system validation built, ``face_of`` maps each dart ``(u, v)``
     to the index of its face, and ``face_pairs`` maps each pair of adjacent
-    faces a < b to the edges they share, as a tuple, pairs in the order
-    their first shared edge appears in the faces; all three are None when
-    validation stopped earlier.  ``face_graph`` is the ``andreev.FaceGraph``
-    a check derives from a valid report, kept here once derived."""
+    faces a < b to the sorted edges they share, as a tuple, pairs in the
+    order their first shared edge appears in the faces; all three are None
+    when validation stopped earlier.  The pass a polyhedron keeps holds
+    tuples and read-only views, so no reader can change it."""
 
-    violations: list[tuple[str, str]] = field(default_factory=list)
-    warnings: list[tuple[str, str]] = field(default_factory=list)
-    degree_violations: list[tuple[int, int, int]] = field(default_factory=list)
+    violations: Sequence[tuple[str, str]] = field(default_factory=list)
+    warnings: Sequence[tuple[str, str]] = field(default_factory=list)
+    degree_violations: Sequence[tuple[int, int, int]] = field(default_factory=list)
     rotation: maps.Rotation | None = field(default=None, repr=False, compare=False)
     face_of: Mapping[tuple[int, int], int] | None = field(default=None, repr=False, compare=False)
     face_pairs: Mapping[tuple[int, int], tuple[Edge, ...]] | None = field(
         default=None, repr=False, compare=False)
-    face_graph: FaceGraph | None = field(default=None, repr=False, compare=False)
 
     @property
     def valid(self) -> bool:
@@ -239,24 +241,20 @@ def validate(p: Polyhedron3, profile: DegreeProfile | None = None) -> Validation
 
     The structural pass is the instance's cached ``_validation``, which
     ``require_valid`` reads too; the report returned is the caller's, with
-    lists of its own and read-only views of the kept ``face_of`` and
-    ``face_pairs``, so no caller can change what later checks read.  The
-    degree profile is read off the rotation system, which a valid
-    polyhedron has.
+    lists of its own and the kept pass's read-only tables, so no caller can
+    change what later checks read.  The degree profile is read off the
+    rotation system, which a valid polyhedron has.
     """
     kept = p._validation
-    report = ValidationReport(list(kept.violations), list(kept.warnings),
-                              rotation=kept.rotation)
-    if report.valid:
-        report.face_of = MappingProxyType(kept.face_of)
-        report.face_pairs = MappingProxyType(kept.face_pairs)
-        if profile is not None:
-            for v, row in enumerate(report.rotation):
-                got = len(row)
-                want = profile.ideal_degree if v in p.ideal_vertices else profile.finite_degree
-                if got != want:
-                    report.degree_violations.append((v, got, want))
-    return report
+    degree_violations = []
+    if kept.valid and profile is not None:
+        for v, row in enumerate(kept.rotation):
+            got = len(row)
+            want = profile.ideal_degree if v in p.ideal_vertices else profile.finite_degree
+            if got != want:
+                degree_violations.append((v, got, want))
+    return ValidationReport(list(kept.violations), list(kept.warnings), degree_violations,
+                            kept.rotation, kept.face_of, kept.face_pairs)
 
 
 def _structure(p: Polyhedron3) -> ValidationReport:
@@ -265,10 +263,10 @@ def _structure(p: Polyhedron3) -> ValidationReport:
     One pass over the faces records each dart u->v, its face and the vertex
     after v; every other check reads that record.  Faces need three
     distinct vertices, so an edge's darts lie on two faces; the edge enters
-    the face-pair table at its dart in the lower-numbered one.
+    the face-pair table at its dart in the lower-numbered one.  The pass is
+    kept on the instance, so it returns tuples and read-only views.
     """
-    report = ValidationReport()
-    violations = report.violations
+    violations: list[tuple[str, str]] = []
     n = p.vertex_count
     succ: dict[tuple[int, int], int] = {}    # dart -> vertex after its head
     owner: dict[tuple[int, int], int] = {}   # dart -> its face
@@ -283,7 +281,7 @@ def _structure(p: Polyhedron3) -> ValidationReport:
             continue
         if min(face) < 0 or max(face) >= n:
             violations.append(("vertex-range", f"face {fi} uses id outside 0..{n - 1}"))
-            return report
+            return ValidationReport(tuple(violations), (), ())
         heads = face[1:] + face[:1]   # darts (face[i], face[i+1]), then face[i+2]
         for dart, after in zip(zip(face, heads), heads[1:] + heads[:1]):
             if dart in succ:
@@ -316,7 +314,7 @@ def _structure(p: Polyhedron3) -> ValidationReport:
             violations.append(("isolated-vertex", f"vertex {v} lies on no face"))
 
     if violations:
-        return report
+        return ValidationReport(tuple(violations), (), ())
 
     euler = n - edges + len(p.faces)
     if euler != 2:
@@ -326,30 +324,137 @@ def _structure(p: Polyhedron3) -> ValidationReport:
     if n and not maps._connected(out_darts):
         violations.append(("connectivity", "incidence graph is not connected"))
     # each vertex's rotation must close into a single cycle (disk neighbourhood)
+    rotation = None
     if not violations:
         try:
-            report.rotation = maps._close_rotation(succ, out_darts)
-            report.face_of = owner
-            report.face_pairs = pairs
+            rotation = maps._close_rotation(succ, out_darts)
         except maps.MapError as exc:
             violations.append(("embedding", str(exc)))
 
+    warnings = []
     if len(pairs) < edges:   # some face pair shares several edges
         for (a, b), shared in sorted(pairs.items()):
             if len(shared) > 1:
-                report.warnings.append(
+                pairs[a, b] = tuple(sorted(shared))
+                warnings.append(
                     ("multi-adjacency", f"faces {a} and {b} share {len(shared)} edges"))
-    return report
+    tables = (MappingProxyType(owner), MappingProxyType(pairs)) if rotation else (None, None)
+    return ValidationReport(tuple(violations), tuple(warnings), (), rotation, *tables)
 
 
 def require_valid(p: Polyhedron3) -> ValidationReport:
     """Raise ``Poly3Error`` unless ``p`` is valid; return its validation
     report, whose ``rotation``, ``face_of`` and ``face_pairs`` are set.
-    It is the instance's cached structural pass, shared with ``validate``."""
+    It is the instance's cached structural pass, shared with ``validate``,
+    and read-only."""
     report = p._validation
     if not report.valid:
         raise Poly3Error("invalid polyhedron: " + "; ".join(m for _, m in report.violations))
     return report
+
+
+# ---------------------------------------------------------------------------
+# face graph
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FaceGraph:
+    """What the realizability checks read off the faces of a valid
+    polyhedron, derived once per instance (``Polyhedron3._face_graph``).
+
+    ``cusps`` holds each face's cusps; ``circuits3`` and ``circuits4`` are
+    the prismatic circuits as face tuples; ``flanks`` are the candidates of
+    condition (d); the shared edges are ``face_pairs``.  Every member is
+    immutable, so the public readers copy out of it.
+    """
+
+    cusps: tuple[frozenset[int], ...]
+    circuits3: tuple[tuple[int, int, int], ...]
+    circuits4: tuple[tuple[int, int, int, int], ...]
+    flanks: tuple[tuple[int, int, int, tuple[int, ...]], ...]
+
+
+def _derive_face_graph(p: Polyhedron3, incidence: ValidationReport) -> FaceGraph:
+    """``FaceGraph`` of a valid polyhedron from its validation report.
+
+    The face neighbour sets N(x) are read off the report's ``face_pairs``.
+    N(x) and the vertex and cusp sets of the faces feed the circuit and
+    flank searches.
+    """
+    nbrs: list[set[int]] = [set() for _ in p.faces]
+    for a, b in incidence.face_pairs:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    vsets = [frozenset(face) for face in p.faces]
+    cusps = tuple(p.ideal_vertices & vs for vs in vsets)
+    circuits3, circuits4 = _prismatic_circuits(nbrs, vsets)
+    return FaceGraph(cusps=cusps, circuits3=circuits3, circuits4=circuits4,
+                     flanks=_cusp_flanks(cusps, nbrs, vsets))
+
+
+def _prismatic_circuits(nbrs: list[set[int]], vsets: list[frozenset[int]]):
+    """The prismatic 3- and 4-circuits, given the face neighbour sets N(x)
+    and the vertex set of each face: 3-circuits (a, b, c) in that order,
+    4-circuits (a, b, c, d) listed by sorted members.
+
+    One pass over the wedges a-b-c of the face graph with a < b and a < c,
+    b in N(a) and c in N(b).  When c is in N(a) and c > b, the triangle
+    a < b < c is a 3-circuit candidate.  When c is not in N(a), b joins the
+    list of c, and each non-adjacent pair b < d of that list closes the
+    induced 4-cycle a-b-c-d-a.  A candidate is kept when its members share
+    no vertex, which excludes the faces around one vertex or one cusp.
+
+    Exactly once: a 3-circuit is met only from its least member a, by the
+    wedge a-b-c through its middle member b, as the wedge a-c-b has c > b.
+    An induced 4-cycle is met only from its least member a, at c, its one
+    member not in N(a), where the other two members b < d both reach c;
+    they are not adjacent.  Conversely a-b-c-d-a with a, c and b, d
+    non-adjacent is an induced 4-cycle.  Sorted neighbour lists put the
+    3-circuits in (a, b, c) order and each list of c in ascending order.
+    """
+    ordered = [sorted(x) for x in nbrs]
+    out3, out4 = [], []
+    for a, around in enumerate(ordered):
+        near = nbrs[a]
+        opposite: dict[int, list[int]] = {}
+        for b in around:
+            if b < a:
+                continue
+            for c in ordered[b]:
+                if c <= a:
+                    continue
+                if c in near:
+                    if c > b and not vsets[a] & vsets[b] & vsets[c]:
+                        out3.append((a, b, c))
+                else:
+                    opposite.setdefault(c, []).append(b)
+        for c, ends in opposite.items():
+            if len(ends) < 2:
+                continue
+            shared = vsets[a] & vsets[c]
+            for b, d in combinations(ends, 2):
+                if d not in nbrs[b] and not shared & vsets[b] & vsets[d]:
+                    out4.append((a, b, c, d))
+    out4.sort(key=sorted)
+    return tuple(out3), tuple(out4)
+
+
+def _cusp_flanks(cusps: tuple[frozenset[int], ...], nbrs: list[set[int]],
+                 vsets: list[frozenset[int]]):
+    """The candidates of condition (d): ``(i, j, k, cusps)`` where faces j < k
+    are non-adjacent and share the cusps, and face i is adjacent to both
+    without containing every shared cusp, given the cusp, neighbour and
+    vertex sets of the faces.  In (j, k) then i order."""
+    cusped = [fi for fi, found in enumerate(cusps) if found]
+    out = []
+    for j, k in combinations(cusped, 2):
+        shared = cusps[j] & cusps[k]
+        if not shared or k in nbrs[j]:
+            continue
+        for i in sorted(nbrs[j] & nbrs[k]):
+            if not shared <= vsets[i]:
+                out.append((i, j, k, tuple(sorted(shared))))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

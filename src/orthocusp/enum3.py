@@ -50,6 +50,9 @@ FILTER_RIGHT_ANGLED = "right-angled-accepted"
 #: Largest face budget ``enumerate_types`` accepts.
 DEFAULT_CAP = 13
 
+#: Lower caps by (cusp count, filter), for censuses that outgrow memory.
+_CAPS = {(2, FILTER_ALL): 12}
+
 
 class SpecError(ValueError):
     """An enumeration request outside what the enumeration covers."""
@@ -398,11 +401,12 @@ def enumerate_types(spec: EnumSpec) -> EnumReport:
 
     Output is deterministic (types sorted by canonical code).  Complexes
     passing all local checks but failing 3-connectivity are tallied
-    separately, never emitted.  Budgets above ``DEFAULT_CAP`` faces are
-    refused.
+    separately, never emitted.  Budgets above ``DEFAULT_CAP`` faces, or a
+    lower cap in ``_CAPS``, are refused before any growth.
     """
-    if spec.max_faces > DEFAULT_CAP:
-        raise SpecError(f"face budget {spec.max_faces} above cap {DEFAULT_CAP}")
+    cap = _CAPS.get((spec.num_cusps, spec.filter), DEFAULT_CAP)
+    if spec.max_faces > cap:
+        raise SpecError(f"face budget {spec.max_faces} above cap {cap}")
     prefilter = spec.filter == FILTER_RIGHT_ANGLED
     report = EnumReport()
     for n in range(4, spec.max_faces + 1):

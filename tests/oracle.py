@@ -14,19 +14,20 @@ rotation builder it called, the face adjacency table and edge
 contraction as they were before they read the validation report, the
 acute-angled check as it was when it summed ``Fraction`` angles, and
 the full vertex code of one rooted traversal of a rotation system.
-The last one reads the package's face graph and report type, so only its
-arithmetic is independent.
+The acute-angled check reads the package's face graph, ``adjacency`` table
+and report type, so only its arithmetic is independent.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
 
-from orthocusp.andreev import (HALF, AngleError, ConditionReport, _face_graph,
-                               _is_tetrahedron, _is_triangular_prism)
+from orthocusp.andreev import (HALF, AngleError, ConditionReport, _is_tetrahedron,
+                               _is_triangular_prism, adjacency)
 from orthocusp.core import Edge, Poly3Error, Polyhedron3, ValidationReport, require_valid
 from orthocusp.maps import MapError
 
@@ -382,7 +383,9 @@ def validate_reference(p, profile=None) -> ValidationReport:
     # each vertex's rotation must close into a single cycle (disk neighbourhood)
     if not report.violations:
         try:
-            report.rotation = rotation_from_faces_reference(p.vertex_count, p.faces)
+            # the report is frozen; the copy shares its lists
+            report = replace(report, rotation=rotation_from_faces_reference(
+                p.vertex_count, p.faces))
         except MapError as exc:
             report.violations.append(("embedding", str(exc)))
 
@@ -512,8 +515,8 @@ def check_andreev_reference(p: Polyhedron3, angles: dict[Edge, Fraction]) -> Con
         return report
 
     report.entries = {k: [] for k in ("a", "b", "c", "d", "e")}
-    graph = _face_graph(p, incidence)
-    table = graph.adjacency
+    graph = p._face_graph
+    table = adjacency(p)
 
     for v, at in enumerate(edges_at):
         total = sum(angles[e] for e in at)

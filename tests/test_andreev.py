@@ -223,6 +223,37 @@ def test_andreev_cusp_sum_exact(one_cusp_12):
     assert report.witnesses("b")
 
 
+def test_andreev_witness_order_on_a_doubly_shared_pair():
+    """The 2-sum of two triangular prisms: each loses a lateral edge, and
+    the endpoints are joined crosswise by the edges (0, 6) and (3, 9).  Its
+    merged faces 6 and 7 share both, met as (3, 9) then (0, 6) in the
+    faces, and both lie on the prismatic 3-circuits (2, 6, 7) and
+    (5, 6, 7).  With distinct angles on the shared edges each circuit has
+    two (c) witnesses of different sums, listed by sorted shared edge."""
+    from orthocusp import Polyhedron3, validate
+
+    p = Polyhedron3(12, frozenset(), (
+        (0, 1, 2), (3, 5, 4), (1, 4, 5, 2),
+        (6, 7, 8), (9, 11, 10), (7, 10, 11, 8),
+        (0, 2, 5, 3, 9, 10, 7, 6), (3, 4, 1, 0, 6, 8, 11, 9)))
+    report = validate(p)
+    assert report.valid
+    assert report.warnings == [("multi-adjacency", "faces 6 and 7 share 2 edges")]
+    assert prismatic_circuits(p, 3) == [(2, 6, 7), (5, 6, 7)]
+    assert adjacency(p)[(7, 6)] == [(0, 6), (3, 9)]
+    assert check_right_angled(p).witnesses("single_shared_edge") == [
+        (6, 7, [(0, 6), (3, 9)])]
+    angles = right_angles(p)
+    angles.update({(0, 6): Fraction(1, 3), (3, 9): Fraction(1, 4), (7, 10): Fraction(2, 5)})
+    report = check_andreev(p, angles)
+    assert report.entries == {
+        "a": [], "b": [],
+        "c": [((2, 6, 7), Fraction(4, 3)), ((2, 6, 7), Fraction(5, 4)),
+              ((5, 6, 7), Fraction(37, 30)), ((5, 6, 7), Fraction(23, 20))],
+        "d": [], "e": []}
+    assert report.entries == check_andreev_reference(p, angles).entries
+
+
 def test_angle_file_parsing():
     angles = parse_angles("# comment\nangle: 0 1 1 2\nangle: 2 1 1 3\n")
     assert angles[(0, 1)] == HALF
@@ -425,17 +456,17 @@ def test_face_graph_derived_once(one_cusp_12, monkeypatch):
     from copy import deepcopy
     from dataclasses import replace
 
-    from orthocusp import andreev
+    from orthocusp import core
 
     p = replace(one_cusp_12)   # a fresh instance: nothing is kept on it yet
     derived = Counter()
-    real_derive = andreev._derive_face_graph
+    real_derive = core._derive_face_graph
 
     def derive(*args):
         derived["graph"] += 1
         return real_derive(*args)
 
-    monkeypatch.setattr(andreev, "_derive_face_graph", derive)
+    monkeypatch.setattr(core, "_derive_face_graph", derive)
     first = check_right_angled(p)
     expected = deepcopy(first.entries)
     check_andreev(p, right_angles(p))

@@ -800,7 +800,8 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
 def test_enumerate_out_removes_stale_type_files(capsys, tmp_path):
     """A census written over a larger one in the same DIR deletes the type
     files it did not write, so its cache check passes; writing the same
-    census again deletes nothing."""
+    census again deletes nothing.  The check still runs at 13 faces, where
+    the two-cusp census itself is refused."""
     out_dir = tmp_path / "types"
     census = ["--machine", "enumerate", "--cusps", "2", "--out", str(out_dir)]
     written = []
@@ -812,6 +813,8 @@ def test_enumerate_out_removes_stale_type_files(capsys, tmp_path):
     assert len(written[0]) == 74
     assert written[1] == written[2] and set(written[1]) < set(written[0])
     code, out, _ = run(capsys, *census, "--faces", "7", "--check-cache")
+    assert (code, out) == (0, "cache=ok\n")
+    code, out, _ = run(capsys, *census, "--faces", "13", "--check-cache")
     assert (code, out) == (0, "cache=ok\n")
 
 
@@ -881,7 +884,8 @@ def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):
     assert err.startswith("internal error: rotation at vertex 0")
     for argv, word in ((["--faces", "3"], "4 faces"),
                        (["--faces", "6", "--cusps", "3"], "cusp count"),
-                       (["--faces", "14"], "above cap 13")):
+                       (["--faces", "14"], "above cap 13"),
+                       (["--faces", "13", "--cusps", "2"], "above cap 12")):
         code, _, err = run(capsys, "enumerate", *argv)
         assert code == 2, argv
         assert err.startswith("error: ") and word in err, argv

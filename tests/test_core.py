@@ -257,27 +257,44 @@ def test_validate_matches_reference_on_valid(one_cusp_12, k_gonal_prism):
 
 
 def test_validate_report_cannot_change_the_kept_pass():
-    """A ``validate`` report reads the dart and face-pair tables of the
-    kept structural pass through read-only views, so a write through it
-    raises and the later checks and the face lattice read what they read
-    before."""
+    """Neither a ``validate`` report nor the kept structural pass that
+    ``require_valid`` returns can be written through: its violations and
+    warnings are tuples, its dart and face-pair tables read-only views and
+    its fields frozen, so each write raises and the later checks and the
+    face lattice read what they read before."""
     from orthocusp import check_right_angled
     from orthocusp.core import require_valid
 
     p = load_fixture("dodecahedron")
+
+    def reads():
+        return validate(p).valid, check_right_angled(p).entries, to_face_lattice(p).below
+
+    before = reads()
+    assert before[0] and check_right_angled(p).verdict == "pass"
+    kept = require_valid(p)
     report = validate(p)
     pair = next(iter(report.face_pairs))
     dart = next(iter(report.face_of))
-    with pytest.raises(TypeError):
-        report.face_pairs[pair] += ((0, 1),)
-    with pytest.raises(TypeError):
-        report.face_of[dart] = 0
-    with pytest.raises(TypeError):
-        del report.face_of[dart]
+    writes = [
+        lambda: report.face_pairs.__setitem__(pair, report.face_pairs[pair] + ((0, 1),)),
+        lambda: report.face_of.__setitem__(dart, 0),
+        lambda: report.face_of.__delitem__(dart),
+        lambda: kept.violations.append(("stale", "appended by the caller")),
+        lambda: kept.warnings.append(("stale", "appended by the caller")),
+        lambda: kept.degree_violations.append((0, 2, 3)),
+        lambda: kept.face_of.__setitem__(dart, 0),
+        lambda: kept.face_pairs.clear(),
+        lambda: setattr(kept, "violations", [("stale", "set by the caller")]),
+        lambda: setattr(kept, "face_pairs", {}),
+    ]
+    for write in writes:
+        with pytest.raises((AttributeError, TypeError)):   # FrozenInstanceError too
+            write()
+        assert reads() == before
     assert all(type(shared) is tuple for shared in report.face_pairs.values())
     assert report.face_pairs == require_valid(p).face_pairs
-    assert check_right_angled(p).verdict == "pass"
-    assert to_face_lattice(p).below == to_face_lattice(load_fixture("dodecahedron")).below
+    assert before[2] == to_face_lattice(load_fixture("dodecahedron")).below
 
 
 @pytest.mark.parametrize("cusps", [0, 1, 2])

@@ -1,15 +1,21 @@
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from orthocusp import (
     CuspLink,
+    FaceLattice,
+    Polyhedron3,
     averaging_contradiction,
+    check_right_angled,
+    check_small,
     count_cusp_faces,
     faces_through_edge,
     is_adjacent,
+    nikulin,
+    to_face_lattice,
     two_cusp_faces,
     verify_table,
 )
@@ -198,3 +204,101 @@ def test_averaging_monotone():
 def test_averaging_rejects_negative_deficit():
     with pytest.raises(ValueError):
         averaging_contradiction(12, [-1], 3)
+
+
+def _det(rows):
+    """Determinant of a square integer matrix, by cofactors along row 0."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j in range(len(rows)))
+
+
+def _ideal_24_cell():
+    """The ideal right-angled 24-cell from exact integers: its vertices, all
+    ideal, the 24 permutations of (+-1, +-1, 0, 0); its facets on the 8
+    hyperplanes x_i = +-1 and the 16 hyperplanes +-x1 +-x2 +-x3 +-x4 = 2,
+    each a supporting hyperplane; its faces every non-empty intersection of
+    facet vertex sets, graded by the longest chain below them.  Returns the
+    vertices, the facet hyperplanes as (normal, right-hand side) and the
+    faces of dimensions 0 to 3 as vertex-index sets, facets in hyperplane
+    order."""
+    vertices = sorted({tuple(signs[pos.index(i)] if i in pos else 0 for i in range(4))
+                       for pos in combinations(range(4), 2)
+                       for signs in product((1, -1), repeat=2)})
+    planes = [(tuple(s if i == j else 0 for j in range(4)), 1)
+              for i in range(4) for s in (1, -1)]
+    planes += [(signs, 2) for signs in product((1, -1), repeat=4)]
+    facets = []
+    for normal, rhs in planes:
+        heights = [sum(a * x for a, x in zip(normal, v)) for v in vertices]
+        assert max(heights) == rhs
+        facets.append(frozenset(i for i, h in enumerate(heights) if h == rhs))
+    faces = set(facets)
+    fresh = set(facets)
+    while fresh:
+        fresh = {f & g for f in fresh for g in facets if f & g} - faces
+        faces |= fresh
+    dimension = {}
+    for f in sorted(faces, key=len):
+        dimension[f] = max((dimension[g] + 1 for g in dimension if g < f), default=0)
+    graded = [sorted((f for f in faces if dimension[f] == k), key=sorted) for k in range(3)]
+    return vertices, planes, graded + [facets]
+
+
+def _octahedron(vertices, normal, facet, triangles):
+    """A facet of the 24-cell as a ``Polyhedron3`` with six cusps, each
+    triangle oriented by the sign of det(b - a, c - a, 6a - s, normal),
+    where s sums the facet's vertices, so all turn the same way."""
+    ids = sorted(facet)
+    total = [sum(vertices[v][i] for v in ids) for i in range(4)]
+    cycles = []
+    for tri in triangles:
+        a, b, c = (vertices[v] for v in sorted(tri))
+        rows = [[y - x for x, y in zip(a, b)], [y - x for x, y in zip(a, c)],
+                [6 * x - t for x, t in zip(a, total)], list(normal)]
+        cycle = [ids.index(v) for v in sorted(tri)]
+        cycles.append(tuple(cycle if _det(rows) > 0 else cycle[::-1]))
+    return Polyhedron3(6, frozenset(range(6)), tuple(cycles))
+
+
+def test_cusp_link_model_on_the_ideal_24_cell():
+    """The ideal right-angled 24-cell has f-vector (24, 96, 96, 24).  At each
+    of its cusps the edges, 2-faces and 3-faces number ``count_cusp_faces``,
+    the six facets pair up as ``CuspLink(4).partner`` pairs the hyperfaces
+    once each pair of facets meeting only at the cusp is labelled i and
+    7 - i, and the facets holding each face through the cusp are a
+    pair-free set of ``cusp_faces``.  Each edge lies in
+    ``faces_through_edge(4)`` facets, the lattice passes the Nikulin audit,
+    and each octahedral facet with its six cusps passes the right-angled
+    check and the small-dimension floors."""
+    vertices, planes, (points, edges, triangles, facets) = _ideal_24_cell()
+    assert [len(points), len(edges), len(triangles), len(facets)] == [24, 96, 96, 24]
+    link = CuspLink(4)
+    for v in range(len(vertices)):
+        at = [[f for f in grade if v in f] for grade in (edges, triangles, facets)]
+        assert [len(grade) for grade in at] == [count_cusp_faces(4, k) for k in (1, 2, 3)]
+        pairs = sorted(sorted((f, g)) for f, g in combinations(at[2], 2) if f & g == {v})
+        label = {}
+        for m, (f, g) in enumerate(pairs):
+            label[f], label[g] = m + 1, link.size - m
+        assert len(label) == link.size
+        for f, g in pairs:
+            assert link.partner(label[f]) == label[g] and link.partner(label[g]) == label[f]
+        for k, grade in enumerate(at, start=1):
+            held = {frozenset(label[h] for h in at[2] if f <= h) for f in grade}
+            assert held == set(link.cusp_faces(k)), (v, k)
+    assert all(sum(1 for h in facets if e <= h) == faces_through_edge(4) for e in edges)
+
+    index = {f: i for grade in (points, edges, triangles) for i, f in enumerate(grade)}
+    below = [[tuple(index[g] for g in lower if g < f) for f in grade]
+             for lower, grade in ((points, edges), (edges, triangles), (triangles, facets))]
+    lattice = FaceLattice(len(vertices), range(len(vertices)), below)
+    assert [len(grade) for grade in lattice.below] == [96, 96, 24]
+    records = nikulin.audit(lattice).records
+    assert records and all(r.strict_ok for r in records)
+
+    for (normal, _), facet in zip(planes, facets):
+        octahedron = _octahedron(vertices, normal, facet, [t for t in triangles if t < facet])
+        assert check_right_angled(octahedron).verdict == "pass"
+        assert check_small(to_face_lattice(octahedron)).passed

@@ -12,7 +12,7 @@ import pytest
 from orthocusp import (EnumSpec, Polyhedron3, canonical_code, core, dual, enum3,
                        enumerate_types, maps, validate)
 from orthocusp.core import RIGHT_ANGLED_PROFILE
-from orthocusp.enum3 import (FILTER_RIGHT_ANGLED, _candidates, _dualize,
+from orthocusp.enum3 import (FILTER_RIGHT_ANGLED, SpecError, _candidates, _dualize,
                              _is_canonical_augmentation, _level_candidates, triangulations)
 from oracle import edge_set, is_three_connected
 
@@ -546,9 +546,20 @@ def test_deterministic_output():
     assert [t.polyhedron for t in a.types] == [t.polyhedron for t in b.types]
 
 
-def test_budget_cap_enforced():
-    with pytest.raises(ValueError):
-        enumerate_types(EnumSpec(14, 0))
+def test_budget_cap_enforced(monkeypatch):
+    """Every spec is refused above 13 faces, and the unfiltered two-cusp
+    census above 12, before any growth; the right-angled two-cusp census
+    keeps 13."""
+    def no_growth(n):
+        raise AssertionError(f"grew level {n} for a refused spec")
+
+    monkeypatch.setattr(enum3, "triangulations", no_growth)
+    for spec, cap in ((EnumSpec(14, 0), 13), (EnumSpec(14, 1, FILTER_RIGHT_ANGLED), 13),
+                      (EnumSpec(13, 2), 12), (EnumSpec(14, 2), 12)):
+        with pytest.raises(SpecError, match=f"face budget {spec.max_faces} above cap {cap}$"):
+            enumerate_types(spec)
+    with pytest.raises(AssertionError, match="grew level 4"):
+        enumerate_types(EnumSpec(13, 2, FILTER_RIGHT_ANGLED))
 
 
 def test_spec_validation():
