@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import andreev, bounds, enum3, nikulin
 from .core import (Poly3Error, RIGHT_ANGLED_PROFILE, canonical_code,
-                   parse_poly3, to_face_lattice, to_poly3, validate)
+                   parse_poly3, to_face_lattice, validate)
 from .data import FIXTURES, load_fixture
 
 EXIT_OK = 0
@@ -84,12 +84,13 @@ def _poly3_names(cache: Path) -> list[str]:
         raise _UnreadableInput(f"cannot read {cache}: {exc}") from None
 
 
-def _write_in_place(path: Path, text: str) -> None:
-    """``path.write_text(text, encoding="utf-8")`` without ``O_TRUNC``: a
-    rewrite overwrites the file's blocks, not freeing and allocating them
-    again, and then cuts the file at the end of ``text``."""
+def _write_in_place(path: Path, parts) -> None:
+    """Write the strings ``parts`` to ``path`` in turn, as UTF-8, without
+    ``O_TRUNC``: a rewrite overwrites the file's blocks, not freeing and
+    allocating them again, and then cuts the file at the end of the text."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        f.write(text.encode("utf-8"))
+        for part in parts:
+            f.write(part.encode("utf-8"))
         f.truncate()
 
 
@@ -183,17 +184,15 @@ def cmd_enumerate(args, out: _Out) -> int:
     if cache is not None:
         try:
             cache.mkdir(parents=True, exist_ok=True)
-            index = []
             written = set()
             for t in report.types:
-                hexcode = t.code.hex()
-                index.append(hexcode)
                 name = hashlib.sha256(t.code).hexdigest()[:12] + ".poly3"
                 written.add(name)
-                _write_in_place(cache / name, to_poly3(
-                    t.polyhedron, comment=f"faces={t.faces} code={hexcode}"))
+                _write_in_place(cache / name,
+                                (f"# faces={t.faces} code={t.code.hex()}\n", t.poly3))
+            # hex keeps the order of the codes as bytes
             _write_in_place(cache / "index.txt",
-                            "".join(code + "\n" for code in sorted(index)))
+                            (code.hex() + "\n" for code in sorted(report.codes)))
             # type files of an earlier census in DIR would fail --check-cache
             for name in _poly3_names(cache):
                 if name not in written:

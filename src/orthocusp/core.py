@@ -222,9 +222,9 @@ def to_poly3(p: Polyhedron3, comment: str | None = None) -> str:
         out.append(f"# {comment}")
     out.append("poly3 v1")
     out.append(f"vertices: {p.vertex_count}")
-    out.append("ideal: " + " ".join(str(v) for v in sorted(p.ideal_vertices)))
+    out.append("ideal: " + " ".join(map(str, sorted(p.ideal_vertices))))
     for face in p.faces:
-        out.append("face: " + " ".join(str(v) for v in face))
+        out.append("face: " + " ".join(map(str, face)))
     return "\n".join(out) + "\n"
 
 

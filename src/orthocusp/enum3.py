@@ -35,13 +35,13 @@ apexes are adjacent or shared by two deleted edges (``_candidates``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import maps
 from .andreev import check_right_angled
-from .core import (Polyhedron3, canonical_code, contract_edge, require_valid, validate,
-                   RIGHT_ANGLED_PROFILE, _dual_cycles, _norm_edge)
+from .core import (Polyhedron3, canonical_code, contract_edge, parse_poly3, require_valid,
+                   to_poly3, validate, RIGHT_ANGLED_PROFILE, _dual_cycles, _norm_edge)
 from .data import load_fixture
 
 FILTER_ALL = "all-almost-simple"
@@ -73,11 +73,18 @@ class EnumSpec:
             raise SpecError("a polyhedron needs at least 4 faces")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnumeratedType:
+    """One emitted type, kept as its POLY3 text: a census holds thousands."""
+
     code: bytes
     faces: int
-    polyhedron: Polyhedron3
+    poly3: str
+
+    @property
+    def polyhedron(self) -> Polyhedron3:
+        """A fresh parse of ``poly3`` on each access."""
+        return parse_poly3(self.poly3)
 
 
 @dataclass
@@ -359,9 +366,10 @@ def _candidates(rot: maps.Rotation, group, num_cusps: int, prefilter: bool):
 
 
 def _level_candidates(level, num_cusps: int, prefilter: bool):
-    """Candidates of the (rotation, automorphisms) pairs ``level``, one per
-    code, as code -> canonical rotation, or None for a candidate that is
-    not 3-connected, which is only counted.
+    """Candidates of the (rotation, automorphisms) pairs ``level``, yielded
+    as (code, canonical rotation) the first time each code is seen, the
+    rotation None for a candidate that is not 3-connected, which is only
+    counted.  Only the codes seen are kept.
 
     With the prefilter on, a triangulation whose deficit (the sum of
     max(0, 5 - deg) over its vertices) exceeds 2 * ``num_cusps`` is skipped,
@@ -371,14 +379,14 @@ def _level_candidates(level, num_cusps: int, prefilter: bool):
     apexes, so the deficit falls by at most 2 per cusp, and the prefilter
     needs it to be 0.
     """
-    found: dict[bytes, maps.Rotation | None] = {}
+    seen: set[bytes] = set()
     for rot, group in level:
         if prefilter and sum(max(0, 5 - len(nbrs)) for nbrs in rot) > 2 * num_cusps:
             continue
         for code, canon, three_connected in _candidates(rot, group, num_cusps, prefilter):
-            if code not in found:
-                found[code] = canon if three_connected else None
-    return found
+            if code not in seen:
+                seen.add(code)
+                yield code, canon if three_connected else None
 
 
 def _dualize(rot: maps.Rotation, faces: list[tuple[int, ...]],
@@ -399,7 +407,7 @@ def enumerate_types(spec: EnumSpec) -> EnumReport:
     faces, exactly ``spec.num_cusps`` degree-4 ideal vertices, all finite
     vertices of degree 3, and a 3-connected incidence structure.
 
-    Output is deterministic (types sorted by canonical code).  Complexes
+    Output is deterministic (types sorted by faces, then code).  Complexes
     passing all local checks but failing 3-connectivity are tallied
     separately, never emitted.  Budgets above ``DEFAULT_CAP`` faces, or a
     lower cap in ``_CAPS``, are refused before any growth.
@@ -411,9 +419,7 @@ def enumerate_types(spec: EnumSpec) -> EnumReport:
     report = EnumReport()
     for n in range(4, spec.max_faces + 1):
         triangulations(n)
-        found = _level_candidates(_LEVELS[n], spec.num_cusps, prefilter)
-        for code in sorted(found):
-            rot = found[code]
+        for _, rot in _level_candidates(_LEVELS[n], spec.num_cusps, prefilter):
             if rot is None:
                 report.nonpolyhedral_by_faces[n] = report.nonpolyhedral_by_faces.get(n, 0) + 1
                 continue
@@ -427,10 +433,8 @@ def enumerate_types(spec: EnumSpec) -> EnumReport:
                 raise AssertionError("cusp count mismatch after dualisation")
             if prefilter and check_right_angled(p).verdict != "pass":
                 continue
-            # a census holds thousands of types at once: emit a fresh
-            # instance, which keeps no pass
             report.types.append(EnumeratedType(
-                code=canonical_code(p), faces=n, polyhedron=replace(p)))
+                code=canonical_code(p), faces=n, poly3=to_poly3(p)))
             report.counts_by_faces[n] = report.counts_by_faces.get(n, 0) + 1
     report.types.sort(key=lambda t: (t.faces, t.code))
     return report
@@ -544,8 +548,9 @@ def two_cusp_minima() -> TwoCuspMinimaReport:
     counts: dict[tuple[int, int], int] = {}
     violations = []
     for typ in report.types:
-        c1, c2 = typ.polyhedron.ideal_vertices
-        cls = sum(1 for f in typ.polyhedron.faces if c1 in f and c2 in f)
+        p = typ.polyhedron
+        c1, c2 = p.ideal_vertices
+        cls = sum(1 for f in p.faces if c1 in f and c2 in f)
         if cls not in TWO_CUSP_FLOORS:
             raise AssertionError(f"unexpected shared-face count {cls}")
         counts[(cls, typ.faces)] = counts.get((cls, typ.faces), 0) + 1

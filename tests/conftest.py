@@ -83,13 +83,19 @@ def subdivided_cube(cube):
 
 
 @pytest.fixture(scope="session")
-def incidence_corpus(k_gonal_prism, subdivided_cube):
+def enum_all_9():
+    """All-almost-simple reports for budget 9, by cusp count 0, 1 and 2."""
+    return {c: enum3.enumerate_types(enum3.EnumSpec(9, c)) for c in (0, 1, 2)}
+
+
+@pytest.fixture(scope="session")
+def incidence_corpus(k_gonal_prism, subdivided_cube, enum_all_9):
     """Valid polyhedra for checking incidence readers against the face-scan
     references: the fixtures, every type with at most 9 faces and 0, 1 or
     2 cusps, the k-gonal prisms for k = 3..12 and the subdivided cube."""
     polys = [load_fixture(name) for name in FIXTURES]
-    for c in (0, 1, 2):
-        polys += [t.polyhedron for t in enum3.enumerate_types(enum3.EnumSpec(9, c)).types]
+    for report in enum_all_9.values():
+        polys += [t.polyhedron for t in report.types]
     polys += [k_gonal_prism(k) for k in range(3, 13)]
     polys.append(subdivided_cube)
     return polys

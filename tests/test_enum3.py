@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -10,7 +11,7 @@ from math import comb, factorial
 import pytest
 
 from orthocusp import (EnumSpec, Polyhedron3, canonical_code, core, dual, enum3,
-                       enumerate_types, maps, validate)
+                       enumerate_types, maps, to_poly3, validate)
 from orthocusp.core import RIGHT_ANGLED_PROFILE
 from orthocusp.enum3 import (FILTER_RIGHT_ANGLED, SpecError, _candidates, _dualize,
                              _is_canonical_augmentation, _level_candidates, triangulations)
@@ -305,7 +306,7 @@ def unfiltered_candidates():
             for n in range(4, 11):
                 calls = 0
                 picks = []
-                found = _level_candidates([(rot, ()) for rot in triangulations(n)], c, False)
+                found = dict(_level_candidates([(rot, ()) for rot in triangulations(n)], c, False))
                 out[(n, c)] = (found, calls, picks)
     return out
 
@@ -338,7 +339,7 @@ def test_least_diagonal_rule_keeps_every_candidate(unfiltered_candidates):
         tris = triangulations(n)
         picks = [p for rot in tris for p in _every_pick(rot, c)]
         assert set(found) == {code for code, _ in picks}, (n, c)
-        assert set(_level_candidates([(rot, ()) for rot in tris], c, True)) == {
+        assert set(dict(_level_candidates([(rot, ()) for rot in tris], c, True))) == {
             code for code, passes in picks if passes}, (n, c)
         assert calls <= len(picks)
         rejected += len(picks) - calls
@@ -363,13 +364,13 @@ def test_orbit_rule_keeps_every_candidate(monkeypatch, unfiltered_candidates):
             tris = triangulations(n)
             for prefilter in (False, True):
                 filtered = True
-                got = _level_candidates(enum3._LEVELS[n], c, prefilter)
+                got = dict(_level_candidates(enum3._LEVELS[n], c, prefilter))
                 if c and not prefilter:
                     want, count, _ = unfiltered_candidates[(n, c)]
                     calls[False] += count
                 else:
                     filtered = False
-                    want = _level_candidates([(rot, ()) for rot in tris], c, prefilter)
+                    want = dict(_level_candidates([(rot, ()) for rot in tris], c, prefilter))
                 assert set(got) == set(want), (n, c, prefilter)
     assert calls[True] < calls[False]
 
@@ -427,8 +428,8 @@ def test_dualize_matches_core_dual(unfiltered_candidates):
     map, each from the same vertex, and its ideal vertices are exactly
     the quadrilateral faces of the map."""
     triangulations(10)
-    maps_by_cusps = {0: [rot for n in range(4, 11) for rot in _level_candidates(
-        enum3._LEVELS[n], 0, False).values()]}
+    maps_by_cusps = {0: [rot for n in range(4, 11) for rot in dict(_level_candidates(
+        enum3._LEVELS[n], 0, False)).values()]}
     for (_, c), (_, _, picks) in unfiltered_candidates.items():
         # the rotation of every class, 3-connected or not
         maps_by_cusps.setdefault(c, []).extend({code: rot for code, rot, _ in picks}.values())
@@ -465,13 +466,31 @@ def test_each_emitted_type_validated_once(monkeypatch):
 @pytest.mark.parametrize("spec", [EnumSpec(8, 2), EnumSpec(9, 2, FILTER_RIGHT_ANGLED)],
                          ids=["all", "right-angled"])
 def test_emitted_types_keep_no_validation(spec):
-    """``enumerate_types`` emits a fresh instance of each type, so no
+    """An emitted type parses a fresh instance on each access, so no
     emitted polyhedron holds a cached property, such as the structural pass
-    ``validate`` keeps: a census holds thousands of them at once."""
+    ``validate`` keeps: a census holds thousands of types at once."""
     report = enumerate_types(spec)
     assert report.types
     names = {f.name for f in fields(Polyhedron3)}
     assert all(vars(t.polyhedron).keys() == names for t in report.types)
+
+
+def test_census_memory_bounded():
+    """A census keeps each level's codes and each type's POLY3 text, not a
+    rotation per class or a polyhedron per type: with the levels grown,
+    ``enumerate_types(EnumSpec(10, 2))`` peaks below 6 MiB and keeps below
+    4 MiB, as ``tracemalloc`` counts; holding both read 10.8 and 7.5 MiB."""
+    triangulations(10)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = enumerate_types(EnumSpec(10, 2))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.types) == 4498
+    assert peak - base < 6 * 2**20
+    assert kept - base < 4 * 2**20
 
 
 def test_deficit_screen_matches_prefilter():
@@ -488,12 +507,17 @@ def test_deficit_screen_matches_prefilter():
     assert screened > 0
 
 
-def test_every_type_validates(enum_all_small):
-    for cusps, report in enum_all_small.items():
+def test_every_type_validates(enum_all_9):
+    """Every type up to 9 faces validates, and its kept POLY3 text is that
+    of the polyhedron it parses to, with the type's code."""
+    for cusps, report in enum_all_9.items():
         for t in report.types:
-            rep = validate(t.polyhedron, RIGHT_ANGLED_PROFILE)
+            p = t.polyhedron
+            rep = validate(p, RIGHT_ANGLED_PROFILE)
             assert rep.clean
-            assert len(t.polyhedron.ideal_vertices) == cusps
+            assert len(p.ideal_vertices) == cusps
+            assert to_poly3(p) == t.poly3
+            assert canonical_code(p) == t.code
 
 
 def test_degree_balance(enum_all_small):
