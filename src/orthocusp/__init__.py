@@ -60,7 +60,6 @@ from .bounds import (
     lemma61,
     main_bounds,
     n7_certificate,
-    n7_polynomial,
     n7_preform,
 )
 

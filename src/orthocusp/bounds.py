@@ -1,9 +1,10 @@
 """Certified cusp-count lower bounds for right-angled hyperbolic polyhedra.
 
 Every entry of the final table is backed by a machine-checkable arithmetic
-trail: the dimension-6 entry by the one-cusp and two-cusp averaging
-contradictions, the dimension-7 entry by a per-cusp-count polynomial
-certificate, and dimensions 8 through 12 by an integer recursion.
+trail: the dimension-6 entry by the compact exclusion and the one-cusp and
+two-cusp averaging contradictions, the dimension-7 entry by a
+per-cusp-count polynomial certificate, and dimensions 8 through 12 by an
+integer recursion.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from . import cusplink, enum3
-from .nikulin import nikulin_rhs
+from .nikulin import CompactExclusion, compact_exclusion, nikulin_rhs
 
 #: Dimensions covered by the recursion step.
 RECURSION_RANGE = range(8, 13)
@@ -32,21 +33,15 @@ def n7_preform(l: int, m: int) -> int:
     whose distinguished 3-face carries l cusps.
 
     Value of -45*C(m-l,2) - 45*l*(m-l) - 28*C(l,2) + sum_{j=1}^{m-1} 3*(240-15j).
+    Twice it is the polynomial 17*l^2 - 17*l - 90*m^2 + 1530*m - 1440; a
+    right-angled 7-polyhedron requires it to be strictly negative, so a
+    non-negative value rules the cusp count out.
     """
     if not 2 <= l <= m:
         raise ValueError(f"need 2 <= l <= m, got l={l}, m={m}")
     acc = -45 * comb(m - l, 2) - 45 * l * (m - l) - 28 * comb(l, 2)
     acc += sum(3 * (240 - 15 * j) for j in range(1, m))
     return acc
-
-
-def n7_polynomial(l: int, m: int) -> int:
-    """Closed form 17*l^2 - 17*l - 90*m^2 + 1530*m - 1440.
-
-    Twice ``n7_preform``; a right-angled 7-polyhedron requires it to be
-    strictly negative, so a non-negative value rules the cusp count out.
-    """
-    return 17 * l * l - 17 * l - 90 * m * m + 1530 * m - 1440
 
 
 @dataclass(frozen=True)
@@ -87,15 +82,16 @@ def n7_certificate() -> N7Certificate:
     whole, so m >= ``N6_BOUND``.  For each m the count of 3-faces through a
     fixed cusp carrying no other cusp stays positive (240 - 15*(m-1) > 0,
     from ``count_cusp_faces(7, 3)`` and ``faces_through_edge(7)``), so the
-    averaging derivation applies, while the polynomial certificate is
-    non-negative at l = 2, hence at every l <= m since 17l^2 - 17l
-    increases; together those exclude m.  Hence at least 17 cusps.
+    averaging derivation applies, while the polynomial certificate, twice
+    ``n7_preform``, is non-negative at l = 2, hence at every l <= m since
+    17l^2 - 17l increases; together those exclude m.  Hence at least 17
+    cusps.
     """
     faces = cusplink.count_cusp_faces(7, 3)
     per_cusp = cusplink.faces_through_edge(7)
     bound = 17
     entries = tuple(
-        N7Entry(m=m, one_cusp_floor=faces - per_cusp * (m - 1), polynomial=n7_polynomial(2, m))
+        N7Entry(m=m, one_cusp_floor=faces - per_cusp * (m - 1), polynomial=2 * n7_preform(2, m))
         for m in range(N6_BOUND, bound))
     return N7Certificate(entries=entries, bound=bound)
 
@@ -105,8 +101,10 @@ def n7_certificate() -> N7Certificate:
 # ---------------------------------------------------------------------------
 
 def lemma61(n: int, m: int) -> int:
-    """Cusp floor 3m - 2n + 1 for an n-polyhedron (8 <= n <= 12) all of
-    whose hyperfaces carry at least m cusps.
+    """Cusp floor for an n-polyhedron (8 <= n <= 12) all of whose
+    hyperfaces carry at least m cusps: the chained estimate
+    2m - 2 + (2n-3)/(m-1) + m(m-2(n-1))/(m-1), which m-1 divides exactly
+    to 3m - 2n + 1.
 
     Refuses m < 2(n-1): the derivation divides by m-1 and needs the
     coefficient (m - 2(n-1))/(m-1) to be non-negative.
@@ -115,17 +113,7 @@ def lemma61(n: int, m: int) -> int:
         raise ValueError("recursion covers dimensions 8..12 only")
     if m < 2 * (n - 1):
         raise ValueError(f"need m >= 2(n-1) = {2 * (n - 1)}, got {m}")
-    return 3 * m - 2 * n + 1
-
-
-def chained_floor(n: int, m: int) -> Fraction:
-    """Exact value of the chained estimate
-    2m - 2 + (2n-3)/(m-1) + m(m-2(n-1))/(m-1); algebraically equal to
-    3m - 2n + 1, which the tests pin."""
-    if m < 2:
-        raise ValueError("need m >= 2")
-    return (2 * m - 2 + Fraction(2 * n - 3, m - 1)
-            + Fraction(m * (m - 2 * (n - 1)), m - 1))
+    return 2 * m - 2 + (2 * n - 3 + m * (m - 2 * (n - 1))) // (m - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +122,11 @@ def chained_floor(n: int, m: int) -> Fraction:
 
 @dataclass(frozen=True)
 class N6Certificate:
-    """The four contradictions excluding one or two cusps in dimension six:
-    the strict face-average bound, and the three two-cusp cases on their checked ``tables``."""
+    """The five contradictions excluding up to two cusps in dimension six: the
+    compact exclusion, the strict face-average bound, and the three two-cusp
+    cases on their checked ``tables``."""
 
+    compact: CompactExclusion
     strict_bound: Fraction
     one_cusp_floor: int
     tables: dict[str, cusplink.TableReport]
@@ -144,16 +134,18 @@ class N6Certificate:
 
     @property
     def complete(self) -> bool:
-        return (all(rep.ok for rep in self.tables.values())
+        return (self.compact.excluded and all(rep.ok for rep in self.tables.values())
                 and self.one_cusp_floor >= self.strict_bound
                 and all(v.contradiction for _, v in self.cases))
 
     def lines(self) -> list[str]:
-        word = "contradiction" if self.one_cusp_floor >= self.strict_bound else "no contradiction"
-        out = [f"one cusp: every 3-face needs >= {self.one_cusp_floor} 2-faces,"
-               f" average must stay < {self.strict_bound}: {word}"]
-        for name, verdict in self.cases:
-            out.append(f"two cusps, {name}: {verdict.line()}")
+        out = [f"{head}, average must stay < {bound}: {'' if ok else 'no '}contradiction"
+               for head, bound, ok in (
+                   (f"no cusp: every 2-face needs >= {self.compact.floor} edges",
+                    self.compact.bound, self.compact.excluded),
+                   (f"one cusp: every 3-face needs >= {self.one_cusp_floor} 2-faces",
+                    self.strict_bound, self.one_cusp_floor >= self.strict_bound))]
+        out += [f"two cusps, {name}: {verdict.line()}" for name, verdict in self.cases]
         return out
 
 
@@ -194,8 +186,8 @@ def main_bounds() -> BoundsCertificate:
     cases = tuple((name, cusplink.averaging_contradiction(
                       strict, [cusplink.case_deficit(t)], tables[name].rows))
                   for name, t in sorted(cusplink.CASES.items(), key=lambda c: c[1]))
-    n6 = N6Certificate(strict_bound=strict, one_cusp_floor=enum3.ONE_CUSP_FLOOR,
-                       tables=tables, cases=cases)
+    n6 = N6Certificate(compact=compact_exclusion(6), strict_bound=strict,
+                       one_cusp_floor=enum3.ONE_CUSP_FLOOR, tables=tables, cases=cases)
     n7 = n7_certificate()
     table = {6: N6_BOUND, 7: n7.bound}
     for n in RECURSION_RANGE:

@@ -216,12 +216,8 @@ def parse_poly3(text: str) -> Polyhedron3:
                        faces=tuple(faces))
 
 
-def to_poly3(p: Polyhedron3, comment: str | None = None) -> str:
-    out = []
-    if comment:
-        out.append(f"# {comment}")
-    out.append("poly3 v1")
-    out.append(f"vertices: {p.vertex_count}")
+def to_poly3(p: Polyhedron3) -> str:
+    out = ["poly3 v1", f"vertices: {p.vertex_count}"]
     out.append("ideal: " + " ".join(map(str, sorted(p.ideal_vertices))))
     for face in p.faces:
         out.append("face: " + " ".join(map(str, face)))

@@ -12,15 +12,13 @@ from math import comb
 
 from .core import FaceLattice
 
-Rational = Fraction
-
 
 @dataclass(frozen=True)
 class AuditRecord:
     k: int
     l: int
-    average: Rational
-    bound: Rational
+    average: Fraction
+    bound: Fraction
 
     @property
     def strict_ok(self) -> bool:
@@ -37,7 +35,7 @@ class NikulinAudit:
     records: tuple[AuditRecord, ...]
 
 
-def face_average(lattice: FaceLattice, k: int, l: int) -> Rational:
+def face_average(lattice: FaceLattice, k: int, l: int) -> Fraction:
     """Average number of l-faces over all k-faces, as an exact rational.
 
     Cusps are not faces: a half-infinite edge contributes a single
@@ -51,7 +49,7 @@ def face_average(lattice: FaceLattice, k: int, l: int) -> Rational:
     return Fraction(sum(lattice.count_below(k, i, l) for i in range(count)), count)
 
 
-def nikulin_rhs(n: int, k: int, l: int) -> Rational:
+def nikulin_rhs(n: int, k: int, l: int) -> Fraction:
     """Right-hand side of the face-average inequality for an acute-angled
     finite-volume n-polyhedron, valid for l < k <= floor(n/2)."""
     if not 0 <= l < k:
@@ -120,7 +118,7 @@ def check_small(lattice: FaceLattice) -> SmallDimReport:
 @dataclass(frozen=True)
 class CompactExclusion:
     dimension: int
-    bound: Rational
+    bound: Fraction
     floor: int
 
     @property

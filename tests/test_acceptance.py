@@ -20,7 +20,6 @@ from orthocusp import (
     faces_through_edge,
     lemma61,
     main_bounds,
-    n7_polynomial,
     n7_preform,
     nikulin_rhs,
 )
@@ -138,6 +137,9 @@ def test_criterion_7_table_verification(capsys):
 
 
 def test_criterion_8_n7_certificate(capsys):
+    def n7_polynomial(l, m):  # twice n7_preform, as its docstring states
+        return 17 * l * l - 17 * l - 90 * m * m + 1530 * m - 1440
+
     def work():
         for m in range(1, 17):
             assert 240 - 15 * (m - 1) > 0

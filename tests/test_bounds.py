@@ -1,25 +1,43 @@
 from __future__ import annotations
 
+from fractions import Fraction
+from math import comb
+
 import pytest
 
 from orthocusp import (
     lemma61,
     main_bounds,
     n7_certificate,
-    n7_polynomial,
     n7_preform,
 )
-from orthocusp import cusplink, enum3
-from orthocusp.bounds import chained_floor
+from orthocusp import bounds, cusplink, enum3
 from orthocusp.cli import main
+from orthocusp.nikulin import CompactExclusion
 
 MAIN_TABLE = {6: 3, 7: 17, 8: 36, 9: 91, 10: 254, 11: 741, 12: 2200}
+
+
+def n7_polynomial(l: int, m: int) -> int:
+    """The closed form the docstring of ``n7_preform`` states for twice it."""
+    return 17 * l * l - 17 * l - 90 * m * m + 1530 * m - 1440
 
 
 def test_preform_values():
     assert n7_preform(2, 16) == 17
     assert n7_preform(2, 17) == -703
     assert n7_preform(2, 2) == 647
+
+
+def test_preform_is_its_docstring_sum():
+    """The 240 and 15 inside the preform are the cusp-link counts."""
+    faces = cusplink.count_cusp_faces(7, 3)
+    per_cusp = cusplink.faces_through_edge(7)
+    for l in range(2, 41):
+        for m in range(l, 41):
+            assert n7_preform(l, m) == (
+                -45 * comb(m - l, 2) - 45 * l * (m - l) - 28 * comb(l, 2)
+                + sum(3 * (faces - per_cusp * j) for j in range(1, m)))
 
 
 def test_preform_range():
@@ -93,7 +111,7 @@ def test_lemma61_refuses_out_of_scope():
 def test_chained_floor_equals_linear_form():
     for n in range(8, 13):
         for m in (2 * (n - 1), 2 * (n - 1) + 1, 50, 741):
-            assert chained_floor(n, m) == 3 * m - 2 * n + 1
+            assert lemma61(n, m) == 3 * m - 2 * n + 1
 
 
 def test_main_bounds_table():
@@ -110,6 +128,7 @@ def test_main_bounds_recursion_consistency():
 def test_main_bounds_subcertificates():
     cert = main_bounds()
     assert cert.n6.complete
+    assert cert.n6.compact.dimension == 6 and cert.n6.compact.excluded
     assert cert.n6.one_cusp_floor >= cert.n6.strict_bound == 12
     names = [name for name, _ in cert.n6.cases]
     assert names == ["case41", "table1", "table2"]
@@ -170,3 +189,17 @@ def test_main_bounds_reads_table_class(monkeypatch, capsys):
     assert main(["bounds"]) == 1
     assert "table1: surplus 11 vs deficit 12 " in capsys.readouterr().err
 
+
+def test_main_bounds_reads_the_compact_exclusion(monkeypatch, capsys):
+    """The dimension-6 entry rests on the compact exclusion too: a bound
+    above the floor of 5 edges leaves the certificate incomplete, and
+    ``bounds`` refuses with the ``no cusp`` line."""
+    monkeypatch.setattr(bounds, "compact_exclusion",
+                        lambda n: CompactExclusion(6, Fraction(6), 5))
+    line = "no cusp: every 2-face needs >= 5 edges, average must stay < 6: no contradiction"
+    cert = main_bounds()
+    assert not cert.complete
+    assert line in cert.refusal()
+    assert "dimension 7" not in cert.refusal()
+    assert main(["bounds"]) == 1
+    assert line in capsys.readouterr().err

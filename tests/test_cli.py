@@ -583,11 +583,11 @@ def test_bounds_refusal_words_a_lowered_one_cusp_floor(capsys, monkeypatch):
 
 
 def test_verify_n7_fails_on_a_negative_polynomial(capsys, monkeypatch):
-    monkeypatch.setattr(bounds, "n7_polynomial", lambda l, m: -1)
+    monkeypatch.setattr(bounds, "n7_preform", lambda l, m: -1)
     code, out, _ = run(capsys, "verify", "n7")
     assert code == 1
     assert "impossible" not in out
-    assert out.startswith("m=3: one-cusp 3-faces >= 210 > 0, polynomial -1 < 0 -> not excluded\n")
+    assert out.startswith("m=3: one-cusp 3-faces >= 210 > 0, polynomial -2 < 0 -> not excluded\n")
     assert out.endswith("\ncusp count >= 17 not shown\n")
 
 
