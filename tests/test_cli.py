@@ -43,6 +43,7 @@ def test_bounds_golden_output(capsys):
 CERTIFICATE_GOLDEN = BOUNDS_GOLDEN + (
     "\n"
     "dimension 6:\n"
+    "  no cusp: every 2-face needs >= 5 edges, average must stay < 5: contradiction\n"
     "  one cusp: every 3-face needs >= 12 2-faces, average must stay < 12: contradiction\n"
     "  two cusps, case41: surplus 4 vs deficit 4 against strict average bound 12: contradiction\n"
     "  two cusps, table1: surplus 12 vs deficit 12 against strict average bound 12: contradiction\n"
