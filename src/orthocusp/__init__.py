@@ -7,7 +7,6 @@ bounds for dimensions 6 through 12.
 """
 
 from .core import (
-    DegreeProfile,
     FaceLattice,
     Poly3Error,
     Polyhedron3,

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 from numbers import Rational
 
-from .core import (Edge, Polyhedron3, Poly3Error, RIGHT_ANGLED_PROFILE,
+from .core import (FACE_FLOOR, Edge, Polyhedron3, Poly3Error, RIGHT_ANGLED_PROFILE,
                    require_valid, validate, _norm_edge)
 
 HALF = Fraction(1, 2)
@@ -133,12 +133,10 @@ def parse_angles(text: str) -> dict[Edge, Fraction]:
     return angles
 
 
-def _is_tetrahedron(p: Polyhedron3) -> bool:
-    return p.face_count == 4 and p.face_sizes() == [3, 3, 3, 3]
-
-
-def _is_triangular_prism(p: Polyhedron3) -> bool:
-    return p.face_count == 5 and p.face_sizes() == [3, 3, 4, 4, 4]
+def _outside_scope(p: Polyhedron3) -> bool:
+    """Whether ``p`` is a tetrahedron or a triangular prism, the family both
+    checks leave out; larger polyhedra are decided without sorting faces."""
+    return p.face_count <= 5 and p.face_sizes() in ([3, 3, 3, 3], [3, 3, 4, 4, 4])
 
 
 def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionReport:
@@ -185,7 +183,7 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
             raise Poly3Error(f"finite vertex {v} has degree {d}, need 3 (almost simple)")
 
     report = ConditionReport()
-    if _is_tetrahedron(p) or _is_triangular_prism(p):
+    if _outside_scope(p):
         report.excluded_family = True
         return report
 
@@ -249,7 +247,7 @@ def check_right_angled(p: Polyhedron3) -> ConditionReport:
     """
     incidence = require_valid(p)
     report = ConditionReport()
-    if _is_tetrahedron(p) or _is_triangular_prism(p):
+    if _outside_scope(p):
         report.excluded_family = True
         return report
     report.entries = {k: [] for k in CONDITION_KEYS}
@@ -257,7 +255,7 @@ def check_right_angled(p: Polyhedron3) -> ConditionReport:
 
     for fi, face in enumerate(p.faces):
         cusps = len(graph.cusps[fi])
-        if len(face) + cusps < 5:
+        if len(face) + cusps < FACE_FLOOR:
             report.entries["face_size"].append((fi, len(face), cusps))
 
     for (a, b), shared in incidence.face_pairs.items():

@@ -83,21 +83,13 @@ class Polyhedron3:
         return _derive_face_graph(self, require_valid(self))
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Required edge-degrees: ``finite_degree`` for ordinary vertices,
-    ``ideal_degree`` for cusps."""
+#: Degree profile of right-angled 3-polyhedra, as (finite degree, cusp
+#: degree): trivalent vertices, 4-valent cusps.
+RIGHT_ANGLED_PROFILE = (3, 4)
 
-    finite_degree: int
-    ideal_degree: int
-
-    def __post_init__(self):
-        if self.finite_degree <= 0 or self.ideal_degree <= 0:
-            raise ValueError("degrees must be positive")
-
-
-#: Profile of right-angled 3-polyhedra: trivalent vertices, 4-valent cusps.
-RIGHT_ANGLED_PROFILE = DegreeProfile(finite_degree=3, ideal_degree=4)
+#: Least edge count plus cusp count of a 2-face of a right-angled
+#: polyhedron: five.
+FACE_FLOOR = 5
 
 
 @dataclass(frozen=True)
@@ -228,8 +220,9 @@ def to_poly3(p: Polyhedron3) -> str:
 # validation
 # ---------------------------------------------------------------------------
 
-def validate(p: Polyhedron3, profile: DegreeProfile | None = None) -> ValidationReport:
-    """Check the structural invariants and, optionally, a degree profile.
+def validate(p: Polyhedron3, profile: tuple[int, int] | None = None) -> ValidationReport:
+    """Check the structural invariants and, optionally, a degree profile:
+    a pair (finite degree, cusp degree) such as ``RIGHT_ANGLED_PROFILE``.
 
     All problems are report entries, never exceptions.  Two faces sharing
     more than one edge is legal for the data model but reported as a
@@ -244,9 +237,10 @@ def validate(p: Polyhedron3, profile: DegreeProfile | None = None) -> Validation
     kept = p._validation
     degree_violations = []
     if kept.valid and profile is not None:
+        finite_degree, cusp_degree = profile
         for v, row in enumerate(kept.rotation):
             got = len(row)
-            want = profile.ideal_degree if v in p.ideal_vertices else profile.finite_degree
+            want = cusp_degree if v in p.ideal_vertices else finite_degree
             if got != want:
                 degree_violations.append((v, got, want))
     return ValidationReport(list(kept.violations), list(kept.warnings), degree_violations,

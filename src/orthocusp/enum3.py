@@ -40,8 +40,9 @@ from itertools import combinations
 
 from . import maps
 from .andreev import check_right_angled
-from .core import (Polyhedron3, canonical_code, contract_edge, parse_poly3, require_valid,
-                   to_poly3, validate, RIGHT_ANGLED_PROFILE, _dual_cycles, _norm_edge)
+from .core import (FACE_FLOOR, Polyhedron3, canonical_code, contract_edge, parse_poly3,
+                   require_valid, to_poly3, validate, RIGHT_ANGLED_PROFILE, _dual_cycles,
+                   _norm_edge)
 from .data import load_fixture
 
 FILTER_ALL = "all-almost-simple"
@@ -354,7 +355,7 @@ def _candidates(rot: maps.Rotation, group, num_cusps: int, prefilter: bool):
             for e in pick:
                 for x in (*e, *apexes[e]):
                     sides_and_cusps[x] += 1
-            if min(sides_and_cusps) < 5:
+            if min(sides_and_cusps) < FACE_FLOOR:
                 continue
         cand = rot
         for (u, v) in pick:
@@ -372,16 +373,16 @@ def _level_candidates(level, num_cusps: int, prefilter: bool):
     counted.  Only the codes seen are kept.
 
     With the prefilter on, a triangulation whose deficit (the sum of
-    max(0, 5 - deg) over its vertices) exceeds 2 * ``num_cusps`` is skipped,
-    since none of its candidates would pass the right-angled prefilter of
-    ``_candidates``: a deleted edge leaves the degree plus quadrilateral
-    count of each of its endpoints unchanged and adds 1 at each of its two
-    apexes, so the deficit falls by at most 2 per cusp, and the prefilter
-    needs it to be 0.
+    max(0, FACE_FLOOR - deg) over its vertices) exceeds 2 * ``num_cusps``
+    is skipped, since none of its candidates would pass the right-angled
+    prefilter of ``_candidates``: a deleted edge leaves the degree plus
+    quadrilateral count of each of its endpoints unchanged and adds 1 at
+    each of its two apexes, so the deficit falls by at most 2 per cusp, and
+    the prefilter needs it to be 0.
     """
     seen: set[bytes] = set()
     for rot, group in level:
-        if prefilter and sum(max(0, 5 - len(nbrs)) for nbrs in rot) > 2 * num_cusps:
+        if prefilter and sum(max(0, FACE_FLOOR - len(nbrs)) for nbrs in rot) > 2 * num_cusps:
             continue
         for code, canon, three_connected in _candidates(rot, group, num_cusps, prefilter):
             if code not in seen:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .core import FaceLattice
+from .core import FACE_FLOOR, FaceLattice
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,11 @@ def face_average(lattice: FaceLattice, k: int, l: int) -> Fraction:
 
 def nikulin_rhs(n: int, k: int, l: int) -> Fraction:
     """Right-hand side of the face-average inequality for an acute-angled
-    finite-volume n-polyhedron, valid for l < k <= floor(n/2)."""
+    finite-volume n-polyhedron, valid for l < k <= floor(n/2).  Dimensions
+    above 1000 are refused, so that every value printed stays under 400
+    digits."""
+    if n > 1000:
+        raise ValueError(f"need n <= 1000, got n={n}")
     if not 0 <= l < k:
         raise ValueError(f"need 0 <= l < k, got k={k} l={l}")
     if k > n // 2:
@@ -93,17 +97,17 @@ class SmallDimReport:
 def check_small(lattice: FaceLattice) -> SmallDimReport:
     """Face-count floors in dimensions 2 and 3.
 
-    Dimension 2: edge count plus cusp count at least 5 (so a compact
-    polygon needs at least 5 edges).  Dimension 3: at least 6 faces, and
+    Dimension 2: edge count plus cusp count at least ``FACE_FLOOR`` (so a
+    compact polygon needs five edges).  Dimension 3: at least 6 faces, and
     faces plus twice the cusps at least 12.
     """
     n = lattice.dimension
     if n == 2:
         a1 = lattice.a(1)
         c = lattice.cusp_count()
-        checks = [("a1+c", a1 + c, 5, a1 + c >= 5)]
+        checks = [("a1+c", a1 + c, FACE_FLOOR, a1 + c >= FACE_FLOOR)]
         if c == 0:
-            checks.append(("a1 (compact)", a1, 5, a1 >= 5))
+            checks.append(("a1 (compact)", a1, FACE_FLOOR, a1 >= FACE_FLOOR))
         return SmallDimReport(2, tuple(checks))
     if n == 3:
         a2 = lattice.a(2)
@@ -129,12 +133,12 @@ class CompactExclusion:
 def compact_exclusion(n: int) -> CompactExclusion:
     """Certificate that no compact right-angled n-polyhedron exists.
 
-    Compactness forces every 2-face to carry at least 5 edges, so the
-    average a_2^1 is at least 5; whenever the strict bound is at most 5
-    this is impossible.  Holds for every n >= 5.  The bound equals the
-    floor 5 exactly at n=5 and n=6 and is below it from n=7 on, which is why
-    ``excluded`` compares with ``<=``.
+    Compactness forces every 2-face to carry at least ``FACE_FLOOR`` (five)
+    edges, so the average a_2^1 is at least five; whenever the strict bound
+    is at most five this is impossible.  Holds for every n >= 5.  The bound
+    equals the floor exactly at n=5 and n=6 and is below it from n=7 on,
+    which is why ``excluded`` compares with ``<=``.
     """
     if n < 5:
         raise ValueError("compact exclusion is only claimed for n >= 5")
-    return CompactExclusion(dimension=n, bound=nikulin_rhs(n, 2, 1), floor=5)
+    return CompactExclusion(dimension=n, bound=nikulin_rhs(n, 2, 1), floor=FACE_FLOOR)

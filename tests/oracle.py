@@ -26,8 +26,7 @@ from itertools import combinations
 
 import networkx as nx
 
-from orthocusp.andreev import (HALF, AngleError, ConditionReport, _is_tetrahedron,
-                               _is_triangular_prism, adjacency)
+from orthocusp.andreev import HALF, AngleError, ConditionReport, _outside_scope, adjacency
 from orthocusp.core import Edge, Poly3Error, Polyhedron3, ValidationReport, require_valid
 from orthocusp.maps import MapError
 
@@ -400,12 +399,13 @@ def validate_reference(p, profile=None) -> ValidationReport:
                 ("multi-adjacency", f"faces {a} and {b} share {count} edges"))
 
     if profile is not None and not report.violations:
+        finite_degree, cusp_degree = profile
         degree = {v: 0 for v in range(p.vertex_count)}
         for (u, v) in edge_faces:
             degree[u] += 1
             degree[v] += 1
         for v in range(p.vertex_count):
-            want = profile.ideal_degree if v in p.ideal_vertices else profile.finite_degree
+            want = cusp_degree if v in p.ideal_vertices else finite_degree
             if degree[v] != want:
                 report.degree_violations.append((v, degree[v], want))
     return report
@@ -510,7 +510,7 @@ def check_andreev_reference(p: Polyhedron3, angles: dict[Edge, Fraction]) -> Con
             raise Poly3Error(f"finite vertex {v} has degree {d}, need 3 (almost simple)")
 
     report = ConditionReport()
-    if _is_tetrahedron(p) or _is_triangular_prism(p):
+    if _outside_scope(p):
         report.excluded_family = True
         return report
 

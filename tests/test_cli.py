@@ -94,6 +94,16 @@ def test_nikulin_pins(capsys):
     assert code == 0 and out == "14/3\n"
 
 
+def test_nikulin_refuses_dimension_above_limit(capsys):
+    """A dimension above 1000 exits 2 naming the limit, before computing a
+    value too long to print; at 1000 the value still prints."""
+    code, out, err = run(capsys, "nikulin", "--n", "20000", "--k", "10000", "--l", "1")
+    assert code == 2 and out == ""
+    assert err == "error: need n <= 1000, got n=20000\n"
+    code, out, _ = run(capsys, "nikulin", "--n", "1000", "--k", "500", "--l", "1")
+    assert code == 0 and out.strip().isdigit()
+
+
 def test_nikulin_usage_error(capsys):
     code, _, err = run(capsys, "nikulin")
     assert code == 2

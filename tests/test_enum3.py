@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import hashlib
-import tracemalloc
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
-from orthocusp import (EnumSpec, Polyhedron3, canonical_code, core, dual, enum3,
-                       enumerate_types, maps, to_poly3, validate)
+from orthocusp import (EnumSpec, Polyhedron3, canonical_code, check_right_angled, core, dual,
+                       enum3, enumerate_types, maps, to_poly3, validate)
 from orthocusp.core import RIGHT_ANGLED_PROFILE
 from orthocusp.enum3 import (FILTER_RIGHT_ANGLED, SpecError, _candidates, _dualize,
                              _is_canonical_augmentation, _level_candidates, triangulations)
@@ -475,22 +478,35 @@ def test_emitted_types_keep_no_validation(spec):
     assert all(vars(t.polyhedron).keys() == names for t in report.types)
 
 
+#: Grows the levels to 10 vertices, then prints the process's peak
+#: resident set (``VmHWM``, in kB) before and after the 10-face two-cusp
+#: census, and the census's type count.
+CENSUS_MEMORY_CHILD = """
+from orthocusp.enum3 import EnumSpec, enumerate_types, triangulations
+
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+triangulations(10)
+before = peak_kb()
+report = enumerate_types(EnumSpec(10, 2))
+print(before, peak_kb(), len(report.types))
+"""
+
+
 def test_census_memory_bounded():
     """A census keeps each level's codes and each type's POLY3 text, not a
     rotation per class or a polyhedron per type: with the levels grown,
-    ``enumerate_types(EnumSpec(10, 2))`` peaks below 6 MiB and keeps below
-    4 MiB, as ``tracemalloc`` counts; holding both read 10.8 and 7.5 MiB."""
-    triangulations(10)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        report = enumerate_types(EnumSpec(10, 2))
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(report.types) == 4498
-    assert peak - base < 6 * 2**20
-    assert kept - base < 4 * 2**20
+    ``enumerate_types(EnumSpec(10, 2))`` raises the peak resident set of a
+    fresh process by less than 8 MiB (4.5 MiB here); holding both raised
+    it by 11.2 MiB.  The peak is Linux's ``VmHWM`` in ``/proc/self/status``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(enum3.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", CENSUS_MEMORY_CHILD], env=env,
+                            capture_output=True, text=True, check=True)
+    before, after, types = map(int, result.stdout.split())
+    assert types == 4498
+    assert (after - before) * 1024 < 8 * 2**20
 
 
 def test_deficit_screen_matches_prefilter():
@@ -604,6 +620,17 @@ def test_nonpolyhedral_counted_not_emitted(enum_all_small):
 def test_right_angled_filter_is_a_subset(enum_all_small):
     accepted = enumerate_types(EnumSpec(8, 2, FILTER_RIGHT_ANGLED))
     assert set(accepted.codes) <= set(enum_all_small[2].codes)
+
+
+def test_right_angled_filter_keeps_every_passing_type(enum_all_9):
+    """The prefilter and the deficit screen drop no type that passes
+    ``check_right_angled``: up to 9 faces, with 0, 1 and 2 cusps, the
+    right-angled census is exactly the passing unfiltered types, in order."""
+    for cusps, report in enum_all_9.items():
+        accepted = enumerate_types(EnumSpec(9, cusps, FILTER_RIGHT_ANGLED))
+        passing = [t.code for t in report.types
+                   if check_right_angled(t.polyhedron).verdict == "pass"]
+        assert accepted.codes == passing, cusps
 
 
 def test_right_angled_filter_rejects_after_the_prefilter(monkeypatch):
