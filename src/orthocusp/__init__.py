@@ -23,7 +23,6 @@ from .core import (
 from .andreev import (
     AngleError,
     ConditionReport,
-    adjacency,
     check_andreev,
     check_right_angled,
     parse_angles,

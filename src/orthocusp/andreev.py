@@ -71,20 +71,6 @@ class ConditionReport:
         return out
 
 
-def adjacency(p: Polyhedron3) -> dict[tuple[int, int], list[Edge]]:
-    """Symmetric face-pair table: shared edges of every adjacent pair.
-
-    Entries under both (i, j) and (j, i), edges sorted; a multiplicity
-    above one signals two faces sharing several edges.  A fresh copy of the
-    structural pass's ``face_pairs``.
-    """
-    table = {}
-    for (a, b), shared in require_valid(p).face_pairs.items():
-        table[(a, b)] = list(shared)
-        table[(b, a)] = list(shared)
-    return table
-
-
 def prismatic_circuits(p: Polyhedron3, length: int) -> list[tuple[int, ...]]:
     """All prismatic circuits of the given length (3 or 4) as face tuples,
     one per rotation/reflection class.

@@ -66,13 +66,6 @@ def _read_poly(path):
     return parse_poly3(_read_text(path))
 
 
-def _cache_dir(explicit: str | None) -> Path | None:
-    if explicit:
-        return Path(explicit)
-    env = os.environ.get("ORTHOCUSP_CACHE")
-    return Path(env) if env else None
-
-
 def _poly3_names(cache: Path) -> list[str]:
     """The sorted names ``cache.glob("*.poly3")`` gives, dot-files,
     directories and dangling symlinks included, from one listing; a
@@ -82,6 +75,12 @@ def _poly3_names(cache: Path) -> list[str]:
             return sorted(e.name for e in entries if e.name.endswith(".poly3"))
     except OSError as exc:
         raise _UnreadableInput(f"cannot read {cache}: {exc}") from None
+
+
+def _type_file(code: bytes, faces: int) -> tuple[str, str]:
+    """The name and first line of the census file of the type ``code``."""
+    return (hashlib.sha256(code).hexdigest()[:12] + ".poly3",
+            f"# faces={faces} code={code.hex()}\n")
 
 
 def _write_in_place(path: Path, parts) -> None:
@@ -169,10 +168,10 @@ def cmd_nikulin(args, out: _Out) -> int:
 def cmd_enumerate(args, out: _Out) -> int:
     filt = enum3.FILTER_RIGHT_ANGLED if args.realizable else enum3.FILTER_ALL
     spec = enum3.EnumSpec(args.faces, args.cusps, filt)
-    cache = _cache_dir(args.out)
+    cache = Path(args.out) if args.out else None
     if args.check_cache:
         if cache is None:
-            print("--check-cache needs --out or ORTHOCUSP_CACHE", file=sys.stderr)
+            print("--check-cache needs --out", file=sys.stderr)
             return EXIT_USAGE
         return _check_cache(spec, cache, out)
     report = enum3.enumerate_types(spec)
@@ -186,10 +185,9 @@ def cmd_enumerate(args, out: _Out) -> int:
             cache.mkdir(parents=True, exist_ok=True)
             written = set()
             for t in report.types:
-                name = hashlib.sha256(t.code).hexdigest()[:12] + ".poly3"
+                name, header = _type_file(t.code, t.faces)
                 written.add(name)
-                _write_in_place(cache / name,
-                                (f"# faces={t.faces} code={t.code.hex()}\n", t.poly3))
+                _write_in_place(cache / name, (header, t.poly3))
             # hex keeps the order of the codes as bytes
             _write_in_place(cache / "index.txt",
                             (code.hex() + "\n" for code in sorted(report.codes)))
@@ -206,21 +204,26 @@ def cmd_enumerate(args, out: _Out) -> int:
 
 def _check_cache(spec, cache: Path, out: _Out) -> int:
     """Re-code every cached POLY3 file against ``index.txt``; the cache
-    also fails when a file has more than ``spec.max_faces`` faces, other
-    than ``spec.num_cusps`` ideal vertices or, under the right-angled
-    filter, fails ``check_right_angled``."""
+    also fails when a file's name or first line is not the one
+    ``enumerate --out`` writes for its code, or the file has more than
+    ``spec.max_faces`` faces, other than ``spec.num_cusps`` ideal vertices
+    or, under the right-angled filter, fails ``check_right_angled``."""
     stored = [line.strip() for line in _read_text(cache / "index.txt").splitlines()
               if line.strip()]
     recomputed = []
-    in_spec = True
+    files_ok = True
     for name in _poly3_names(cache):
-        p = _read_poly(cache / name)
-        recomputed.append(canonical_code(p).hex())
-        in_spec = (in_spec and p.face_count <= spec.max_faces
-                   and len(p.ideal_vertices) == spec.num_cusps
-                   and (spec.filter != enum3.FILTER_RIGHT_ANGLED
-                        or andreev.check_right_angled(p).verdict == "pass"))
-    ok = (in_spec and sorted(stored) == sorted(recomputed)
+        text = _read_text(cache / name)
+        p = parse_poly3(text)
+        code = canonical_code(p)
+        recomputed.append(code.hex())
+        header = text.partition("\n")[0] + "\n"
+        files_ok = (files_ok and _type_file(code, p.face_count) == (name, header)
+                    and p.face_count <= spec.max_faces
+                    and len(p.ideal_vertices) == spec.num_cusps
+                    and (spec.filter != enum3.FILTER_RIGHT_ANGLED
+                         or andreev.check_right_angled(p).verdict == "pass"))
+    ok = (files_ok and sorted(stored) == sorted(recomputed)
           and len(stored) == len(set(stored)))
     out.both("cache", "ok" if ok else "MISMATCH",
              f"cache of {len(stored)} codes: {'verified' if ok else 'MISMATCH'}")
@@ -325,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--realizable", action="store_true",
                     help="keep only types passing the right-angled conditions")
     sp.add_argument("--out", help="directory for POLY3 files and index.txt; other"
-                                  " *.poly3 files there are deleted"
-                                  " (default: $ORTHOCUSP_CACHE if set)")
+                                  " *.poly3 files there are deleted")
     sp.add_argument("--check-cache", action="store_true",
                     help="verify a previously written cache instead of regenerating")
 

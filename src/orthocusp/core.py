@@ -63,9 +63,6 @@ class Polyhedron3:
     def face_sizes(self) -> list[int]:
         return sorted(len(f) for f in self.faces)
 
-    def vertex_degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     @cached_property
     def _edges(self) -> tuple[Edge, ...]:
         """The edge list ``edges`` copies, built once per instance."""

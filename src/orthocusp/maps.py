@@ -89,9 +89,8 @@ def _connected(rows: Sequence[Sequence[int]]) -> bool:
 # ---------------------------------------------------------------------------
 
 #: Labels and degrees are written as single bytes below 254, the row end,
-#: so codes are injective only up to this many vertices.  252 and 253 were
-#: the separators of the face tail, which is gone; the limit stays at 252
-#: so that the accepted sizes do not change.
+#: so codes are injective only up to this many vertices.  The limit stays
+#: at 252 so that the accepted sizes do not change.
 MAX_CODE_VERTICES = 252
 
 

@@ -14,8 +14,9 @@ rotation builder it called, the face adjacency table and edge
 contraction as they were before they read the validation report, the
 acute-angled check as it was when it summed ``Fraction`` angles, and
 the full vertex code of one rooted traversal of a rotation system.
-The acute-angled check reads the package's face graph, ``adjacency`` table
-and report type, so only its arithmetic is independent.
+The acute-angled check reads its face-pair table from the face cycles;
+its face graph, rotation system, excluded-family test and report type
+come from the package.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import combinations
 
 import networkx as nx
 
-from orthocusp.andreev import HALF, AngleError, ConditionReport, _outside_scope, adjacency
+from orthocusp.andreev import HALF, AngleError, ConditionReport, _outside_scope
 from orthocusp.core import Edge, Poly3Error, Polyhedron3, ValidationReport, require_valid
 from orthocusp.maps import MapError
 
@@ -416,8 +417,10 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
 
 
 def adjacency_reference(p):
-    """``andreev.adjacency`` of a valid polyhedron by a scan of its faces:
-    each edge records the faces it lies on, in order of first appearance."""
+    """The symmetric face-pair table of a valid polyhedron by a scan of
+    its faces: the shared edges, sorted, of every adjacent pair under both
+    (a, b) and (b, a); each edge records the faces it lies on, in order of
+    first appearance."""
     edge_owner: dict[tuple[int, int], list[int]] = {}
     for fi, face in enumerate(p.faces):
         k = len(face)
@@ -449,13 +452,14 @@ def _follows(face, u: int, v: int) -> bool:
 
 def contract_edge_reference(p, e):
     """``core.contract_edge`` of a valid polyhedron, reading the edge list,
-    the degrees and the faces through the edge from the face cycles."""
+    the degrees, as the faces through each vertex, and the faces through
+    the edge from the face cycles."""
     u, v = e
     if _norm_edge(u, v) not in set(p.edges):
         raise Poly3Error(f"{e} is not an edge")
     if u in p.ideal_vertices or v in p.ideal_vertices:
         raise Poly3Error("contraction endpoint is already ideal")
-    if p.vertex_degree(u) != 3 or p.vertex_degree(v) != 3:
+    if any(sum(x in f for f in p.faces) != 3 for x in (u, v)):
         raise Poly3Error("contraction endpoints must have degree 3")
     through = [f for f in p.faces if _edge_on_face(f, u, v)]
     if len(through) != 2:
@@ -516,7 +520,7 @@ def check_andreev_reference(p: Polyhedron3, angles: dict[Edge, Fraction]) -> Con
 
     report.entries = {k: [] for k in ("a", "b", "c", "d", "e")}
     graph = p._face_graph
-    table = adjacency(p)
+    table = adjacency_reference(p)
 
     for v, at in enumerate(edges_at):
         total = sum(angles[e] for e in at)

@@ -9,7 +9,6 @@ import pytest
 from orthocusp import (
     AngleError,
     Poly3Error,
-    adjacency,
     check_andreev,
     check_right_angled,
     contract_edge,
@@ -19,37 +18,39 @@ from orthocusp import (
     right_angles,
 )
 from orthocusp.andreev import HALF
+from orthocusp.core import require_valid
 from oracle import check_andreev_reference, prismatic_circuits_by_scan
 
 
 def test_adjacency_cube(cube):
-    table = adjacency(cube)
-    neighbours = {}
-    for (a, b), edges in table.items():
-        neighbours.setdefault(a, []).append(len(edges))
-    assert all(sorted(v) == [1, 1, 1, 1] for v in neighbours.values())
+    """The cube's 12 adjacent face pairs share one edge each, 4 per face."""
+    pairs = require_valid(cube).face_pairs
+    assert len(pairs) == 12
+    assert all(len(edges) == 1 for edges in pairs.values())
+    assert Counter(face for pair in pairs for face in pair) == Counter(dict.fromkeys(range(6), 4))
 
 
 def test_adjacency_dodecahedron(dodecahedron):
-    table = adjacency(dodecahedron)
-    for face in range(12):
-        assert sum(1 for (a, _b) in table if a == face) == 5
+    pairs = require_valid(dodecahedron).face_pairs
+    assert Counter(face for pair in pairs for face in pair) == Counter(dict.fromkeys(range(12), 5))
 
 
 def test_adjacency_multiplicity_recorded():
     from orthocusp import parse_poly3
     pillow = parse_poly3("poly3 v1\nvertices: 4\nideal:\nface: 0 1 2 3\nface: 1 0 3 2\n")
-    table = adjacency(pillow)
-    assert len(table[(0, 1)]) == 4
+    assert len(require_valid(pillow).face_pairs[(0, 1)]) == 4
 
 
 def test_adjacency_matches_reference(incidence_corpus):
-    """The table equals the face-scan reference's, key order included,
-    which sets the order of the single_shared_edge witnesses."""
+    """The face-pair table equals the face-scan reference's pairs with
+    a < b, key order included, which sets the order of the
+    single_shared_edge witnesses."""
     from oracle import adjacency_reference
 
     for p in incidence_corpus:
-        assert list(adjacency(p).items()) == list(adjacency_reference(p).items()), p
+        reference = [((a, b), tuple(edges))
+                     for (a, b), edges in adjacency_reference(p).items() if a < b]
+        assert list(require_valid(p).face_pairs.items()) == reference, p
 
 
 def test_prismatic_3_circuits_prism(prism):
@@ -240,7 +241,7 @@ def test_andreev_witness_order_on_a_doubly_shared_pair():
     assert report.valid
     assert report.warnings == [("multi-adjacency", "faces 6 and 7 share 2 edges")]
     assert prismatic_circuits(p, 3) == [(2, 6, 7), (5, 6, 7)]
-    assert adjacency(p)[(7, 6)] == [(0, 6), (3, 9)]
+    assert require_valid(p).face_pairs[(6, 7)] == ((0, 6), (3, 9))
     assert check_right_angled(p).witnesses("single_shared_edge") == [
         (6, 7, [(0, 6), (3, 9)])]
     angles = right_angles(p)
@@ -346,7 +347,7 @@ def test_right_angled_matches_andreev_on_corpus(enum_all_small):
             p = t.polyhedron
             ra = check_right_angled(p)
             andv = check_andreev(p, right_angles(p))
-            cusps_ok = all(p.vertex_degree(v) == 4 for v in p.ideal_vertices)
+            cusps_ok = all(len(require_valid(p).rotation[v]) == 4 for v in p.ideal_vertices)
             sizes_ok = all(
                 len(f) + sum(1 for v in f if v in p.ideal_vertices) >= 5
                 for f in p.faces)
@@ -415,7 +416,6 @@ def test_audit_chain_makes_one_structural_pass(one_cusp_12, monkeypatch, first):
 
     from orthocusp import (RIGHT_ANGLED_PROFILE, canonical_code, core, nikulin,
                            to_face_lattice, validate)
-    from orthocusp.core import require_valid
 
     p = replace(one_cusp_12)   # a fresh instance: nothing is kept on it yet
     calls = Counter()
@@ -450,9 +450,9 @@ def test_audit_chain_makes_one_structural_pass(one_cusp_12, monkeypatch, first):
 
 
 def test_face_graph_derived_once(one_cusp_12, monkeypatch):
-    """Both checks, ``adjacency`` and ``prismatic_circuits`` on one instance
-    derive its face graph once, and what they return is the caller's: a
-    mutated table, circuit list or report leaves a later check unchanged."""
+    """Both checks and ``prismatic_circuits`` on one instance derive its
+    face graph once, and what they return is the caller's: a mutated
+    circuit list or report leaves a later check unchanged."""
     from copy import deepcopy
     from dataclasses import replace
 
@@ -470,13 +470,10 @@ def test_face_graph_derived_once(one_cusp_12, monkeypatch):
     first = check_right_angled(p)
     expected = deepcopy(first.entries)
     check_andreev(p, right_angles(p))
-    table = adjacency(p)
     circuits = {length: prismatic_circuits(p, length) for length in (3, 4)}
     assert derived["graph"] == 1
 
     # each change would add a witness to a report that read it
-    next(iter(table.values())).append((0, 1))
-    table[(0, 1)] = table[(1, 0)] = [(0, 1), (1, 2)]
     circuits[3].append((0, 1, 2))
     circuits[4].append((0, 1, 2, 3))
     for witnesses in first.entries.values():
@@ -604,7 +601,7 @@ def test_andreev_matches_reference_at_boundaries(angle_corpus):
             continue   # refused, or outside the criterion's scope
         triple = rng.choice(EXACT_TRIPLES)
         finite = [v for v in range(p.vertex_count)
-                  if v not in p.ideal_vertices and p.vertex_degree(v) == 3]
+                  if v not in p.ideal_vertices and len(require_valid(p).rotation[v]) == 3]
         if finite:
             v = rng.choice(finite)
             angles = right_angles(p)
@@ -613,9 +610,9 @@ def test_andreev_matches_reference_at_boundaries(angle_corpus):
             entries = assert_matches_reference(p, angles)[0]
             assert (v, Fraction(1)) in entries["a"]
             seen["vertex"] += 1
-        table = adjacency(p)
+        table = require_valid(p).face_pairs
         for circ in prismatic_circuits(p, 3):
-            a, b, c = circ
+            a, b, c = sorted(circ)   # face_pairs keys each pair as a < b
             pairs = [table[(a, b)], table[(a, c)], table[(b, c)]]
             if any(len(shared) != 1 for shared in pairs):
                 continue

@@ -749,14 +749,28 @@ def test_unlistable_cache_is_an_io_error(capsys, tmp_path, monkeypatch, check):
 
 
 def test_cache_check_detects_tampering(capsys, tmp_path):
+    """The check fails a forged index, two type files whose contents are
+    swapped, and a forged ``code=`` in a file's first line; with the
+    files put back it passes."""
     out_dir = tmp_path / "types"
-    run(capsys, "enumerate", "--faces", "7", "--cusps", "0", "--realizable",
-        "--out", str(out_dir))
+    census = ["--machine", "enumerate", "--faces", "7", "--cusps", "0", "--out", str(out_dir)]
+    run(capsys, *census)
+    check = [*census, "--check-cache"]
+    index = (out_dir / "index.txt").read_text()
     (out_dir / "index.txt").write_text("deadbeef\n")
-    code, out, _ = run(capsys, "enumerate", "--faces", "7", "--cusps", "0",
-                       "--realizable", "--out", str(out_dir), "--check-cache")
-    assert code == 1
-    assert "MISMATCH" in out
+    assert run(capsys, *check)[:2] == (1, "cache=MISMATCH\n")
+    (out_dir / "index.txt").write_text(index)
+    first, second = sorted(out_dir.glob("*.poly3"))[:2]
+    texts = first.read_text(), second.read_text()
+    first.write_text(texts[1])
+    second.write_text(texts[0])
+    assert run(capsys, *check)[:2] == (1, "cache=MISMATCH\n")
+    first.write_text(texts[0])
+    second.write_text(texts[1])
+    assert run(capsys, *check)[:2] == (0, "cache=ok\n")
+    header, rest = texts[0].split("\n", 1)
+    first.write_text(header.split("code=")[0] + "code=00\n" + rest)
+    assert run(capsys, *check)[:2] == (1, "cache=MISMATCH\n")
 
 
 def test_cache_check_refuses_oversized_polyhedron(capsys, tmp_path, k_gonal_prism):
@@ -802,10 +816,19 @@ def test_cache_check_under_realizable(capsys, tmp_path, faces, cusps, realizable
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("ORTHOCUSP_CACHE", str(tmp_path / "envcache"))
+    """``ORTHOCUSP_CACHE`` names no census directory: plain ``enumerate``
+    only counts, leaving that directory as it was, and ``--check-cache``
+    still needs ``--out``."""
+    env_dir = tmp_path / "envcache"
+    env_dir.mkdir()
+    (env_dir / "mine.poly3").write_text("kept\n")
+    monkeypatch.setenv("ORTHOCUSP_CACHE", str(env_dir))
     code, out, _ = run(capsys, "enumerate", "--faces", "6", "--cusps", "0")
-    assert code == 0
-    assert (tmp_path / "envcache" / "index.txt").exists()
+    assert code == 0 and out.splitlines()[-1] == "total: 4"
+    assert [path.name for path in env_dir.iterdir()] == ["mine.poly3"]
+    assert (env_dir / "mine.poly3").read_text() == "kept\n"
+    code, _, err = run(capsys, "enumerate", "--faces", "6", "--cusps", "0", "--check-cache")
+    assert (code, err) == (2, "--check-cache needs --out\n")
 
 
 def test_enumerate_out_removes_stale_type_files(capsys, tmp_path):
@@ -842,11 +865,10 @@ def test_enumerate_over_cap(capsys):
     assert "cap" in err
 
 
-def test_enumerate_tallies_nonpolyhedral(capsys, monkeypatch):
+def test_enumerate_tallies_nonpolyhedral(capsys):
     """Plain ``enumerate`` of the 8-face two-cusp census prints the types
     per face count, the 43 complexes that are not 3-connected and the
     total, and writes no census."""
-    monkeypatch.delenv("ORTHOCUSP_CACHE", raising=False)
     code, out, _ = run(capsys, "enumerate", "--faces", "8", "--cusps", "2")
     assert code == 0
     assert out.splitlines() == [

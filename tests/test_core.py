@@ -15,6 +15,7 @@ from orthocusp import (
     to_poly3,
     validate,
 )
+from orthocusp.core import require_valid
 from orthocusp.data import FIXTURES, fixture_text, load_fixture
 
 
@@ -139,7 +140,7 @@ def test_contracted_dodecahedron_profile(one_cusp_12):
 def test_cusp_lies_on_four_faces_and_edges(one_cusp_12):
     cusp = next(iter(one_cusp_12.ideal_vertices))
     assert sum(cusp in f for f in one_cusp_12.faces) == 4
-    assert one_cusp_12.vertex_degree(cusp) == 4
+    assert len(require_valid(one_cusp_12).rotation[cusp]) == 4
 
 
 def test_validate_flags_bad_euler():
@@ -263,7 +264,6 @@ def test_validate_report_cannot_change_the_kept_pass():
     its fields frozen, so each write raises and the later checks and the
     face lattice read what they read before."""
     from orthocusp import check_right_angled
-    from orthocusp.core import require_valid
 
     p = load_fixture("dodecahedron")
 
@@ -445,7 +445,7 @@ def test_code_mark_position_matters(one_cusp_12, rng):
     p = one_cusp_12
     cusp = next(iter(p.ideal_vertices))
     other = next(v for v in range(p.vertex_count)
-                 if v != cusp and p.vertex_degree(v) == 3)
+                 if v != cusp and len(require_valid(p).rotation[v]) == 3)
     moved = Polyhedron3(p.vertex_count, frozenset({other}), p.faces)
     assert canonical_code(moved) != canonical_code(p)
 
