@@ -168,12 +168,10 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
         elif d != 3:
             raise Poly3Error(f"finite vertex {v} has degree {d}, need 3 (almost simple)")
 
-    report = ConditionReport()
     if _outside_scope(p):
-        report.excluded_family = True
-        return report
+        return ConditionReport(excluded_family=True)
 
-    report.entries = {k: [] for k in ("a", "b", "c", "d", "e")}
+    entries = {k: [] for k in ("a", "b", "c", "d", "e")}
     graph = p._face_graph
     pairs = incidence.face_pairs
     # each angle as x/L over the common denominator L: pi is L, pi/2 is 2x == L
@@ -188,13 +186,13 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
         if v in p.ideal_vertices:
             if len(nbrs) == 3:
                 if total[v] != L:
-                    report.entries["a"].append((v, Fraction(total[v], L)))
+                    entries["a"].append((v, Fraction(total[v], L)))
             # no angle exceeds pi/2, so four sum to 2 pi only when all are pi/2
             elif total[v] != 2 * L:
                 at = [_norm_edge(v, u) for u in sorted(nbrs)]
-                report.entries["b"].append((v, [e for e in at if 2 * x[e] != L]))
+                entries["b"].append((v, [e for e in at if 2 * x[e] != L]))
         elif total[v] <= L:
-            report.entries["a"].append((v, Fraction(total[v], L)))
+            entries["a"].append((v, Fraction(total[v], L)))
 
     def pair_angles(a: int, b: int):   # face_pairs keys each pair as a < b
         return [x[e] for e in pairs[_norm_edge(a, b)]]
@@ -205,19 +203,19 @@ def check_andreev(p: Polyhedron3, angles: dict[Edge, Fraction]) -> ConditionRepo
             for xb in pair_angles(a, c):
                 for xc in pair_angles(b, c):
                     if xa + xb + xc >= L:
-                        report.entries["c"].append((circ, Fraction(xa + xb + xc, L)))
+                        entries["c"].append((circ, Fraction(xa + xb + xc, L)))
 
     # (d): at each flank F_i of a cusp shared by F_j, F_k, some angle is not 1/2
     for i, j, k, cusps in graph.flanks:
         if all(2 * y == L for y in pair_angles(i, j) + pair_angles(i, k)):
-            report.entries["d"].append((i, j, k, list(cusps)))
+            entries["d"].append((i, j, k, list(cusps)))
 
     for circ in graph.circuits4:
         a, b, c, d = circ
         ring = [(a, b), (b, c), (c, d), (d, a)]
         if all(2 * y == L for u, w in ring for y in pair_angles(u, w)):
-            report.entries["e"].append((circ,))
-    return report
+            entries["e"].append((circ,))
+    return ConditionReport(entries)
 
 
 def check_right_angled(p: Polyhedron3) -> ConditionReport:
@@ -232,29 +230,27 @@ def check_right_angled(p: Polyhedron3) -> ConditionReport:
     share a cusp avoiding a common neighbour face.
     """
     incidence = require_valid(p)
-    report = ConditionReport()
     if _outside_scope(p):
-        report.excluded_family = True
-        return report
-    report.entries = {k: [] for k in CONDITION_KEYS}
+        return ConditionReport(excluded_family=True)
+    entries = {k: [] for k in CONDITION_KEYS}
     graph = p._face_graph
 
     for fi, face in enumerate(p.faces):
         cusps = len(graph.cusps[fi])
         if len(face) + cusps < FACE_FLOOR:
-            report.entries["face_size"].append((fi, len(face), cusps))
+            entries["face_size"].append((fi, len(face), cusps))
 
     for (a, b), shared in incidence.face_pairs.items():
         if len(shared) > 1:
-            report.entries["single_shared_edge"].append((a, b, list(shared)))
+            entries["single_shared_edge"].append((a, b, list(shared)))
 
     for v, d, _ in validate(p, RIGHT_ANGLED_PROFILE).degree_violations:
         key = "cusp_degree" if v in p.ideal_vertices else "vertex_degree"
-        report.entries[key].append((v, d))
+        entries[key].append((v, d))
 
     for circ in graph.circuits3:
-        report.entries["c"].append((circ, Fraction(3, 2)))
+        entries["c"].append((circ, Fraction(3, 2)))
     for circ in graph.circuits4:
-        report.entries["e"].append((circ,))
-    report.entries["d"].extend((i, j, k, list(cusps)) for i, j, k, cusps in graph.flanks)
-    return report
+        entries["e"].append((circ,))
+    entries["d"].extend((i, j, k, list(cusps)) for i, j, k, cusps in graph.flanks)
+    return ConditionReport(entries)

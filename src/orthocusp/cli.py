@@ -123,7 +123,7 @@ def cmd_andreev(args, out: _Out) -> int:
     for line in report.lines():
         out.text(line)
     out.kv("verdict", report.verdict)
-    return EXIT_OK if report.verdict == "pass" else EXIT_CHECK_FAILED
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def cmd_right_angled(args, out: _Out) -> int:
@@ -132,7 +132,7 @@ def cmd_right_angled(args, out: _Out) -> int:
     for line in report.lines():
         out.text(line)
     out.kv("verdict", report.verdict)
-    return EXIT_OK if report.verdict == "pass" else EXIT_CHECK_FAILED
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def cmd_nikulin(args, out: _Out) -> int:
@@ -166,8 +166,7 @@ def cmd_nikulin(args, out: _Out) -> int:
 
 
 def cmd_enumerate(args, out: _Out) -> int:
-    filt = enum3.FILTER_RIGHT_ANGLED if args.realizable else enum3.FILTER_ALL
-    spec = enum3.EnumSpec(args.faces, args.cusps, filt)
+    spec = enum3.EnumSpec(args.faces, args.cusps, args.realizable)
     cache = Path(args.out) if args.out else None
     if args.check_cache:
         if cache is None:
@@ -205,9 +204,8 @@ def cmd_enumerate(args, out: _Out) -> int:
 def _check_cache(spec, cache: Path, out: _Out) -> int:
     """Re-code every cached POLY3 file against ``index.txt``; the cache
     also fails when a file's name or first line is not the one
-    ``enumerate --out`` writes for its code, or the file has more than
-    ``spec.max_faces`` faces, other than ``spec.num_cusps`` ideal vertices
-    or, under the right-angled filter, fails ``check_right_angled``."""
+    ``enumerate --out`` writes for its code, or ``spec`` does not admit
+    the file's polyhedron."""
     stored = [line.strip() for line in _read_text(cache / "index.txt").splitlines()
               if line.strip()]
     recomputed = []
@@ -219,10 +217,7 @@ def _check_cache(spec, cache: Path, out: _Out) -> int:
         recomputed.append(code.hex())
         header = text.partition("\n")[0] + "\n"
         files_ok = (files_ok and _type_file(code, p.face_count) == (name, header)
-                    and p.face_count <= spec.max_faces
-                    and len(p.ideal_vertices) == spec.num_cusps
-                    and (spec.filter != enum3.FILTER_RIGHT_ANGLED
-                         or andreev.check_right_angled(p).verdict == "pass"))
+                    and spec.admits(p))
     ok = (files_ok and sorted(stored) == sorted(recomputed)
           and len(stored) == len(set(stored)))
     out.both("cache", "ok" if ok else "MISMATCH",

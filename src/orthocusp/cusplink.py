@@ -251,6 +251,9 @@ class AveragingVerdict:
 
     @property
     def margin(self) -> int:
+        """Surplus count minus total deficit.  ``verify_builtin`` derives
+        rows only up to the deficit (``derive_rows(t, case_deficit(t))``),
+        so on a complete certificate the margin is 0, never positive."""
         return self.surplus_count - self.deficit_sum
 
     def line(self) -> str:

@@ -45,14 +45,11 @@ from .core import (FACE_FLOOR, Polyhedron3, canonical_code, contract_edge, parse
                    _norm_edge)
 from .data import load_fixture
 
-FILTER_ALL = "all-almost-simple"
-FILTER_RIGHT_ANGLED = "right-angled-accepted"
-
-#: Largest face budget ``enumerate_types`` accepts.
-DEFAULT_CAP = 13
-
-#: Lower caps by (cusp count, filter), for censuses that outgrow memory.
-_CAPS = {(2, FILTER_ALL): 12}
+#: The requests the enumeration covers, by (cusp count, realizable), each
+#: with the largest face budget ``enumerate_types`` accepts.  The
+#: unfiltered two-cusp census stops at 12: at 13 faces it outgrows memory.
+_CAPS = {(0, False): 13, (0, True): 13, (1, False): 13, (1, True): 13,
+         (2, False): 12, (2, True): 13}
 
 
 class SpecError(ValueError):
@@ -61,17 +58,53 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class EnumSpec:
+    """A census request; ``_CAPS`` lists the requests there are."""
+
     max_faces: int
     num_cusps: int
-    filter: str = FILTER_ALL
+    realizable: bool = False
 
     def __post_init__(self):
-        if self.num_cusps not in (0, 1, 2):
-            raise SpecError("cusp count must be 0, 1 or 2")
-        if self.filter not in (FILTER_ALL, FILTER_RIGHT_ANGLED):
-            raise SpecError(f"unknown filter {self.filter!r}")
+        if not isinstance(self.realizable, bool) or (self.num_cusps, self.realizable) not in _CAPS:
+            raise SpecError(f"no census covers cusp count {self.num_cusps!r}"
+                            f" with realizable={self.realizable!r}")
         if self.max_faces < 4:
             raise SpecError("a polyhedron needs at least 4 faces")
+
+    def admits(self, p: Polyhedron3) -> bool:
+        """Whether the census holds ``p``: at most ``max_faces`` faces,
+        ``num_cusps`` cusps, almost simple with no two faces sharing two
+        edges, a 3-connected dual map, and under ``realizable`` passing
+        ``check_right_angled``, as ``enumerate_types`` builds its types."""
+        if p.face_count > self.max_faces or len(p.ideal_vertices) != self.num_cusps:
+            return False
+        report = validate(p, RIGHT_ANGLED_PROFILE)
+        return (report.clean and not report.warnings and _opposite_faces_meet_once(p, report)
+                and (not self.realizable or check_right_angled(p).passed))
+
+
+def _opposite_faces_meet_once(p: Polyhedron3, incidence) -> bool:
+    """Whether no two faces opposite each other at a cusp of the almost
+    simple ``p``, with validation report ``incidence``, share a vertex
+    besides that cusp: whether the dual map Q of ``p`` is 3-connected.
+
+    Q has a triangle per finite vertex of ``p`` and a quadrilateral per
+    cusp; as no face of ``p`` repeats a vertex and no two share two edges,
+    Q is simple and its faces are cycles.  As in ``_candidates``, a pair
+    {x, y} separates Q only when a closed curve through two faces holding
+    both meets Q in x and y alone and has vertices on either side; were xy
+    a side of both faces, one side would hold only that edge.  So a
+    separating pair is two opposite corners of a quadrilateral that lie on
+    a second common face, and any such pair separates the other two
+    corners.  On the side of ``p``, those are two faces opposite each
+    other at a cusp that meet again.
+    """
+    rotation, face_of = incidence.rotation, incidence.face_of
+    for cusp in p.ideal_vertices:
+        f0, f1, f2, f3 = (p.faces[face_of[u, cusp]] for u in rotation[cusp])
+        if len(set(f0).intersection(f2)) > 1 or len(set(f1).intersection(f3)) > 1:
+            return False
+    return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -410,17 +443,16 @@ def enumerate_types(spec: EnumSpec) -> EnumReport:
 
     Output is deterministic (types sorted by faces, then code).  Complexes
     passing all local checks but failing 3-connectivity are tallied
-    separately, never emitted.  Budgets above ``DEFAULT_CAP`` faces, or a
-    lower cap in ``_CAPS``, are refused before any growth.
+    separately, never emitted.  A budget above the request's cap in
+    ``_CAPS`` is refused before any growth.
     """
-    cap = _CAPS.get((spec.num_cusps, spec.filter), DEFAULT_CAP)
+    cap = _CAPS[spec.num_cusps, spec.realizable]
     if spec.max_faces > cap:
         raise SpecError(f"face budget {spec.max_faces} above cap {cap}")
-    prefilter = spec.filter == FILTER_RIGHT_ANGLED
     report = EnumReport()
     for n in range(4, spec.max_faces + 1):
         triangulations(n)
-        for _, rot in _level_candidates(_LEVELS[n], spec.num_cusps, prefilter):
+        for _, rot in _level_candidates(_LEVELS[n], spec.num_cusps, spec.realizable):
             if rot is None:
                 report.nonpolyhedral_by_faces[n] = report.nonpolyhedral_by_faces.get(n, 0) + 1
                 continue
@@ -432,7 +464,7 @@ def enumerate_types(spec: EnumSpec) -> EnumReport:
                 raise AssertionError(f"enumerated type fails validation: {rep.lines()}")
             if len(p.ideal_vertices) != spec.num_cusps:
                 raise AssertionError("cusp count mismatch after dualisation")
-            if prefilter and check_right_angled(p).verdict != "pass":
+            if spec.realizable and not check_right_angled(p).passed:
                 continue
             report.types.append(EnumeratedType(
                 code=canonical_code(p), faces=n, poly3=to_poly3(p)))
@@ -489,7 +521,7 @@ def verify_lemma31() -> OneCuspMinimumReport:
     that the sizes alternate 4,5,4,5 around the cusp with the
     quadrilaterals non-adjacent (the parallel pair), and that it equals the
     contracted dodecahedron."""
-    report = enumerate_types(EnumSpec(ONE_CUSP_FLOOR, 1, FILTER_RIGHT_ANGLED))
+    report = enumerate_types(EnumSpec(ONE_CUSP_FLOOR, 1, realizable=True))
     counts = dict(report.counts_by_faces)
     face_sizes = []
     cusp_cycle = ()
@@ -545,7 +577,7 @@ def two_cusp_minima() -> TwoCuspMinimaReport:
     floor of their class.  The census runs up to the largest floor, so
     every floor is checked from below and must be reached."""
     budget = max(TWO_CUSP_FLOORS.values())
-    report = enumerate_types(EnumSpec(budget, 2, FILTER_RIGHT_ANGLED))
+    report = enumerate_types(EnumSpec(budget, 2, realizable=True))
     counts: dict[tuple[int, int], int] = {}
     violations = []
     for typ in report.types:

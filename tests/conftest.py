@@ -117,7 +117,7 @@ def enum_all_small():
 
 @pytest.fixture(scope="session")
 def enum_right_angled_compact_12():
-    return enum3.enumerate_types(enum3.EnumSpec(12, 0, enum3.FILTER_RIGHT_ANGLED))
+    return enum3.enumerate_types(enum3.EnumSpec(12, 0, realizable=True))
 
 
 @pytest.fixture(scope="session")

@@ -13,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from orthocusp import bounds, cli, contract_edge, cusplink, enum3, to_poly3
+from orthocusp import (bounds, canonical_code, cli, contract_edge, cusplink, enum3, maps,
+                       to_poly3)
 from orthocusp.cli import main
-from orthocusp.data import FIXTURES
+from orthocusp.data import FIXTURES, load_fixture
 
 FIXTURE_DIR = resources.files("orthocusp.data")
 
@@ -813,6 +814,42 @@ def test_cache_check_under_realizable(capsys, tmp_path, faces, cusps, realizable
                        "--realizable", "--out", str(out_dir), "--check-cache")
     assert out == f"cache={verdict}\n"
     assert code == (0 if verdict == "ok" else 1)
+
+
+def _not_three_connected_one_cusp_type():
+    """The dual of the first 1-cusp candidate that the pick verdict calls
+    not 3-connected: two faces opposite at its cusp share a second
+    vertex."""
+    for n in range(4, 9):
+        enum3.triangulations(n)
+        for rot, group in enum3._LEVELS[n]:
+            for _, canon, three_connected in enum3._candidates(rot, group, 1, False):
+                if not three_connected:
+                    return enum3._dualize(canon, *maps.faces_of_rotation(canon))
+
+
+@pytest.mark.parametrize("faces, cusps, forged", [
+    ("6", "0", lambda: load_fixture("square_pyramid")),
+    ("8", "1", _not_three_connected_one_cusp_type)], ids=["square-pyramid", "not-3-connected"])
+def test_cache_check_refuses_a_type_no_census_holds(capsys, tmp_path, faces, cusps, forged):
+    """A census with one more file, named and headed for its code and
+    listed in ``index.txt``, within the face budget and with the requested
+    cusps, fails the check when the census cannot hold its type: the
+    square pyramid, whose apex of degree 4 is not a cusp, or a type whose
+    dual map is not 3-connected."""
+    out_dir = tmp_path / "types"
+    census = ["--machine", "enumerate", "--faces", faces, "--cusps", cusps, "--out", str(out_dir)]
+    run(capsys, *census)
+    assert run(capsys, *census, "--check-cache")[:2] == (0, "cache=ok\n")
+    p = forged()
+    assert p.face_count <= int(faces) and len(p.ideal_vertices) == int(cusps)
+    code = canonical_code(p)
+    name, header = cli._type_file(code, p.face_count)
+    assert not (out_dir / name).exists()
+    (out_dir / name).write_text(header + to_poly3(p))
+    with open(out_dir / "index.txt", "a") as index:
+        index.write(code.hex() + "\n")
+    assert run(capsys, *census, "--check-cache")[:2] == (1, "cache=MISMATCH\n")
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):

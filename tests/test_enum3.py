@@ -7,7 +7,7 @@ import sys
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial
 from pathlib import Path
 
@@ -16,7 +16,7 @@ import pytest
 from orthocusp import (EnumSpec, Polyhedron3, canonical_code, check_right_angled, core, dual,
                        enum3, enumerate_types, maps, to_poly3, validate)
 from orthocusp.core import RIGHT_ANGLED_PROFILE
-from orthocusp.enum3 import (FILTER_RIGHT_ANGLED, SpecError, _candidates, _dualize,
+from orthocusp.enum3 import (SpecError, _candidates, _dualize,
                              _is_canonical_augmentation, _level_candidates, triangulations)
 from oracle import edge_set, is_three_connected
 
@@ -83,6 +83,59 @@ def test_tutte_mass_formula():
         assert _mass(n) == _tutte_count(n), n
         masses.append(_mass(n))
     assert masses == [1, 3, 13, 68, 399, 2530, 16965, 118668, 857956]
+
+
+def _cusped_mass_sides(n, c):
+    """Both sides of the mass identity for c cusps at level n.
+
+    Left: each triangulation T weighted by 1/|Aut±T| times its picks of c
+    pairwise non-cofacial edges that leave every degree at least 3 and
+    that the pick verdict of ``_candidates`` calls 3-connected.  Right:
+    each 3-connected class Q that ``_level_candidates`` yields, weighted
+    by 1/|Aut±Q| times its completions, the choices of one diagonal per
+    quadrilateral that is no edge of Q and no other chosen diagonal.  Both
+    count the pairs (T, pick) up to isomorphism, each over its stabiliser,
+    so a lost class lowers the right side and a repeated one raises it."""
+    left = Fraction(0)
+    for rot, group in enum3._LEVELS[n]:
+        triangles = {frozenset(f) for f in maps.faces_of_rotation(rot)[0]}
+        apexes = {(u, v): (nbrs[t - 1], nbrs[(t + 1) % len(nbrs)])
+                  for u, nbrs in enumerate(rot) for t, v in enumerate(nbrs) if u < v}
+        picks = 0
+        for pick in combinations(apexes, c):
+            if any(frozenset(e + f) in triangles for e, f in combinations(pick, 2)):
+                continue
+            lost = Counter(x for e in pick for x in e)
+            if any(len(nbrs) - lost[x] < 3 for x, nbrs in enumerate(rot)):
+                continue
+            pairs = {apexes[e] for e in pick}
+            picks += len({frozenset(ab) for ab in pairs}) == c and all(
+                b not in rot[a] for a, b in pairs)
+        left += Fraction(picks, 1 + len(group))
+    right = Fraction(0)
+    for _, canon in _level_candidates(enum3._LEVELS[n], c, False):
+        if canon is None:
+            continue
+        edges = {frozenset(e) for e in edge_set(canon)}
+        quads = [f for f in maps.faces_of_rotation(canon)[0] if len(f) == 4]
+        completions = sum(
+            len(set(diagonals)) == c and edges.isdisjoint(diagonals)
+            for diagonals in product(*[(frozenset(q[::2]), frozenset(q[1::2])) for q in quads]))
+        right += Fraction(completions, len(maps.canonical_form(canon)[2]))
+    return left, right
+
+
+def test_cusped_mass_identity():
+    """With 0, 1 and 2 cusps at every level 4..10, the picks weighted by
+    the triangulations' groups equal the completions weighted by the
+    candidate classes' groups: the candidate stage loses no 3-connected
+    class and yields none twice."""
+    triangulations(10)
+    for c in (0, 1, 2):
+        for n in range(4, 11):
+            left, right = _cusped_mass_sides(n, c)
+            assert left == right, (n, c)
+    assert right == Fraction(30225, 2)   # two cusps at level 10
 
 
 @pytest.mark.slow
@@ -415,6 +468,39 @@ def test_pick_decides_three_connectivity_three_cusps():
     assert verdicts[True] and verdicts[False]
 
 
+def _census_rule_verdicts(top):
+    """``EnumSpec.admits`` on the dual of every distinct candidate with 1
+    or 2 cusps up to ``top`` faces, 3-connected or not, checked against
+    the all-pairs test on the candidate; returns the count of each
+    verdict."""
+    verdicts = Counter()
+    triangulations(top)
+    for c in (1, 2):
+        seen = set()
+        for n in range(4, top + 1):
+            for rot, group in enum3._LEVELS[n]:
+                for code, canon, _ in _candidates(rot, group, c, False):
+                    if code in seen:
+                        continue
+                    seen.add(code)
+                    got = EnumSpec(top, c).admits(_dualize(canon, *maps.faces_of_rotation(canon)))
+                    assert got == is_three_connected(canon), canon
+                    verdicts[got] += 1
+    return verdicts
+
+
+def test_census_rule_decides_three_connectivity():
+    """The census membership rule reads 3-connectivity of the dual map off
+    the polyhedron, at its cusps, and agrees with the all-pairs test on
+    all 1,207 distinct candidates up to 9 faces."""
+    assert _census_rule_verdicts(9) == {True: 827, False: 380}
+
+
+@pytest.mark.slow
+def test_census_rule_decides_three_connectivity_to_10():
+    assert _census_rule_verdicts(10) == {True: 1672 + 4498, False: 442 + 2349}
+
+
 @pytest.mark.parametrize("cusps, want", [
     (1, {6: 1, 7: 2, 8: 12, 9: 59, 10: 368}),
     (2, {6: 1, 7: 5, 8: 37, 9: 263, 10: 2043})])
@@ -466,7 +552,7 @@ def test_each_emitted_type_validated_once(monkeypatch):
     assert calls == {"validate": len(report.types), "rotation": len(report.types)}
 
 
-@pytest.mark.parametrize("spec", [EnumSpec(8, 2), EnumSpec(9, 2, FILTER_RIGHT_ANGLED)],
+@pytest.mark.parametrize("spec", [EnumSpec(8, 2), EnumSpec(9, 2, realizable=True)],
                          ids=["all", "right-angled"])
 def test_emitted_types_keep_no_validation(spec):
     """An emitted type parses a fresh instance on each access, so no
@@ -594,12 +680,12 @@ def test_budget_cap_enforced(monkeypatch):
         raise AssertionError(f"grew level {n} for a refused spec")
 
     monkeypatch.setattr(enum3, "triangulations", no_growth)
-    for spec, cap in ((EnumSpec(14, 0), 13), (EnumSpec(14, 1, FILTER_RIGHT_ANGLED), 13),
+    for spec, cap in ((EnumSpec(14, 0), 13), (EnumSpec(14, 1, realizable=True), 13),
                       (EnumSpec(13, 2), 12), (EnumSpec(14, 2), 12)):
         with pytest.raises(SpecError, match=f"face budget {spec.max_faces} above cap {cap}$"):
             enumerate_types(spec)
     with pytest.raises(AssertionError, match="grew level 4"):
-        enumerate_types(EnumSpec(13, 2, FILTER_RIGHT_ANGLED))
+        enumerate_types(EnumSpec(13, 2, realizable=True))
 
 
 def test_spec_validation():
@@ -607,6 +693,9 @@ def test_spec_validation():
         EnumSpec(8, 3)
     with pytest.raises(ValueError):
         EnumSpec(8, 0, "everything")
+    # 1 == True, so the table alone would take it
+    with pytest.raises(SpecError, match="^no census covers cusp count 0 with realizable=1$"):
+        EnumSpec(8, 0, 1)
 
 
 def test_nonpolyhedral_counted_not_emitted(enum_all_small):
@@ -618,7 +707,7 @@ def test_nonpolyhedral_counted_not_emitted(enum_all_small):
 
 
 def test_right_angled_filter_is_a_subset(enum_all_small):
-    accepted = enumerate_types(EnumSpec(8, 2, FILTER_RIGHT_ANGLED))
+    accepted = enumerate_types(EnumSpec(8, 2, realizable=True))
     assert set(accepted.codes) <= set(enum_all_small[2].codes)
 
 
@@ -627,7 +716,7 @@ def test_right_angled_filter_keeps_every_passing_type(enum_all_9):
     ``check_right_angled``: up to 9 faces, with 0, 1 and 2 cusps, the
     right-angled census is exactly the passing unfiltered types, in order."""
     for cusps, report in enum_all_9.items():
-        accepted = enumerate_types(EnumSpec(9, cusps, FILTER_RIGHT_ANGLED))
+        accepted = enumerate_types(EnumSpec(9, cusps, realizable=True))
         passing = [t.code for t in report.types
                    if check_right_angled(t.polyhedron).verdict == "pass"]
         assert accepted.codes == passing, cusps
@@ -646,7 +735,7 @@ def test_right_angled_filter_rejects_after_the_prefilter(monkeypatch):
         return report
 
     monkeypatch.setattr(enum3, "check_right_angled", recording)
-    report = enumerate_types(EnumSpec(12, 2, FILTER_RIGHT_ANGLED))
+    report = enumerate_types(EnumSpec(12, 2, realizable=True))
     assert report.counts_by_faces == {8: 1, 9: 1, 10: 2, 11: 4, 12: 15}
     [(faces, rejected)] = [(f, r) for f, r in verdicts if r.verdict != "pass"]
     assert (faces, rejected.verdict) == (12, "fail")
